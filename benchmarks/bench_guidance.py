@@ -17,6 +17,8 @@ fingerprints, recorded in ``results/guidance.json``.
 """
 
 import json
+import os
+import tempfile
 
 from _shared import RESULTS_DIR
 
@@ -32,11 +34,14 @@ def coverage_for(seed: int, guided: bool) -> tuple[int, int]:
     The defect catalog is disabled (``bug_ids=[]``) so no round is cut
     short by a bug report — both modes then consume the exact same
     query budget and the comparison is purely about plan discovery.
+    A coverage path turns on passive plan tracking for unguided runs.
     """
-    config = CampaignConfig(seed=seed, databases=DATABASES,
-                            reduce=False, bug_ids=[],
-                            guidance=guided, track_plans=not guided)
-    result = Campaign(config).run()
+    with tempfile.TemporaryDirectory() as scratch:
+        config = CampaignConfig(
+            seed=seed, databases=DATABASES, reduce=False, bug_ids=[],
+            guidance=guided,
+            plan_coverage=os.path.join(scratch, "coverage.json"))
+        result = Campaign(config).run()
     return result.plan_coverage.distinct, result.stats.queries
 
 

@@ -30,6 +30,7 @@ from _shared import RESULTS_DIR
 
 from repro.adapters.minidb_adapter import MiniDBConnection
 from repro.campaigns.campaign import Campaign, CampaignConfig
+from repro.core.runner import RunnerConfig
 from repro.minidb.bugs import BugRegistry
 from repro.multiplan.hints import BASELINE, PlannerHints
 from repro.multiplan.oracle import _canonical
@@ -119,7 +120,8 @@ def test_multiplan_reaches_planner_defects():
         if seed is not None:
             multiplan_cfg = CampaignConfig(
                 dialect="sqlite", seed=seed, databases=3,
-                bug_ids=[bug_id], reduce=False, multiplan=True)
+                bug_ids=[bug_id], reduce=False,
+                runner=RunnerConfig(multiplan=True))
             result = Campaign(multiplan_cfg).run()
             entry["campaign_detected"] = any(
                 bug_id in report.attributed_bugs for report in result.reports)
@@ -130,7 +132,7 @@ def test_multiplan_reaches_planner_defects():
             # the unforced stream.
             contain_cfg = CampaignConfig(
                 dialect="sqlite", seed=seed, databases=3,
-                bug_ids=[bug_id], reduce=False, multiplan=False)
+                bug_ids=[bug_id], reduce=False)
             contain = Campaign(contain_cfg).run()
             entry["containment_reports"] = len(contain.reports)
         artifact["bugs"][bug_id] = entry

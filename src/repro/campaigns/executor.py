@@ -5,8 +5,8 @@ engines, RNG, guidance scheduler, and — under a parallel campaign — its
 own private metrics registry) and drains the shared
 :class:`~repro.campaigns.scheduler.RoundQueue`: lease a round index,
 derive its campaign-global seed, run it, journal the result, settle the
-lease.  Single-process journaled campaigns run one executor inline (a
-one-shard fleet); :class:`~repro.campaigns.parallel.ParallelCampaign`
+lease.  A journaled one-thread campaign runs one executor inline (a
+one-shard fleet); a multi-thread :class:`~repro.campaigns.campaign.Campaign`
 runs one per worker thread under the supervisor.
 
 Failure handling is deliberately split by blast radius:

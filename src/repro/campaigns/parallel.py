@@ -1,352 +1,6 @@
-"""Parallel campaigns — paper §3.4's performance recipe, supervised.
-
-"We parallelized the system by running each thread on a distinct
-database."  Each worker thread owns its own engines, runner and random
-stream, so there is no shared mutable state on the hot path; results are
-merged and re-triaged globally, the same way the benchmark harness
-merges seed chunks.
-
-Scheduling is a shared work queue of round indexes
-(:class:`~repro.campaigns.scheduler.RoundQueue`), not a static
-per-thread shard split: every round's seed derives from the *campaign*
-seed and the round index, so any worker can run any round and produce
-the same result.  A :class:`~repro.campaigns.supervisor.Supervisor`
-watches the fleet — a dead worker's leased rounds are requeued for the
-survivors and the worker is restarted under a bounded budget with
-deterministic backoff; a round that keeps failing is quarantined instead
-of aborting the hunt.  The optional
-:class:`~repro.campaigns.chaos.ChaosPolicy` injects exactly those faults
-so the acceptance tests can assert the merged results are bit-identical
-to an undisturbed run.
-
-Python threads do not overlap CPU-bound work (the GIL), so against the
-pure-Python MiniDB this is about workload *shape*, not speedup; against
-an out-of-process DBMS adapter the same structure pipelines naturally.
+"""The supervised fleet is :class:`~repro.campaigns.campaign.Campaign`
+with ``threads > 1``; this name stays only because the benchmark
+harness (``perfbench/child.py``) imports it to probe the fleet workload.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.campaigns.campaign import (
-    Campaign,
-    CampaignConfig,
-    primary_attribution,
-    record_recovery,
-    stats_from_records,
-)
-from repro.campaigns.chaos import NULL_CHAOS
-from repro.campaigns.executor import RoundExecutor
-from repro.campaigns.journal import (
-    CampaignJournal,
-    JournalState,
-    QuarantineRecord,
-    RecoveryStats,
-)
-from repro.campaigns.scheduler import RoundQueue
-from repro.campaigns.supervisor import (
-    SupervisionReport,
-    Supervisor,
-    SupervisorConfig,
-)
-from repro.core.reports import BugReport, RunStatistics
-from repro.guidance import PlanCoverage
-from repro.observe.observatory import NULL_OBSERVATORY
-from repro.plantime.archive import TimingArchive
-from repro.telemetry import MetricsRegistry, Telemetry
-from repro.telemetry import names as metric_names
-
-
-@dataclass
-class ParallelCampaignConfig:
-    dialect: str = "sqlite"
-    seed: int = 0
-    threads: int = 4
-    databases_per_thread: int = 50
-    bug_ids: Optional[list[str]] = None
-    reduce: bool = True
-    max_reports_per_bug: int = 2
-    #: JSONL journal path.  One *shared* journal for the whole fleet
-    #: (the journal is internally locked): any worker's completed round
-    #: is durable immediately, and a resume redistributes the remaining
-    #: rounds over however many threads the resuming run has.
-    journal: Optional[str] = None
-    resume: bool = False
-    #: Observability sink for the merged campaign.  Each worker hunts
-    #: with a *private* registry (zero cross-thread contention on the
-    #: hot path, same recipe as the seed-forking: no shared mutable
-    #: state); after the join every per-worker snapshot is merged into
-    #: this telemetry's registry and kept in
-    #: :attr:`ParallelCampaignResult.worker_snapshots`.  Supervisor
-    #: counters (restarts, stalls, backoff) land in the shared registry
-    #: directly — supervision runs on the parent thread.
-    telemetry: Optional[Telemetry] = None
-    #: Plan-coverage guidance: each worker runs its own scheduler (same
-    #: no-shared-state recipe as seeds and telemetry).  Feedback under
-    #: work stealing is best-effort per worker — which rounds a worker
-    #: sees depends on scheduling — but *passive* coverage tracking is
-    #: deterministic: the merged set is rebuilt from the per-round
-    #: records in round-index order.
-    guidance: bool = False
-    #: Write the merged plan-coverage set (PlanCoverage JSON) here.
-    plan_coverage: Optional[str] = None
-    #: Multi-plan differential oracle (repro.multiplan); each worker's
-    #: runner gets its own oracle instance (no shared mutable state).
-    multiplan: bool = False
-    #: Optimizer observatory (repro.plantime); each worker times its own
-    #: rounds, and the merged archive is rebuilt from the per-round
-    #: records in round-index order (schedule-independent min-merge).
-    plan_timing: bool = False
-    timing_repeats: int = 3
-    regression_ratio: float = 1.5
-    #: Write the merged TimingArchive (JSONL) here.
-    timing_archive: Optional[str] = None
-    #: Statements per pipe round-trip for batchable work (see
-    #: :attr:`repro.core.runner.RunnerConfig.batch_size`).
-    batch_size: int = 16
-    #: Supervision knobs (see repro.campaigns.supervisor).
-    max_worker_restarts: int = 2
-    restart_backoff: float = 0.05
-    backoff_cap: float = 2.0
-    stall_timeout: float = 0.0
-    #: Failed attempts before a round is quarantined instead of requeued.
-    quarantine_threshold: int = 3
-    #: Fault-injection schedule (repro.campaigns.chaos.ChaosPolicy);
-    #: None runs undisturbed.
-    chaos: Optional[object] = None
-    #: Observability hub (repro.observe.Observatory).  Read-side only:
-    #: the fleet attaches its queue, heartbeat map, and supervision
-    #: report so the status service sees exact live counts (per-worker
-    #: registries are private until the join, so the shared registry
-    #: cannot serve live progress in parallel mode — the queue can).
-    observe: Optional[object] = None
-
-
-@dataclass
-class ParallelCampaignResult:
-    config: ParallelCampaignConfig
-    stats: RunStatistics
-    reports: list[BugReport] = field(default_factory=list)
-    #: Rounds completed per logical worker slot (restarted incarnations
-    #: count toward their slot; journal-preloaded rounds toward none).
-    per_thread_rounds: list[int] = field(default_factory=list)
-    #: One entry per worker death: the summary line followed by the
-    #: full formatted traceback — a fleet failure must be debuggable
-    #: from the campaign result alone.
-    worker_errors: list[str] = field(default_factory=list)
-    #: Per-worker metric snapshots (one per spawned incarnation),
-    #: merged into the shared registry; kept so per-worker skew is
-    #: inspectable.
-    worker_snapshots: list[dict] = field(default_factory=list)
-    #: Union of the per-round plan sets, rebuilt in round-index order
-    #: (None when plan tracking was off); per-slot distinct counts are
-    #: in :attr:`per_thread_plans`.
-    plan_coverage: Optional["PlanCoverage"] = None
-    per_thread_plans: list[int] = field(default_factory=list)
-    #: Merged per-plan timing archive (None when plan timing was off),
-    #: min-merged from the per-round records in round-index order.
-    timing_archive: Optional["TimingArchive"] = None
-    #: Poison rounds retired after exhausting the retry threshold.
-    quarantined: list[QuarantineRecord] = field(default_factory=list)
-    #: What journal recovery had to repair on ``--resume``.
-    recovery: RecoveryStats = field(default_factory=RecoveryStats)
-    #: What supervision did (restarts, stalls, backoff, failures).
-    supervision: SupervisionReport = field(
-        default_factory=SupervisionReport)
-
-    def harness_reports(self) -> list[str]:
-        """Synthesized human-readable reports for quarantined rounds —
-        availability failures of the harness, never DBMS findings."""
-        return [record.harness_report() for record in self.quarantined]
-
-    @property
-    def detected_bug_ids(self) -> set[str]:
-        out: set[str] = set()
-        for report in self.reports:
-            out.update(report.attributed_bugs)
-        return out
-
-
-class ParallelCampaign:
-    """A supervised worker fleet over one shared round queue."""
-
-    def __init__(self, config: ParallelCampaignConfig):
-        self.config = config
-        self.total_rounds = config.threads * config.databases_per_thread
-        # The parent campaign supplies the runner recipe (engines,
-        # guidance wiring) for every worker and the replay/reduce/triage
-        # pipeline for the merged reports.
-        self._parent = Campaign(self._base_config())
-
-    def _base_config(self) -> CampaignConfig:
-        cfg = self.config
-        return CampaignConfig(
-            dialect=cfg.dialect, seed=cfg.seed,
-            databases=self.total_rounds, bug_ids=cfg.bug_ids,
-            reduce=cfg.reduce,
-            max_reports_per_bug=cfg.max_reports_per_bug,
-            journal=cfg.journal, resume=cfg.resume,
-            telemetry=cfg.telemetry, guidance=cfg.guidance,
-            track_plans=cfg.guidance or bool(cfg.plan_coverage),
-            quarantine_threshold=cfg.quarantine_threshold,
-            multiplan=cfg.multiplan,
-            plan_timing=cfg.plan_timing,
-            timing_repeats=cfg.timing_repeats,
-            regression_ratio=cfg.regression_ratio,
-            batch_size=cfg.batch_size)
-
-    def run(self) -> ParallelCampaignResult:
-        cfg = self.config
-        shared = cfg.telemetry
-        chaos = cfg.chaos or NULL_CHAOS
-        observe = cfg.observe or NULL_OBSERVATORY
-        queue = RoundQueue(range(self.total_rounds), cfg.seed,
-                           quarantine_threshold=cfg.quarantine_threshold)
-        observe.attach_queue(queue)
-        spawned_telemetry: list[Optional[Telemetry]] = []
-
-        journal: Optional[CampaignJournal] = None
-        state = JournalState()
-        try:
-            if cfg.journal:
-                journal = CampaignJournal(cfg.journal)
-                fingerprint = self._parent._fingerprint()
-                if cfg.resume:
-                    state = journal.load_state(fingerprint)
-                journal.start(fingerprint, fresh=state.empty)
-                queue.preload(state.rounds, state.quarantined)
-                record_recovery(state.recovery, shared,
-                                recovered=len(state.rounds))
-                if shared is not None:
-                    shared.counter(metric_names.ROUNDS).inc(
-                        len(state.rounds))
-
-            def worker_factory(worker_id: int,
-                               heartbeats: dict) -> RoundExecutor:
-                child_telemetry = None
-                if shared is not None and shared.enabled:
-                    # Private registry per worker; the shared tracer is
-                    # lock-protected, so spans interleave but each line
-                    # stays whole.
-                    child_telemetry = Telemetry(
-                        registry=MetricsRegistry(), tracer=shared.tracer)
-                spawned_telemetry.append(child_telemetry)
-                runner = self._parent.build_runner(
-                    telemetry=child_telemetry,
-                    # Distinct guidance streams per incarnation.
-                    seed=cfg.seed + 7919 * (worker_id + 1))
-                return RoundExecutor(
-                    worker_id, runner, queue, cfg.seed,
-                    journal=journal, chaos=chaos,
-                    telemetry=child_telemetry, heartbeats=heartbeats,
-                    events=observe.events)
-
-            supervisor = Supervisor(
-                queue, cfg.threads, worker_factory,
-                config=SupervisorConfig(
-                    max_worker_restarts=cfg.max_worker_restarts,
-                    restart_backoff=cfg.restart_backoff,
-                    backoff_cap=cfg.backoff_cap,
-                    stall_timeout=cfg.stall_timeout),
-                telemetry=shared, events=observe.events)
-            observe.attach_heartbeats(supervisor.heartbeats)
-            observe.attach_supervision(supervisor.report)
-            supervision = supervisor.run()
-        finally:
-            if journal is not None:
-                journal.close()
-
-        if not queue.completed and supervision.failures:
-            # Nothing survived; there is nothing to degrade to.
-            raise supervision.failures[0].exception
-
-        merged = self._merge(queue, supervision, state)
-        merged.worker_snapshots = [
-            t.registry.snapshot() for t in spawned_telemetry
-            if t is not None]
-        if shared is not None:
-            for snapshot in merged.worker_snapshots:
-                shared.registry.merge_snapshot(snapshot)
-        if merged.plan_coverage is not None:
-            observe.attach_coverage(merged.plan_coverage)
-        observe.mark_finished()
-        return merged
-
-    # -- merging (parent thread, round-index order) --------------------------
-    def _merge(self, queue: RoundQueue, supervision: SupervisionReport,
-               state: JournalState) -> ParallelCampaignResult:
-        records = queue.records_in_order()
-        quarantined = queue.quarantined_in_order()
-        stats = stats_from_records(records, quarantined)
-        merged = ParallelCampaignResult(
-            config=self.config, stats=stats, quarantined=quarantined,
-            recovery=state.recovery, supervision=supervision)
-        merged.worker_errors = [
-            f"worker slot {failure.slot}: {failure.summary}\n"
-            f"{failure.traceback}"
-            for failure in supervision.failures]
-
-        # Rounds and plans attributed to logical slots.  completed_by
-        # holds the completing incarnation's worker_id (None for
-        # journal-preloaded rounds); worker_slots maps it home.
-        rounds_per_slot = [0] * self.config.threads
-        track_plans = self.config.guidance \
-            or bool(self.config.plan_coverage)
-        coverage = PlanCoverage() if track_plans else None
-        per_slot_coverage = [PlanCoverage()
-                             for _ in range(self.config.threads)]
-        for record in records:
-            worker_id = queue.completed_by.get(record.index)
-            slot = supervision.worker_slots.get(worker_id) \
-                if worker_id is not None else None
-            if slot is not None:
-                rounds_per_slot[slot] += 1
-            if coverage is None:
-                continue
-            # Index-order rebuild: the globally-earliest round holding
-            # a fingerprint always recorded it (no worker saw it
-            # before), so the merged set — including which example
-            # query witnesses each plan — is schedule-independent.
-            for fingerprint, example in record.plans:
-                coverage.observe(fingerprint, example)
-                if slot is not None:
-                    per_slot_coverage[slot].observe(fingerprint, example)
-        merged.per_thread_rounds = rounds_per_slot
-        if self.config.plan_timing:
-            # stats.plantime_outcomes was filled from records_in_order,
-            # and the archive's min-merge is order-insensitive anyway,
-            # so the merged archive is schedule-independent and matches
-            # what a single-process run of the same rounds produces.
-            merged.timing_archive = TimingArchive.from_outcomes(
-                stats.plantime_outcomes)
-            if self.config.timing_archive:
-                merged.timing_archive.dump(self.config.timing_archive)
-        if coverage is not None:
-            merged.plan_coverage = coverage
-            merged.per_thread_plans = [c.distinct
-                                       for c in per_slot_coverage]
-            if self.config.plan_coverage:
-                coverage.dump(self.config.plan_coverage)
-
-        # Reduce, attribute, and triage centrally, in round-index order
-        # (stats.reports was filled from records_in_order), so the
-        # outcome is independent of worker scheduling.
-        per_bug: dict[str, int] = {}
-        seen: set[str] = set()
-        for report in stats.reports:
-            processed = self._parent._process(report)
-            if processed is None:
-                continue
-            primary = primary_attribution(processed)
-            if per_bug.get(primary, 0) >= \
-                    self.config.max_reports_per_bug:
-                continue
-            per_bug[primary] = per_bug.get(primary, 0) + 1
-            processed.triage = self._parent._triage(primary, seen)
-            seen.add(primary)
-            merged.reports.append(processed)
-        # stats.reports held the raw per-round reports; keep only the
-        # merged, re-triaged ones visible.
-        stats.reports = list(merged.reports)
-        return merged
+from repro.campaigns.campaign import Campaign as ParallelCampaign  # noqa: F401

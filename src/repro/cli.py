@@ -23,6 +23,7 @@ import argparse
 import sys
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
+from repro.campaigns.supervisor import SupervisorConfig
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import DBCrash, DBError, PQSError
 from repro.minidb.bugs import BUG_CATALOG, bugs_for_dialect
@@ -55,10 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "for the dialect)")
     hunt.add_argument("--no-reduce", action="store_true",
                       help="skip delta-debugging reduction")
-    hunt.add_argument("--batch-size", type=int, default=16,
-                      help="statements per pipe round-trip for "
-                           "batchable work (1 = one statement per "
-                           "round-trip; default: 16)")
     hunt.add_argument("--threads", type=int, default=1,
                       help="parallel campaign workers (default: 1)")
     hunt.add_argument("--journal", default=None, metavar="PATH",
@@ -260,13 +257,15 @@ def cmd_hunt(args) -> int:
     if args.timing_archive and not args.plan_timing:
         print("--timing-archive requires --plan-timing")
         return 2
+    threads = max(args.threads, 1)
+    # --databases counts per thread.
+    total_rounds = args.databases * threads
     telemetry, sink = _build_telemetry(args)
     observatory, server = _build_observatory(args, telemetry)
     reporter = None
     if args.progress > 0:
         from repro.telemetry import ProgressReporter
 
-        total_rounds = args.databases * max(args.threads, 1)
         # The queue's exact settled counts beat registry counters
         # whenever a queue exists (always in parallel mode, where
         # workers count in private registries; and under work stealing,
@@ -286,28 +285,31 @@ def cmd_hunt(args) -> int:
         print("[pqs] note: --events without --journal/--threads logs "
               "campaign lifecycle only (per-round events need the "
               "round-queue path)", file=sys.stderr)
-    observatory.events.emit("campaign_start",
-                            databases=args.databases * max(args.threads, 1),
+    observatory.events.emit("campaign_start", databases=total_rounds,
                             threads=args.threads)
+    chaos = None
+    if args.chaos_seed is not None:
+        from repro.campaigns.chaos import ChaosPolicy
+
+        chaos = ChaosPolicy(seed=args.chaos_seed)
     try:
-        if args.threads > 1:
-            return _hunt_parallel(args, bug_ids, telemetry, observatory)
         config = CampaignConfig(
             dialect=args.dialect, seed=args.seed,
-            databases=args.databases, bug_ids=bug_ids,
-            reduce=not args.no_reduce,
+            databases=total_rounds, threads=threads,
+            bug_ids=bug_ids, reduce=not args.no_reduce,
             journal=args.journal, resume=args.resume,
             telemetry=telemetry,
             observe=observatory if observatory.enabled else None,
-            guidance=args.guidance,
-            plan_coverage=args.plan_coverage,
+            guidance=args.guidance, plan_coverage=args.plan_coverage,
             quarantine_threshold=args.quarantine_threshold,
-            multiplan=args.multiplan,
-            plan_timing=args.plan_timing,
-            timing_repeats=args.timing_repeats,
-            regression_ratio=args.regression_ratio,
-            timing_archive=args.timing_archive,
-            batch_size=args.batch_size)
+            timing_archive=args.timing_archive, chaos=chaos,
+            runner=RunnerConfig(
+                multiplan=args.multiplan, plan_timing=args.plan_timing,
+                plan_timing_repeats=args.timing_repeats,
+                plan_regression_ratio=args.regression_ratio),
+            supervisor=SupervisorConfig(
+                max_worker_restarts=args.max_worker_restarts,
+                stall_timeout=args.stall_timeout))
         result = Campaign(config).run()
     except PQSError as error:
         print(f"error: {error}")
@@ -321,53 +323,6 @@ def cmd_hunt(args) -> int:
         observatory.events.close()
         if sink is not None:
             sink.close()
-    _write_metrics(args, telemetry, result.stats)
-    _print_hunt_stats(result.stats, telemetry,
-                      coverage=result.plan_coverage,
-                      recovery=result.recovery)
-    _print_timing_archive(args, result.timing_archive)
-    _print_quarantine(result.harness_reports())
-    for report in result.reports:
-        print(f"\n[{report.oracle.value}] {report.message} "
-              f"(triage: {report.triage})")
-        print(f"  defect: {', '.join(report.attributed_bugs)}")
-        for statement in report.test_case.statements:
-            print(f"    {statement};")
-    print(f"\ndetected {len(result.detected_bug_ids)} distinct "
-          f"defect(s) in {len(result.reports)} report(s)")
-    return 0
-
-
-def _hunt_parallel(args, bug_ids, telemetry, observatory) -> int:
-    from repro.campaigns.parallel import (
-        ParallelCampaign,
-        ParallelCampaignConfig,
-    )
-
-    chaos = None
-    if args.chaos_seed is not None:
-        from repro.campaigns.chaos import ChaosPolicy
-
-        chaos = ChaosPolicy(seed=args.chaos_seed)
-    config = ParallelCampaignConfig(
-        dialect=args.dialect, seed=args.seed, threads=args.threads,
-        databases_per_thread=args.databases, bug_ids=bug_ids,
-        reduce=not args.no_reduce, journal=args.journal,
-        resume=args.resume,
-        telemetry=(telemetry if telemetry.enabled else None),
-        observe=observatory if observatory.enabled else None,
-        guidance=args.guidance, plan_coverage=args.plan_coverage,
-        max_worker_restarts=args.max_worker_restarts,
-        stall_timeout=args.stall_timeout,
-        quarantine_threshold=args.quarantine_threshold,
-        multiplan=args.multiplan,
-        plan_timing=args.plan_timing,
-        timing_repeats=args.timing_repeats,
-        regression_ratio=args.regression_ratio,
-        timing_archive=args.timing_archive,
-        batch_size=args.batch_size,
-        chaos=chaos)
-    result = ParallelCampaign(config).run()
     _write_metrics(args, telemetry, result.stats)
     _print_hunt_stats(result.stats, telemetry,
                       coverage=result.plan_coverage,
@@ -388,9 +343,15 @@ def _hunt_parallel(args, bug_ids, telemetry, observatory) -> int:
     _print_quarantine(result.harness_reports())
     for summary in result.worker_errors:
         print(f"FAILED {summary}")
+    for report in result.reports:
+        print(f"\n[{report.oracle.value}] {report.message} "
+              f"(triage: {report.triage})")
+        print(f"  defect: {', '.join(report.attributed_bugs)}")
+        for statement in report.test_case.statements:
+            print(f"    {statement};")
+    across = f" across {threads} worker(s)" if threads > 1 else ""
     print(f"\ndetected {len(result.detected_bug_ids)} distinct "
-          f"defect(s) in {len(result.reports)} report(s) across "
-          f"{args.threads} worker(s)")
+          f"defect(s) in {len(result.reports)} report(s){across}")
     return 0
 
 

@@ -178,17 +178,7 @@ class PQSRunner:
     def run(self, databases: int = 10) -> RunStatistics:
         stats = RunStatistics()
         for _ in range(databases):
-            round_ = self.run_database_round()
-            stats.databases += 1
-            stats.statements += round_.statements
-            stats.queries += round_.queries
-            stats.pivots += round_.pivots
-            stats.expected_errors += round_.expected_errors
-            stats.timeouts += round_.timeouts
-            stats.seconds += round_.seconds
-            stats.absorb_multiplan(round_.multiplan)
-            stats.absorb_plantime(round_.plantime)
-            stats.reports.extend(round_.reports)
+            stats.absorb_round(self.run_database_round())
         return stats
 
     def reseed(self, seed: int) -> None:
@@ -317,15 +307,9 @@ class PQSRunner:
                        on_success, log: list[str],
                        round_: DatabaseRound) -> None:
         try:
-            rows = connection.execute(sql)
-        except DBCrash as crash:
-            outcome = ("crash", crash)
-        except DBTimeout as timeout:
-            outcome = ("timeout", timeout)
-        except DBError as error:
-            outcome = ("error", error)
-        else:
-            outcome = ("ok", rows)
+            outcome = ("ok", connection.execute(sql))
+        except (DBCrash, DBError) as failure:
+            outcome = ("failed", failure)
         self._absorb_outcome(sql, on_success, outcome, log, round_)
 
     def _absorb_outcome(self, sql: str, on_success,
@@ -341,24 +325,38 @@ class PQSRunner:
             if on_success is not None:
                 on_success()
             self._track_option(sql)
-        elif kind == "error":
-            verdict = self.error_oracle.classify(sql, payload)
-            if verdict.expected:
-                round_.expected_errors += 1
-                self._count_expected(sql)
-                return
-            log.append(sql)
-            round_.reports.append(self._report(Oracle.ERROR, log,
-                                               payload.message))
-        elif kind == "timeout":
+        else:
+            self._absorb_failure(sql, payload, log, round_, keep=True)
+
+    def _absorb_failure(self, sql: str, failure: BaseException,
+                        log: list[str], round_: DatabaseRound,
+                        keep: bool = False) -> None:
+        """Classify one failed statement — timeout, expected error,
+        error-oracle or crash-oracle finding — the one path every
+        statement failure of a round takes.
+
+        A finding's test case is ``log + [sql]``.  ``keep`` (state
+        generation) also appends *sql* to *log* when a finding is made,
+        since the statement then belongs to every later finding's
+        prefix."""
+        if isinstance(failure, DBTimeout):
             # The watchdog killed the statement; the harness restored
             # state without it, so it is neither logged nor a finding.
             round_.timeouts += 1
             self._m_timeouts.inc()
+            return
+        if isinstance(failure, DBCrash):
+            oracle = Oracle.CRASH
+        elif self.error_oracle.classify(sql, failure).expected:
+            round_.expected_errors += 1
+            self._count_expected(sql)
+            return
         else:
+            oracle = Oracle.ERROR
+        round_.reports.append(self._report(oracle, log + [sql],
+                                           failure.message))
+        if keep:
             log.append(sql)
-            round_.reports.append(self._report(Oracle.CRASH, log,
-                                               payload.message))
 
     _CSL_PATTERN = None
 
@@ -438,24 +436,11 @@ class PQSRunner:
                                            outcomes):
                 index += 1
                 kind, payload = outcome
-                if kind == "ok":
-                    if payload and all(len(r) == len(table.columns)
-                                       for r in payload):
-                        healthy.append((table, payload))
-                elif kind == "crash":
-                    round_.reports.append(self._report(
-                        Oracle.CRASH, log + [sql], payload.message))
-                elif kind == "timeout":
-                    round_.timeouts += 1
-                    self._m_timeouts.inc()
-                else:
-                    verdict = self.error_oracle.classify(sql, payload)
-                    if verdict.expected:
-                        round_.expected_errors += 1
-                        self._count_expected(sql)
-                    else:
-                        round_.reports.append(self._report(
-                            Oracle.ERROR, log + [sql], payload.message))
+                if kind != "ok":
+                    self._absorb_failure(sql, payload, log, round_)
+                elif payload and all(len(r) == len(table.columns)
+                                     for r in payload):
+                    healthy.append((table, payload))
         return healthy
 
     def _one_query(self, connection: DBMSConnection,
@@ -483,22 +468,8 @@ class PQSRunner:
                 contained = check_containment(
                     connection, query, self.interpreter.semantics,
                     use_intersect=use_intersect)
-        except DBCrash as crash:
-            round_.reports.append(self._report(
-                Oracle.CRASH, log + [query.sql], crash.message))
-            return
-        except DBTimeout:
-            round_.timeouts += 1
-            self._m_timeouts.inc()
-            return
-        except DBError as error:
-            verdict = self.error_oracle.classify(query.sql, error)
-            if verdict.expected:
-                round_.expected_errors += 1
-                self._count_expected(query.sql)
-            else:
-                round_.reports.append(self._report(
-                    Oracle.ERROR, log + [query.sql], error.message))
+        except (DBCrash, DBError) as failure:
+            self._absorb_failure(query.sql, failure, log, round_)
             return
         if query.negative:
             if contained:

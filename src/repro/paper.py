@@ -166,7 +166,7 @@ ARTIFACTS: tuple[Artifact, ...] = (
         ("benchmarks/bench_throughput.py",)),
     Artifact(
         "§3.4 threads", "thread per database",
-        ("src/repro/campaigns/parallel.py",
+        ("src/repro/campaigns/campaign.py",
          "tests/campaigns/test_parallel.py")),
     Artifact(
         "§3.4 expressions on columns", "projected-expression checking",

@@ -3,7 +3,7 @@
 A :class:`TimingArchive` is the cross-campaign memory of the optimizer
 observatory: for every (query shape, plan) pair it keeps the fastest
 elapsed time ever observed and how many observations contributed.
-Merging two archives — across rounds, across ``ParallelCampaign``
+Merging two archives — across rounds, across campaign fleet
 workers, across whole campaigns — is a min-merge on elapsed times and a
 sum on sample counts, the same commutative/associative discipline as
 :class:`~repro.guidance.coverage.PlanCoverage`, so archives are

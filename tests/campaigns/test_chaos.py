@@ -12,20 +12,21 @@ results.
 
 import dataclasses
 
+from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.chaos import ChaosKill, ChaosPolicy
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
+from repro.campaigns.supervisor import SupervisorConfig
 
-BASE = dict(dialect="sqlite", seed=5, threads=3,
-            databases_per_thread=4, reduce=False)
+BASE = dict(dialect="sqlite", seed=5, threads=3, databases=12,
+            reduce=False)
 
 
-def run(journal=None, chaos=None, resume=False, **overrides):
-    config = dict(BASE, journal=journal, chaos=chaos, resume=resume)
+def run(journal=None, chaos=None, resume=False, max_worker_restarts=2,
+        **overrides):
+    config = dict(BASE, journal=journal, chaos=chaos, resume=resume,
+                  supervisor=SupervisorConfig(
+                      max_worker_restarts=max_worker_restarts))
     config.update(overrides)
-    return ParallelCampaign(ParallelCampaignConfig(**config)).run()
+    return Campaign(CampaignConfig(**config)).run()
 
 
 def comparable(stats):
@@ -151,7 +152,7 @@ class TestObservedChaos:
         events = EventLog("sqlite-s5")
         observatory = Observatory(
             campaign="sqlite-s5", dialect="sqlite", seed=BASE["seed"],
-            total_rounds=BASE["threads"] * BASE["databases_per_thread"],
+            total_rounds=BASE["databases"],
             events=events)
         with StatusServer(observatory, port=0):
             observed = run(journal=str(tmp_path / "obs.jsonl"),
@@ -173,14 +174,13 @@ class TestObservedChaos:
 
         plain = tmp_path / "plain.jsonl"
         observed = tmp_path / "observed.jsonl"
-        run(journal=str(plain), threads=1, databases_per_thread=12)
+        run(journal=str(plain), threads=1)
         events = EventLog("sqlite-s5")
         observatory = Observatory(
             campaign="sqlite-s5", dialect="sqlite", seed=BASE["seed"],
             total_rounds=12, events=events)
         with StatusServer(observatory, port=0):
-            run(journal=str(observed), threads=1,
-                databases_per_thread=12, observe=observatory)
+            run(journal=str(observed), threads=1, observe=observatory)
         strip = lambda p: [line for line in
                            p.read_bytes().splitlines()]
         plain_lines, observed_lines = strip(plain), strip(observed)

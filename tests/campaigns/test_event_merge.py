@@ -8,12 +8,10 @@ must be identical across thread counts, work-stealing schedules, and
 chaos injections, exactly like the campaign results themselves.
 """
 
+from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.chaos import ChaosPolicy
 from repro.campaigns.journal import round_seed
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
+from repro.campaigns.supervisor import SupervisorConfig
 from repro.observe import (
     EventLog,
     Observatory,
@@ -28,27 +26,35 @@ TOTAL = 12
 
 
 def hunt(threads, per_thread, journal=None, chaos=None,
-         telemetry=None, **overrides):
+         telemetry=None, max_worker_restarts=2, tmp_path=None,
+         **overrides):
     events = EventLog(campaign_id("sqlite", SEED))
     observatory = Observatory(campaign=events.campaign,
                               dialect="sqlite", seed=SEED,
                               total_rounds=threads * per_thread,
                               events=events)
-    config = ParallelCampaignConfig(
+    if threads == 1 and journal is None:
+        # One thread runs per-round events through the round queue only
+        # with a journal (the inline executor).
+        journal = str(tmp_path / "inline.jsonl")
+    config = CampaignConfig(
         dialect="sqlite", seed=SEED, threads=threads,
-        databases_per_thread=per_thread, reduce=False,
+        databases=threads * per_thread, reduce=False,
         journal=journal, chaos=chaos, observe=observatory,
-        telemetry=telemetry, **overrides)
-    result = ParallelCampaign(config).run()
+        telemetry=telemetry,
+        supervisor=SupervisorConfig(
+            max_worker_restarts=max_worker_restarts),
+        **overrides)
+    result = Campaign(config).run()
     return result, events.events()
 
 
 class TestMergeDeterminism:
-    def test_view_identical_across_thread_counts(self):
+    def test_view_identical_across_thread_counts(self, tmp_path):
         views = []
         for threads, per_thread in [(1, 12), (2, 6), (3, 4)]:
             assert threads * per_thread == TOTAL
-            _, events = hunt(threads, per_thread)
+            _, events = hunt(threads, per_thread, tmp_path=tmp_path)
             views.append(deterministic_view(merge_events(events)))
         assert views[0] == views[1] == views[2]
         completed = [e for e in views[0]
@@ -102,7 +108,7 @@ class TestMergeDeterminism:
         for threads, per_thread in [(1, 12), (3, 4)]:
             path = str(tmp_path / f"cov{threads}.json")
             result, events = hunt(threads, per_thread,
-                                  plan_coverage=path)
+                                  plan_coverage=path, tmp_path=tmp_path)
             unions.append(novel_fingerprints(events))
             views.append(deterministic_view(merge_events(events)))
             assert unions[-1] == \

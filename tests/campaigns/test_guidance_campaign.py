@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.parallel import ParallelCampaign, ParallelCampaignConfig
 from repro.errors import PQSError
 from repro.guidance import PlanCoverage
 
@@ -69,8 +68,8 @@ def test_guided_journal_rejects_unguided_resume(tmp_path):
 
 def test_parallel_campaign_merges_coverage(tmp_path):
     path = tmp_path / "coverage.json"
-    result = ParallelCampaign(ParallelCampaignConfig(
-        seed=21, threads=2, databases_per_thread=3, reduce=False,
+    result = Campaign(CampaignConfig(
+        seed=21, threads=2, databases=6, reduce=False,
         guidance=True, plan_coverage=str(path))).run()
     assert result.plan_coverage is not None
     assert len(result.per_thread_plans) == 2

@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.parallel import ParallelCampaign, ParallelCampaignConfig
 from repro.core.reports import Oracle
+from repro.core.runner import RunnerConfig
 from repro.errors import PQSError
 from repro.multiplan import MultiPlanReplayer, PlannerHints
 from repro.observe.report import build_report
@@ -19,11 +19,11 @@ BUG = "sqlite-forced-index-fencepost"
 JOURNAL_SEED = 1
 
 
-def config(**kw):
+def config(multiplan=False, **kw):
     kw.setdefault("seed", 0)
     kw.setdefault("databases", 3)
     kw.setdefault("reduce", False)
-    return CampaignConfig(**kw)
+    return CampaignConfig(runner=RunnerConfig(multiplan=multiplan), **kw)
 
 
 def normalized(path):
@@ -124,9 +124,8 @@ class TestJournalAndResume:
         assert normalized(journal) == reference
 
     def test_parallel_campaign_counts_multiplan(self):
-        result = ParallelCampaign(ParallelCampaignConfig(
-            seed=0, threads=2, databases_per_thread=2, reduce=False,
-            bug_ids=[BUG], multiplan=True)).run()
+        result = Campaign(config(threads=2, databases=4,
+                                 bug_ids=[BUG], multiplan=True)).run()
         assert result.stats.multiplan_queries > 0
 
 

@@ -9,20 +9,20 @@ survivors' results; total fleet death surfaces the real exception).
 
 import pytest
 
+from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import round_seed
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
+from repro.campaigns.replay import DifferentialReplayer
+from repro.campaigns.supervisor import SupervisorConfig
+from repro.core.reports import Oracle
+from repro.errors import PQSError
 
 
 class TestParallelCampaign:
     def test_merges_thread_results(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=3,
-                                        databases_per_thread=25)
-        result = ParallelCampaign(config).run()
+        config = CampaignConfig(dialect="sqlite", seed=42, threads=3,
+                                databases=75)
+        result = Campaign(config).run()
         assert len(result.per_thread_rounds) == 3
         assert sum(result.per_thread_rounds) == 75
         assert result.stats.databases == 75
@@ -31,19 +31,16 @@ class TestParallelCampaign:
             assert report.attributed_bugs
 
     def test_max_reports_per_bug_global(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=3,
-                                        databases_per_thread=25,
-                                        max_reports_per_bug=1)
-        result = ParallelCampaign(config).run()
+        config = CampaignConfig(dialect="sqlite", seed=42, threads=3,
+                                databases=75, max_reports_per_bug=1)
+        result = Campaign(config).run()
         primaries = [r.attributed_bugs[0] for r in result.reports]
         assert len(primaries) == len(set(primaries))
 
     def test_duplicate_triage_across_threads(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=3,
-                                        databases_per_thread=25)
-        result = ParallelCampaign(config).run()
+        config = CampaignConfig(dialect="sqlite", seed=42, threads=3,
+                                databases=75)
+        result = Campaign(config).run()
         by_bug = {}
         for report in result.reports:
             by_bug.setdefault(report.attributed_bugs[0],
@@ -52,11 +49,9 @@ class TestParallelCampaign:
             assert all(r.triage == "duplicate" for r in reports[1:])
 
     def test_rounds_use_campaign_global_seeds(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=0,
-                                        threads=2,
-                                        databases_per_thread=3,
-                                        reduce=False)
-        result = ParallelCampaign(config).run()
+        config = CampaignConfig(dialect="sqlite", seed=0, threads=2,
+                                databases=6, reduce=False)
+        result = Campaign(config).run()
         assert result.stats.statements > 0
         assert result.stats.queries > 0
         # Every report's seed must be one of the campaign's round
@@ -65,27 +60,52 @@ class TestParallelCampaign:
         for report in result.stats.reports:
             assert report.seed in expected
 
-    def test_thread_count_does_not_change_results(self):
-        def run(threads, per_thread):
-            config = ParallelCampaignConfig(
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        def run(threads, journal=None):
+            config = CampaignConfig(
                 dialect="sqlite", seed=13, threads=threads,
-                databases_per_thread=per_thread, reduce=False)
-            return ParallelCampaign(config).run()
+                databases=12, reduce=False, journal=journal)
+            return Campaign(config).run()
 
-        a = run(2, 6)
-        b = run(3, 4)
-        assert a.stats.statements == b.stats.statements
-        assert a.stats.queries == b.stats.queries
-        assert [r.seed for r in a.reports] == \
-            [r.seed for r in b.reports], \
-            "round seeds are campaign-global, so the same 12 rounds " \
-            "must produce the same findings under any thread count"
+        a = run(2)
+        b = run(3)
+        # One thread needs the round queue (a journal) to run the same
+        # campaign-global round seeds; that is the inline executor.
+        c = run(1, journal=str(tmp_path / "inline.jsonl"))
+        for other in (b, c):
+            assert a.stats.statements == other.stats.statements
+            assert a.stats.queries == other.stats.queries
+            assert [r.seed for r in a.reports] == \
+                [r.seed for r in other.reports], \
+                "round seeds are campaign-global, so the same 12 " \
+                "rounds must produce the same findings under any " \
+                "thread count"
+
+    def test_unattributed_findings_are_kept(self, monkeypatch):
+        # A finding no single-defect engine reproduces is a tool bug;
+        # the fleet must surface it, not drop it.
+        monkeypatch.setattr(DifferentialReplayer, "manifests",
+                            lambda self, test_case: False)
+        config = CampaignConfig(dialect="sqlite", seed=42, threads=2,
+                                databases=20, reduce=False)
+        result = Campaign(config).run()
+        raw = [r for r in result.stats.reports
+               if r.oracle in (Oracle.CONTAINMENT, Oracle.ERROR)]
+        assert raw, "the hunt must find something to drop"
+        assert result.reports == []
+        assert result.unattributed == result.stats.reports
+
+    def test_chaos_requires_threads(self):
+        from repro.campaigns.chaos import ChaosPolicy
+
+        with pytest.raises(PQSError):
+            CampaignConfig(threads=1, chaos=ChaosPolicy(seed=1))
 
 
 class TestGracefulDegradation:
     CONFIG = dict(dialect="sqlite", seed=42, threads=3,
-                  databases_per_thread=10, reduce=False,
-                  max_worker_restarts=0)
+                  databases=30, reduce=False,
+                  supervisor=SupervisorConfig(max_worker_restarts=0))
 
     @staticmethod
     def _kill_worker_rounds(monkeypatch, doomed, every_attempt=False):
@@ -115,8 +135,7 @@ class TestGracefulDegradation:
         # off that slot is retired, the lease is stolen, and a survivor
         # completes the round — nothing is lost.
         self._kill_worker_rounds(monkeypatch, {0})
-        result = ParallelCampaign(
-            ParallelCampaignConfig(**self.CONFIG)).run()
+        result = Campaign(CampaignConfig(**self.CONFIG)).run()
         assert result.stats.databases == 30, \
             "a dead worker's leased round must be requeued, not lost"
         assert len(result.worker_errors) == 1
@@ -129,27 +148,24 @@ class TestGracefulDegradation:
         self._kill_worker_rounds(monkeypatch, set(range(30)),
                                  every_attempt=True)
         with pytest.raises(RuntimeError):
-            ParallelCampaign(
-                ParallelCampaignConfig(**self.CONFIG)).run()
+            Campaign(CampaignConfig(**self.CONFIG)).run()
 
     def test_restart_budget_recovers_worker_deaths(self, monkeypatch):
         # Three lethal first attempts, one restart per slot: the fleet
         # loses incarnations but completes every round.
         self._kill_worker_rounds(monkeypatch, {0, 1, 2})
         config = dict(self.CONFIG)
-        config.update(max_worker_restarts=1, restart_backoff=0.0)
-        result = ParallelCampaign(
-            ParallelCampaignConfig(**config)).run()
+        config.update(supervisor=SupervisorConfig(max_worker_restarts=1,
+                                                  restart_backoff=0.0))
+        result = Campaign(CampaignConfig(**config)).run()
         assert result.stats.databases == 30
         assert result.supervision.restarts >= 1
         assert len(result.worker_errors) == 3
 
     def test_no_failures_reports_none(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=2,
-                                        databases_per_thread=5,
-                                        reduce=False)
-        result = ParallelCampaign(config).run()
+        config = CampaignConfig(dialect="sqlite", seed=42, threads=2,
+                                databases=10, reduce=False)
+        result = Campaign(config).run()
         assert result.worker_errors == []
         assert result.supervision.restarts == 0
 
@@ -157,12 +173,10 @@ class TestGracefulDegradation:
 class TestParallelJournal:
     def test_single_shared_journal_written(self, tmp_path):
         path = tmp_path / "hunt.jsonl"
-        config = ParallelCampaignConfig(dialect="sqlite", seed=9,
-                                        threads=2,
-                                        databases_per_thread=4,
-                                        reduce=False,
-                                        journal=str(path))
-        ParallelCampaign(config).run()
+        config = CampaignConfig(dialect="sqlite", seed=9, threads=2,
+                                databases=8, reduce=False,
+                                journal=str(path))
+        Campaign(config).run()
         assert path.exists()
         import json
 
@@ -174,11 +188,11 @@ class TestParallelJournal:
 
     def test_parallel_resume_matches_uninterrupted(self, tmp_path):
         def run(journal, resume=False, threads=2):
-            config = ParallelCampaignConfig(
+            config = CampaignConfig(
                 dialect="sqlite", seed=9, threads=threads,
-                databases_per_thread=12 // threads, reduce=False,
+                databases=12, reduce=False,
                 journal=str(journal), resume=resume)
-            return ParallelCampaign(config).run()
+            return Campaign(config).run()
 
         full = run(tmp_path / "full.jsonl")
         # Interrupt: keep the header plus the first 5 journaled rounds.
@@ -197,11 +211,11 @@ class TestParallelJournal:
         path = tmp_path / "hunt.jsonl"
 
         def run(resume=False):
-            config = ParallelCampaignConfig(
+            config = CampaignConfig(
                 dialect="sqlite", seed=9, threads=2,
-                databases_per_thread=3, reduce=False,
+                databases=6, reduce=False,
                 journal=str(path), resume=resume)
-            return ParallelCampaign(config).run()
+            return Campaign(config).run()
 
         run()
         executed = []

@@ -16,22 +16,21 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
 from repro.cli import main
+from repro.core.runner import RunnerConfig
 from repro.errors import PQSError
 from repro.plantime import TimingArchive
 
 BUG = "sqlite-forced-index-fencepost"
 
 
-def config(**kw):
+def config(multiplan=False, plan_timing=False, **kw):
     kw.setdefault("seed", 0)
     kw.setdefault("databases", 3)
     kw.setdefault("reduce", False)
-    return CampaignConfig(**kw)
+    return CampaignConfig(runner=RunnerConfig(multiplan=multiplan,
+                                              plan_timing=plan_timing),
+                          **kw)
 
 
 def normalized(path):
@@ -176,9 +175,8 @@ class TestArchiveOutputs:
 
     def test_parallel_merge_matches_outcome_rebuild(self, tmp_path):
         dumped = tmp_path / "merged.jsonl"
-        result = ParallelCampaign(ParallelCampaignConfig(
-            seed=0, threads=2, databases_per_thread=2, reduce=False,
-            multiplan=True, plan_timing=True,
+        result = Campaign(config(
+            threads=2, databases=4, multiplan=True, plan_timing=True,
             timing_archive=str(dumped))).run()
         assert result.stats.plantime_queries > 0
         assert result.timing_archive is not None
