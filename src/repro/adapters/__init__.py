@@ -15,7 +15,7 @@ crash/hang/error plans for exercising that machinery (and all three
 oracles) on demand.
 """
 
-from repro.adapters.base import DBMSConnection, execute_batch
+from repro.adapters.base import DBMSConnection
 from repro.adapters.faults import FaultPlan, FaultyConnection, FaultyFactory
 from repro.adapters.minidb_adapter import MiniDBConnection
 from repro.adapters.sqlite3_adapter import SQLite3Connection
@@ -26,7 +26,6 @@ from repro.adapters.subprocess_adapter import (
 
 __all__ = [
     "DBMSConnection",
-    "execute_batch",
     "FaultPlan",
     "FaultyConnection",
     "FaultyFactory",

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from repro.errors import DBCrash, DBError, DBTimeout
 from repro.values import Value
 
 
@@ -54,41 +53,3 @@ class DBMSConnection(Protocol):
     def close(self) -> None:
         ...
 
-
-def execute_batch(connection: Any, sqls: list[str]
-                  ) -> list[tuple[str, Any]]:
-    """Run a statement batch through *connection*, outcome per statement.
-
-    Uses the connection's native ``execute_many`` batch hook when it
-    offers one (:class:`SubprocessConnection` ships the whole batch in a
-    single pipe round-trip) and falls back to sequential ``execute``
-    calls otherwise, so callers batch unconditionally against any
-    adapter.
-
-    Both paths share one contract — **stop at the first non-ok
-    statement** — and return ``(kind, payload)`` pairs for the executed
-    prefix of *sqls*: ``("ok", rows)``, ``("error", DBError)``,
-    ``("crash", DBCrash)`` or ``("timeout", DBTimeout)``.  Statements
-    after a failure were not executed; a caller that would have kept
-    going statement-at-a-time resubmits the remainder, which makes the
-    statement stream reaching the target byte-identical to sequential
-    execution at every batch size.
-    """
-    native = getattr(connection, "execute_many", None)
-    if native is not None:
-        return native(sqls)
-    outcomes: list[tuple[str, Any]] = []
-    for sql in sqls:
-        try:
-            rows = connection.execute(sql)
-        except DBCrash as crash:
-            outcomes.append(("crash", crash))
-            return outcomes
-        except DBTimeout as timeout:
-            outcomes.append(("timeout", timeout))
-            return outcomes
-        except DBError as error:
-            outcomes.append(("error", error))
-            return outcomes
-        outcomes.append(("ok", rows))
-    return outcomes

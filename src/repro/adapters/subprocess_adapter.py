@@ -7,15 +7,10 @@ down with it.  :class:`SubprocessConnection` restores the paper's
 process boundary in pure stdlib Python:
 
 * the target connection runs in a **child process**
-  (:mod:`repro.adapters.subprocess_worker`) and is driven over a
-  length-prefixed tagged pipe protocol (:mod:`repro.adapters.wire`):
-  pickle for control frames, a compact typed column-wise encoding for
-  query-result replies when both ends negotiate it;
-* :meth:`SubprocessConnection.execute_many` ships a whole **batch** of
-  statements in one frame; the worker streams one outcome frame back
-  per statement, so crash attribution (the first missing outcome), the
-  per-statement watchdog, and replay-on-restart all keep working on
-  batch boundaries exactly as they do statement-at-a-time;
+  (:mod:`repro.adapters.subprocess_worker`) and is driven over one pipe
+  protocol: each request carries one statement, and every frame in
+  either direction is a 4-byte big-endian length followed by a pickle
+  (result cells pickle compactly through ``Value.__reduce__``);
 * child death — a real segfault, an ``os._exit``, an OOM kill —
   surfaces as :class:`~repro.errors.DBCrash`, making the crash oracle
   real for live targets;
@@ -37,6 +32,7 @@ deterministic fault does not re-fire forever.
 from __future__ import annotations
 
 import os
+import pickle
 import select
 import signal
 import struct
@@ -47,7 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.adapters import wire
 from repro.errors import (
     CatalogError,
     ConstraintError,
@@ -72,9 +67,9 @@ _ERROR_TYPES = {cls.__name__: cls for cls in (
     IntegrityError, UnsupportedError, DBTimeout)}
 
 
-def write_frame(stream, obj: Any, use_rowset: bool = False) -> None:
-    """Write one length-prefixed tagged frame (shared with the worker)."""
-    body = wire.dumps(obj, use_rowset)
+def write_frame(stream, obj: Any) -> None:
+    """Write one length-prefixed pickle frame (shared with the worker)."""
+    body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     stream.write(_HEADER.pack(len(body)) + body)
     stream.flush()
 
@@ -83,7 +78,7 @@ def read_frame(stream) -> Any:
     """Blocking read of one frame (worker side; parent reads use select)."""
     header = _read_exact(stream, _HEADER.size)
     (length,) = _HEADER.unpack(header)
-    return wire.loads(_read_exact(stream, length))
+    return pickle.loads(_read_exact(stream, length))
 
 
 def _read_exact(stream, n: int) -> bytes:
@@ -156,113 +151,17 @@ class SubprocessConnection:
         self._m_replay = t.histogram(metric_names.REPLAY_STATEMENTS,
                                      buckets=metric_names.COUNT_BUCKETS)
         self._m_roundtrip = t.histogram(metric_names.ROUNDTRIP_SECONDS)
-        self._m_batch = t.histogram(metric_names.PIPE_BATCH_STATEMENTS,
-                                    buckets=metric_names.COUNT_BUCKETS)
         self._m_bytes_out = t.counter(metric_names.PIPE_BYTES_SENT)
         self._m_bytes_in = t.counter(metric_names.PIPE_BYTES_RECEIVED)
-        self._m_encode = t.histogram(metric_names.PIPE_ENCODE_SECONDS)
-        self._m_decode = t.histogram(metric_names.PIPE_DECODE_SECONDS)
-        #: Wire variant the worker agreed to (None = pickle-only).  The
-        #: parent decodes both unconditionally; this only drives what
-        #: the hello frame advertises.
-        self.wire_encoding: Optional[str] = None
-        self._offer_rowset = os.environ.get("REPRO_WIRE") != "pickle"
         self._started = False
         self._restore()
 
     # -- DBMSConnection -----------------------------------------------------
     def execute(self, sql: str) -> list[tuple[Value, ...]]:
-        if self._proc is None:
-            self._restore()
-        self._fresh += 1
-        t0 = time.monotonic() if self._metered else 0.0
-        try:
-            reply = self._request({"op": "execute", "sql": sql},
-                                  self.config.statement_timeout)
-        except _WorkerDied as died:
-            raise DBCrash(died.message) from None
-        except _DeadlineExceeded:
-            self._kill()
-            self._m_watchdog.inc()
-            raise DBTimeout(
-                f"statement exceeded {self.config.statement_timeout:.3g}s "
-                f"watchdog deadline: {sql[:120]}") from None
-        if self._metered:
-            self._m_roundtrip.observe(time.monotonic() - t0)
-        rows = self._interpret(reply)
+        rows = self._call({"op": "execute", "sql": sql}, "statement", sql,
+                          fresh=True)
         self._log.append(sql)
         return rows
-
-    def execute_many(self, sqls: list[str]
-                     ) -> list[tuple[str, Any]]:
-        """Ship a batch of statements in one frame; stream outcomes back.
-
-        Returns one ``(kind, payload)`` outcome per *executed* statement,
-        in order: ``("ok", rows)``, ``("error", DBError)``,
-        ``("crash", DBCrash)`` or ``("timeout", DBTimeout)``.  The worker
-        stops at the first non-ok statement, so the result is a prefix of
-        *sqls* whose last element may be the failure; statements after it
-        were **never executed** (callers resubmit them if they want to
-        continue, which is exactly what sequential ``execute`` calls
-        would have done).
-
-        Fault semantics match ``execute`` statement-for-statement: each
-        outcome read gets its own watchdog deadline, a missing outcome
-        attributes a worker death to the statement in flight, successful
-        statements enter the replay log one by one, and the fault-
-        schedule offset advances per statement attempted.
-        """
-        outcomes: list[tuple[str, Any]] = []
-        if not sqls:
-            return outcomes
-        if self._proc is None:
-            self._restore()
-        self._m_batch.observe(len(sqls))
-        try:
-            self._send({"op": "execute_many", "sqls": list(sqls)})
-        except _WorkerDied as died:
-            self._fresh += 1
-            outcomes.append(("crash", DBCrash(died.message)))
-            return outcomes
-        for sql in sqls:
-            self._fresh += 1
-            t0 = time.monotonic() if self._metered else 0.0
-            try:
-                reply = self._recv(self.config.statement_timeout)
-            except EOFError:
-                died = self._reap("read")
-                outcomes.append(("crash", DBCrash(died.message)))
-                return outcomes
-            except _DeadlineExceeded:
-                self._kill()
-                self._m_watchdog.inc()
-                outcomes.append(("timeout", DBTimeout(
-                    f"statement exceeded "
-                    f"{self.config.statement_timeout:.3g}s watchdog "
-                    f"deadline: {sql[:120]}")))
-                return outcomes
-            if self._metered:
-                self._m_roundtrip.observe(time.monotonic() - t0)
-            if "ok" in reply:
-                self._log.append(sql)
-                outcomes.append(("ok", reply["ok"]))
-                continue
-            if "error" in reply:
-                name, message = reply["error"]
-                outcomes.append(
-                    ("error", _ERROR_TYPES.get(name, DBError)(message)))
-                return outcomes
-            if "crash" in reply:
-                message = reply["crash"]
-                self._drain_dead_worker()
-                outcomes.append(("crash", DBCrash(message)))
-                return outcomes
-            self._kill()
-            if "fatal" in reply:
-                raise HarnessError(
-                    f"worker failed internally:\n{reply['fatal']}")
-            raise HarnessError(f"unintelligible worker reply: {reply!r}")
-        return outcomes
 
     def query_plan(self, sql: str) -> list:
         """Forward plan introspection to the worker's target connection.
@@ -272,8 +171,8 @@ class SubprocessConnection:
         replay log (EXPLAIN mutates nothing) and does not advance the
         fault-schedule offset.
         """
-        return self._introspect({"op": "query_plan", "sql": sql},
-                                "plan introspection", sql)
+        return self._call({"op": "query_plan", "sql": sql},
+                          "plan introspection", sql)
 
     def with_plan(self, sql: str, hints) -> Any:
         """Forward a forced-plan execution to the worker's target.
@@ -283,21 +182,25 @@ class SubprocessConnection:
         does not advance the fault-schedule offset — a restart replays
         exactly the statements the unforced stream executed.
         """
-        return self._introspect({"op": "with_plan", "sql": sql,
-                                 "hints": hints},
-                                "forced-plan execution", sql)
+        return self._call({"op": "with_plan", "sql": sql, "hints": hints},
+                          "forced-plan execution", sql)
 
     def index_candidates(self, tables: list) -> Any:
         """Forward index enumeration to the worker's target (same
         non-logging rules as ``query_plan``/``with_plan``)."""
-        return self._introspect({"op": "index_candidates",
-                                 "tables": list(tables)},
-                                "index enumeration", repr(tables))
+        return self._call({"op": "index_candidates", "tables": list(tables)},
+                          "index enumeration", repr(tables))
 
-    def _introspect(self, message: dict, what: str, detail: str) -> Any:
-        """Shared plumbing for non-logged introspection ops."""
+    def _call(self, message: dict, what: str, detail: str,
+              fresh: bool = False) -> Any:
+        """Send one request and classify its reply: the rows, or the
+        DBError/DBCrash/DBTimeout/HarnessError it stands for.  A *fresh*
+        statement advances the fault-schedule offset and is timed."""
         if self._proc is None:
             self._restore()
+        if fresh:
+            self._fresh += 1
+        t0 = time.monotonic() if self._metered else 0.0
         try:
             reply = self._request(message, self.config.statement_timeout)
         except _WorkerDied as died:
@@ -308,7 +211,22 @@ class SubprocessConnection:
             raise DBTimeout(
                 f"{what} exceeded {self.config.statement_timeout:.3g}s "
                 f"watchdog deadline: {detail[:120]}") from None
-        return self._interpret(reply)
+        if fresh and self._metered:
+            self._m_roundtrip.observe(time.monotonic() - t0)
+        if "ok" in reply:
+            return reply["ok"]
+        if "error" in reply:
+            name, message_text = reply["error"]
+            raise _ERROR_TYPES.get(name, DBError)(message_text)
+        if "crash" in reply:
+            # The worker announced a simulated crash and is exiting; reap
+            # it so the next call triggers restore.
+            self._drain_dead_worker()
+            raise DBCrash(reply["crash"])
+        self._kill()
+        if "fatal" in reply:
+            raise HarnessError(f"worker failed internally:\n{reply['fatal']}")
+        raise HarnessError(f"unintelligible worker reply: {reply!r}")
 
     def close(self) -> None:
         proc, self._proc = self._proc, None
@@ -370,13 +288,10 @@ class SubprocessConnection:
             stderr=subprocess.DEVNULL, env=env)
         hello = {"op": "hello", "factory": self.factory,
                  "offset": self._fresh}
-        if self._offer_rowset:
-            hello["wire"] = [wire.ROWSET_NAME]
         reply = self._request(hello, self.config.startup_timeout)
         if not isinstance(reply, dict) or "dialect" not in reply:
             raise _WorkerDied(f"bad handshake reply: {reply!r}")
         self.dialect = reply["dialect"]
-        self.wire_encoding = reply.get("wire")
 
     def _replay(self) -> None:
         if self._metered and self._started:
@@ -400,13 +315,8 @@ class SubprocessConnection:
 
     def _send(self, message: dict) -> None:
         assert self._proc is not None
-        if self._metered:
-            t0 = time.monotonic()
-            body = wire.dumps(message)
-            self._m_encode.observe(time.monotonic() - t0)
-            self._m_bytes_out.inc(_HEADER.size + len(body))
-        else:
-            body = wire.dumps(message)
+        body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        self._m_bytes_out.inc(_HEADER.size + len(body))
         try:
             stdin = self._proc.stdin
             stdin.write(_HEADER.pack(len(body)) + body)
@@ -414,37 +324,14 @@ class SubprocessConnection:
         except (BrokenPipeError, OSError):
             raise self._reap("write") from None
 
-    def _interpret(self, reply: Any) -> list[tuple[Value, ...]]:
-        if "ok" in reply:
-            return reply["ok"]
-        if "error" in reply:
-            name, message = reply["error"]
-            raise _ERROR_TYPES.get(name, DBError)(message)
-        if "crash" in reply:
-            # The worker announced a simulated crash and is exiting; reap
-            # it so the next execute() triggers restore.
-            message = reply["crash"]
-            self._drain_dead_worker()
-            raise DBCrash(message)
-        if "fatal" in reply:
-            self._kill()
-            raise HarnessError(f"worker failed internally:\n{reply['fatal']}")
-        self._kill()
-        raise HarnessError(f"unintelligible worker reply: {reply!r}")
-
     def _recv(self, timeout: Optional[float]) -> Any:
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         header = self._read_deadline(_HEADER.size, deadline)
         (length,) = _HEADER.unpack(header)
         body = self._read_deadline(length, deadline)
-        if not self._metered:
-            return wire.loads(body)
         self._m_bytes_in.inc(_HEADER.size + length)
-        t0 = time.monotonic()
-        reply = wire.loads(body)
-        self._m_decode.observe(time.monotonic() - t0)
-        return reply
+        return pickle.loads(body)
 
     def _read_deadline(self, n: int, deadline: Optional[float]) -> bytes:
         """Read exactly *n* bytes from the worker's stdout before *deadline*.

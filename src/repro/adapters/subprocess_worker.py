@@ -1,24 +1,16 @@
 """Child-process entrypoint for :class:`SubprocessConnection`.
 
-Runs one target connection and serves the pipe protocol:
+Runs one target connection and serves the pipe protocol, one request
+and one reply frame per statement:
 
 * ``hello``   — unpickle the connection factory, instantiate the target
   (passing ``offset=`` when the factory advertises ``accepts_offset``),
-  reply with the target's dialect and the wire encoding picked from the
-  parent's advertised list (see :mod:`repro.adapters.wire`);
+  and reply with the target's dialect;
 * ``execute`` — run one fresh statement; reply ``{"ok": rows}``,
   ``{"error": (type, message)}``, or — for a simulated
   :class:`~repro.errors.DBCrash` — announce ``{"crash": message}`` and
   then *die* (``os._exit(139)``, the shell's SIGSEGV convention), so a
   simulated crash and a real segfault look identical to the parent;
-* ``execute_many`` — run a batch of fresh statements in order,
-  streaming one outcome frame per statement; the batch stops at the
-  first non-ok statement (the parent resubmits the rest if it wants to
-  continue), so an interleaving of batches is statement-for-statement
-  identical to the same statements sent one at a time.  A simulated
-  crash mid-batch announces itself and dies exactly like ``execute``;
-  a real kill simply truncates the outcome stream, and the parent
-  attributes the death to the first statement without an outcome;
 * ``replay``  — re-run a previously-successful statement during state
   restoration, bypassing fault injection when the target offers
   ``execute_replay``;
@@ -38,12 +30,36 @@ import os
 import sys
 import traceback
 
-from repro.adapters import wire
 from repro.adapters.subprocess_adapter import read_frame, write_frame
-from repro.errors import DBCrash, DBError
+from repro.errors import DBCrash, DBError, UnsupportedError
 
 #: Exit status mimicking death by SIGSEGV (128 + 11).
 CRASH_EXIT_CODE = 139
+
+#: Optional target hooks: op -> (request fields passed as arguments,
+#: what the error reply says the target lacks).
+_HOOKS = {
+    "query_plan": (("sql",), "query_plan introspection"),
+    "with_plan": (("sql", "hints"), "forced-plan execution"),
+    "index_candidates": (("tables",), "index enumeration"),
+}
+
+
+def _serve(connection, message: dict):
+    """Run one request against the target and return its rows."""
+    op = message.get("op")
+    if op == "execute":
+        return connection.execute(message["sql"])
+    if op == "replay":
+        replay = getattr(connection, "execute_replay", connection.execute)
+        return replay(message["sql"])
+    if op not in _HOOKS:
+        raise ValueError(f"unknown op: {op!r}")
+    fields, what = _HOOKS[op]
+    hook = getattr(connection, op, None)
+    if hook is None:
+        raise UnsupportedError(f"target offers no {what}")
+    return hook(*(message[field] for field in fields))
 
 
 def main() -> int:
@@ -62,82 +78,24 @@ def main() -> int:
     except Exception:
         write_frame(stdout, {"fatal": traceback.format_exc()})
         return 1
-    use_rowset = wire.ROWSET_NAME in hello.get("wire", ())
-    greeting = {"dialect": getattr(connection, "dialect", "sqlite")}
-    if use_rowset:
-        greeting["wire"] = wire.ROWSET_NAME
-    write_frame(stdout, greeting)
+    write_frame(stdout, {"dialect": getattr(connection, "dialect", "sqlite")})
     while True:
         try:
             message = read_frame(stdin)
         except EOFError:
             return 0
-        op = message.get("op")
-        if op == "close":
+        if message.get("op") == "close":
             try:
                 connection.close()
             except Exception:
                 pass
             return 0
-        if op == "execute_many":
-            for sql in message["sqls"]:
-                try:
-                    rows = connection.execute(sql)
-                except DBCrash as crash:
-                    write_frame(stdout, {"crash": crash.message})
-                    stdout.flush()
-                    os._exit(CRASH_EXIT_CODE)
-                except DBError as error:
-                    # Stop at the first failure: the parent decides
-                    # whether the remaining statements still run.
-                    write_frame(stdout, {"error": (type(error).__name__,
-                                                   error.message)})
-                    break
-                except Exception:
-                    write_frame(stdout, {"fatal": traceback.format_exc()})
-                    return 1
-                else:
-                    write_frame(stdout, {"ok": rows}, use_rowset)
-            continue
-        if op not in ("execute", "replay", "query_plan", "with_plan",
-                      "index_candidates"):
-            write_frame(stdout, {"fatal": f"unknown op: {op!r}"})
-            return 1
-        sql = message.get("sql", "")
         try:
-            if op == "query_plan":
-                plan_fn = getattr(connection, "query_plan", None)
-                if plan_fn is None:
-                    write_frame(stdout, {"error": (
-                        "UnsupportedError",
-                        "target offers no query_plan introspection")})
-                    continue
-                rows = plan_fn(sql)
-            elif op == "with_plan":
-                forced_fn = getattr(connection, "with_plan", None)
-                if forced_fn is None:
-                    write_frame(stdout, {"error": (
-                        "UnsupportedError",
-                        "target offers no forced-plan execution")})
-                    continue
-                rows = forced_fn(sql, message["hints"])
-            elif op == "index_candidates":
-                index_fn = getattr(connection, "index_candidates", None)
-                if index_fn is None:
-                    write_frame(stdout, {"error": (
-                        "UnsupportedError",
-                        "target offers no index enumeration")})
-                    continue
-                rows = index_fn(message["tables"])
-            elif op == "replay" and hasattr(connection, "execute_replay"):
-                rows = connection.execute_replay(sql)
-            else:
-                rows = connection.execute(sql)
+            rows = _serve(connection, message)
         except DBCrash as crash:
             # Tell the parent why, then die the way a segfault dies:
             # abruptly, without cleanup, taking the process with it.
             write_frame(stdout, {"crash": crash.message})
-            stdout.flush()
             os._exit(CRASH_EXIT_CODE)
         except DBError as error:
             write_frame(stdout,
@@ -146,7 +104,7 @@ def main() -> int:
             write_frame(stdout, {"fatal": traceback.format_exc()})
             return 1
         else:
-            write_frame(stdout, {"ok": rows}, use_rowset)
+            write_frame(stdout, {"ok": rows})
 
 
 if __name__ == "__main__":

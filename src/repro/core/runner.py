@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.adapters.base import DBMSConnection, execute_batch
+from repro.adapters.base import DBMSConnection
 from repro.core.containment import check_containment
 from repro.core.error_oracle import ErrorOracle, statement_kind
 from repro.core.exprgen import ExpressionGenerator
@@ -91,12 +91,6 @@ class RunnerConfig:
     #: Flag a query as a planner regression when the unforced plan is at
     #: least this many times slower than the best forced plan.
     plan_regression_ratio: float = 1.5
-    #: Statements shipped per pipe round-trip for the *pre-planned*
-    #: parts of a round (initial state plan, relation probes).  Only
-    #: batches work whose SQL does not depend on earlier outcomes, so
-    #: the statement stream reaching the target is byte-identical at
-    #: every batch size (1 = one statement per round-trip).
-    batch_size: int = 16
 
 
 @dataclass
@@ -168,6 +162,8 @@ class PQSRunner:
         self._m_queries = t.counter(metric_names.QUERIES)
         self._m_pivots = t.counter(metric_names.PIVOTS)
         self._m_timeouts = t.counter(metric_names.TIMEOUTS)
+        self._m_synthesis_failures = t.counter(
+            metric_names.SYNTHESIS_FAILURES)
         self._m_round_seconds = t.histogram(metric_names.ROUND_SECONDS)
         self._phase_stategen = t.phase(metric_names.PHASE_STATEGEN)
         self._phase_pivot = t.phase(metric_names.PHASE_PIVOT)
@@ -249,30 +245,11 @@ class PQSRunner:
                                            self.config.max_tables)
         rows = actions.rng.int_between(self.config.min_rows,
                                        self.config.max_rows)
-        # The initial plan ships in batches, group by group: within a
-        # group the SQL never depends on an earlier statement's outcome,
-        # and outcomes are absorbed in order (on_success callbacks
-        # included), so bookkeeping matches sequential execution
-        # exactly.  A batch stops at its first failure and the remainder
-        # is resubmitted, mirroring what one-at-a-time submission would
-        # have executed.
-        batch = max(1, self.config.batch_size)
-        for group in actions.initial_plan_groups(n_tables, rows):
-            index = 0
-            while index < len(group):
-                chunk = group[index:index + batch]
-                outcomes = execute_batch(connection,
-                                         [g.sql for g in chunk])
-                if not outcomes:
-                    break
-                for generated, outcome in zip(chunk, outcomes):
-                    index += 1
-                    self._absorb_outcome(generated.sql,
-                                         generated.on_success,
-                                         outcome, log, round_)
-                    if len(round_.reports) >= \
-                            self.config.max_reports_per_database:
-                        return
+        for generated in actions.initial_statements(n_tables, rows):
+            self._run_statement(connection, generated.sql,
+                                generated.on_success, log, round_)
+            if len(round_.reports) >= self.config.max_reports_per_database:
+                return
         for _ in range(self.config.extra_statements):
             generated = actions.random_action()
             if generated is None:
@@ -306,27 +283,22 @@ class PQSRunner:
     def _run_statement(self, connection: DBMSConnection, sql: str,
                        on_success, log: list[str],
                        round_: DatabaseRound) -> None:
+        """Execute one state-generation statement and feed its outcome
+        to the oracles."""
+        failure = None
         try:
-            outcome = ("ok", connection.execute(sql))
-        except (DBCrash, DBError) as failure:
-            outcome = ("failed", failure)
-        self._absorb_outcome(sql, on_success, outcome, log, round_)
-
-    def _absorb_outcome(self, sql: str, on_success,
-                        outcome: tuple, log: list[str],
-                        round_: DatabaseRound) -> None:
-        """Feed one statement outcome (sequential or batched) to the
-        oracles — the single bookkeeping path for state generation."""
-        kind, payload = outcome
+            connection.execute(sql)
+        except (DBCrash, DBError) as caught:
+            failure = caught
         round_.statements += 1
         self._m_statements.inc()
-        if kind == "ok":
-            log.append(sql)
-            if on_success is not None:
-                on_success()
-            self._track_option(sql)
-        else:
-            self._absorb_failure(sql, payload, log, round_, keep=True)
+        if failure is not None:
+            self._absorb_failure(sql, failure, log, round_, keep=True)
+            return
+        log.append(sql)
+        if on_success is not None:
+            on_success()
+        self._track_option(sql)
 
     def _absorb_failure(self, sql: str, failure: BaseException,
                         log: list[str], round_: DatabaseRound,
@@ -416,31 +388,17 @@ class PQSRunner:
     def _probe_relations(self, connection: DBMSConnection,
                          schema: SchemaModel, log: list[str],
                          round_: DatabaseRound) -> list:
-        """SELECT * from every relation, feeding errors to the oracles.
-
-        Probe SQL is fixed per table, so all probes ship as one batch;
-        a failed probe never stopped the sequential loop either, so the
-        remainder is always resubmitted.
-        """
+        """SELECT * from every relation, feeding errors to the oracles."""
         healthy = []
-        tables = list(schema.relations())
-        sqls = [f"SELECT * FROM {table.name}" for table in tables]
-        batch = max(1, self.config.batch_size)
-        index = 0
-        while index < len(tables):
-            outcomes = execute_batch(connection,
-                                     sqls[index:index + batch])
-            if not outcomes:
-                break
-            for table, sql, outcome in zip(tables[index:], sqls[index:],
-                                           outcomes):
-                index += 1
-                kind, payload = outcome
-                if kind != "ok":
-                    self._absorb_failure(sql, payload, log, round_)
-                elif payload and all(len(r) == len(table.columns)
-                                     for r in payload):
-                    healthy.append((table, payload))
+        for table in schema.relations():
+            sql = f"SELECT * FROM {table.name}"
+            try:
+                rows = connection.execute(sql)
+            except (DBCrash, DBError) as failure:
+                self._absorb_failure(sql, failure, log, round_)
+                continue
+            if rows and all(len(r) == len(table.columns) for r in rows):
+                healthy.append((table, rows))
         return healthy
 
     def _one_query(self, connection: DBMSConnection,
@@ -457,6 +415,7 @@ class PQSRunner:
                 else:
                     query = querygen.synthesize(pivot)
         except EvalError:
+            self._m_synthesis_failures.inc()
             return
         round_.queries += 1
         self._m_queries.inc()

@@ -77,13 +77,14 @@ def t_or(a: Ternary, b: Ternary) -> Ternary:
 def expr_affinity(expr: Expr) -> Optional[str]:
     """Type affinity of an expression, per SQLite's static rules.
 
-    Column references carry their column's affinity; ``CAST`` imposes the
-    affinity of its target type; ``COLLATE`` is transparent.  Unary ``+``
-    *strips* affinity — that is SQLite's documented idiom for defeating
-    affinity conversion in comparisons.  Everything else has no affinity.
+    Column references carry their column's affinity, and a column with
+    no declared type has BLOB affinity; ``CAST`` imposes the affinity of
+    its target type; ``COLLATE`` is transparent.  Unary ``+`` *strips*
+    affinity — that is SQLite's documented idiom for defeating affinity
+    conversion in comparisons.  Everything else has no affinity.
     """
     if isinstance(expr, ColumnNode):
-        return expr.affinity
+        return expr.affinity or "BLOB"
     if isinstance(expr, CastNode):
         return affinity_of_type_name(expr.type_name)
     if isinstance(expr, CollateNode):

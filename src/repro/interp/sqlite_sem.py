@@ -545,7 +545,11 @@ def _convert_none(lv: Value, rv: Value) -> tuple[Value, Value]:
 
 def _comparison_converter(left: Expr, right: Expr):
     """The affinity conversion a comparison of *left* and *right* applies,
-    resolved from the operand expressions alone (SQLite §"Type Affinity")."""
+    resolved from the operand expressions alone (SQLite §"Type Affinity").
+
+    TEXT affinity reaches the other operand only when that operand has
+    no affinity at all (``sqlite3CompareAffinity``): a BLOB-affinity
+    column, e.g. one declared without a type, is compared as stored."""
     laff = expr_affinity(left)
     raff = expr_affinity(right)
     l_num = laff in NUMERIC_AFFINITIES
@@ -554,9 +558,9 @@ def _comparison_converter(left: Expr, right: Expr):
         return _convert_right_numeric
     if r_num and not l_num:
         return _convert_left_numeric
-    if laff == "TEXT" and raff not in ("TEXT",) and not r_num:
+    if laff == "TEXT" and raff is None:
         return _convert_right_text
-    if raff == "TEXT" and laff not in ("TEXT",) and not l_num:
+    if raff == "TEXT" and laff is None:
         return _convert_left_text
     return _convert_none
 

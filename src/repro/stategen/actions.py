@@ -72,18 +72,15 @@ class ActionGenerator:
 
     # -- initial state (paper step 1) -----------------------------------------
     def initial_plan_groups(self, n_tables: int, rows_per_table: int):
-        """Yield the initial plan as lists of batchable statements.
+        """Yield the initial plan as one list of statements per table.
 
-        Each group is one CREATE TABLE plus its seed INSERTs — all
-        generated from the group's own table model, so the whole group
-        can ship to the target as a single batch.  Group *boundaries*
+        Each group is one CREATE TABLE plus its seed INSERTs, all
+        generated from the group's own table model.  Group *boundaries*
         stay lazy: the next group's CREATE TABLE consults the schema
         state registered by this group's ``on_success`` callbacks (e.g.
         a second table can INHERIT from the first on PostgreSQL), so
-        callers must absorb a group's outcomes before pulling the next
-        group.  The random-stream draw order is identical to generating
-        statement-at-a-time, because executing a statement never draws
-        from this generator's stream.
+        callers must execute a group's statements before pulling the
+        next group.
         """
         for _ in range(n_tables):
             sql, model = self.schema_gen.create_table()

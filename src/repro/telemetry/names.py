@@ -21,6 +21,9 @@ PIVOTS = "pqs_pivots_total"
 EXPECTED_ERRORS = "pqs_expected_errors_total"
 #: Watchdog expirations (counter).
 TIMEOUTS = "pqs_timeouts_total"
+#: Query syntheses abandoned because the oracle could not evaluate the
+#: generated expression on the pivot row (counter).
+SYNTHESIS_FAILURES = "pqs_synthesis_failures_total"
 #: Findings (counter, label ``oracle`` in contains/error/segfault).
 REPORTS = "pqs_reports_total"
 #: Per-phase latency (histogram, label ``phase`` — see PHASES).
@@ -104,19 +107,10 @@ WATCHDOG_KILLS = "pqs_watchdog_kills_total"
 REPLAY_STATEMENTS = "pqs_replay_statements"
 #: Parent-observed execute() round-trip latency (histogram).
 ROUNDTRIP_SECONDS = "pqs_subprocess_roundtrip_seconds"
-
-# -- batched pipe protocol (repro.adapters.{subprocess_adapter,wire}) -------
-#: Statements per execute_many batch (histogram; unit is statements,
-#: so it uses count-shaped buckets).
-PIPE_BATCH_STATEMENTS = "pqs_pipe_batch_statements"
 #: Bytes written to worker pipes, frame headers included (counter).
 PIPE_BYTES_SENT = "pqs_pipe_bytes_sent_total"
 #: Bytes read from worker pipes, frame headers included (counter).
 PIPE_BYTES_RECEIVED = "pqs_pipe_bytes_received_total"
-#: Parent-side frame encode latency (histogram).
-PIPE_ENCODE_SECONDS = "pqs_pipe_encode_seconds"
-#: Parent-side frame decode latency (histogram).
-PIPE_DECODE_SECONDS = "pqs_pipe_decode_seconds"
 
 #: Bucket layout for count-valued histograms (replay lengths).
 COUNT_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
@@ -136,6 +130,8 @@ HELP = {
     PIVOTS: "Pivot rows selected",
     EXPECTED_ERRORS: "Errors the error oracle classified as expected",
     TIMEOUTS: "Watchdog expirations",
+    SYNTHESIS_FAILURES:
+        "Query syntheses abandoned on an oracle evaluation error",
     REPORTS: "Findings, labeled by detecting oracle",
     PHASE_SECONDS: "Per-phase latency of the PQS loop",
     ROUND_SECONDS: "Whole-round wall clock",
@@ -172,9 +168,6 @@ HELP = {
     WATCHDOG_KILLS: "Hung subprocess workers killed by the watchdog",
     REPLAY_STATEMENTS: "Statements replayed per state restoration",
     ROUNDTRIP_SECONDS: "Parent-observed execute() round-trip latency",
-    PIPE_BATCH_STATEMENTS: "Statements per execute_many batch",
     PIPE_BYTES_SENT: "Bytes written to worker pipes",
     PIPE_BYTES_RECEIVED: "Bytes read from worker pipes",
-    PIPE_ENCODE_SECONDS: "Parent-side frame encode latency",
-    PIPE_DECODE_SECONDS: "Parent-side frame decode latency",
 }

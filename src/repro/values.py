@@ -126,6 +126,12 @@ class Value:
             return "NULL"
         return f"{self.t.name}:{self.v!r}"
 
+    def __reduce__(self):
+        # Every result cell crosses the worker pipe as a pickle.  The
+        # default frozen-dataclass path reduces the SQLType enum per
+        # cell; a small-int tag is cheaper and lets unpickling re-intern.
+        return _unpickle, (_TYPE_INDEX[self.t], self.v)
+
 
 NULL = Value(SQLType.NULL, None)
 TRUE = Value(SQLType.BOOLEAN, True)
@@ -133,6 +139,22 @@ FALSE = Value(SQLType.BOOLEAN, False)
 
 #: Interned INTEGER values for the small range hot loops churn through.
 _SMALL_INTS = {i: Value(SQLType.INTEGER, i) for i in range(-128, 257)}
+
+_TYPES = tuple(SQLType)
+_TYPE_INDEX = {t: i for i, t in enumerate(_TYPES)}
+
+
+def _unpickle(index: int, payload: PyVal) -> Value:
+    """Inverse of :meth:`Value.__reduce__`; returns the interned
+    ``NULL``/``TRUE``/``FALSE`` and small integers."""
+    t = _TYPES[index]
+    if t is SQLType.INTEGER:
+        return Value.integer(payload)
+    if t is SQLType.NULL:
+        return NULL
+    if t is SQLType.BOOLEAN:
+        return TRUE if payload else FALSE
+    return Value(t, payload)
 
 
 def wrap_int64(i: int) -> int:

@@ -92,3 +92,12 @@ class TestPQSAgainstRealSQLite:
                                         documented_quirks=SQLITE3_DOCUMENTED_QUIRKS))
         stats = runner.run(10)
         assert stats.reports == []
+
+    def test_untyped_column_compared_with_text_column(self):
+        # Seed 42003 compares a TEXT column with an untyped (BLOB
+        # affinity) one; SQLite applies no affinity between two columns.
+        runner = PQSRunner(SQLite3Connection,
+                           RunnerConfig(dialect="sqlite", seed=42003,
+                                        documented_quirks=SQLITE3_DOCUMENTED_QUIRKS))
+        stats = runner.run(10)
+        assert stats.reports == []

@@ -1,12 +1,15 @@
-"""Round-trip and fuzz coverage for the compact rowset wire encoding."""
+"""The worker pipe's wire format: length-prefixed pickle frames, with
+:class:`Value` cells pickled through ``Value.__reduce__``."""
 
+import io
 import math
 import pickle
 import random
 
 import pytest
 
-from repro.adapters import wire
+from repro.adapters.subprocess_adapter import read_frame, write_frame
+from repro.guidance.fingerprint import PlanStep
 from repro.values import (
     FALSE,
     INT64_MAX,
@@ -18,66 +21,63 @@ from repro.values import (
 )
 
 
-def roundtrip(rows):
-    """Encode as a rowset frame, assert the compact tag was used, decode."""
-    body = wire.dumps({"ok": rows}, use_rowset=True)
-    assert body[0] == wire.TAG_ROWSET
-    return wire.loads(body)["ok"]
+def roundtrip(obj):
+    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-class TestRowsetRoundTrip:
+def frame_roundtrip(obj):
+    stream = io.BytesIO()
+    write_frame(stream, obj)
+    stream.seek(0)
+    return read_frame(stream)
+
+
+class TestValuePickle:
     def test_every_value_kind_in_one_row(self):
-        rows = [(NULL, Value.integer(42), Value.real(1.5),
-                 Value.text("abc"), Value.blob(b"\x00\xff"), TRUE, FALSE)]
-        assert roundtrip(rows) == rows
-
-    def test_empty_rowset(self):
-        assert roundtrip([]) == []
-
-    def test_rows_of_zero_columns(self):
-        assert roundtrip([(), (), ()]) == [(), (), ()]
+        row = (NULL, Value.integer(42), Value.real(1.5), Value.text("abc"),
+               Value.blob(b"\x00\xff"), TRUE, FALSE)
+        back = roundtrip(row)
+        assert back == row
+        assert [v.t for v in back] == [v.t for v in row]
 
     def test_int64_bounds(self):
-        rows = [(Value.integer(INT64_MIN),),
-                (Value.integer(INT64_MAX),),
-                (Value.integer(0),), (Value.integer(-1),)]
-        assert roundtrip(rows) == rows
+        for i in (INT64_MIN, INT64_MAX, 0, -1, -129, 257):
+            assert roundtrip(Value.integer(i)) == Value.integer(i)
+
+    def test_integers_beyond_int64(self):
+        for i in (INT64_MAX + 1, INT64_MIN - 1, 2**200, -(2**200)):
+            back = roundtrip(Value(SQLType.INTEGER, i))
+            assert back.t is SQLType.INTEGER and back.v == i
 
     def test_real_special_values(self):
-        rows = [(Value.real(math.inf),), (Value.real(-math.inf),),
-                (Value.real(-0.0),), (Value.real(1e308),)]
-        assert roundtrip(rows) == rows
-        nan_back = roundtrip([(Value.real(math.nan),)])
-        assert math.isnan(nan_back[0][0].v)
-
-    def test_text_interning_repeated_strings(self):
-        rows = [(Value.text("repeat"), Value.text("répéter"))
-                for _ in range(50)]
-        body = wire.dumps({"ok": rows}, use_rowset=True)
-        # Each unique string appears once in the frame.
-        assert body.count("répéter".encode("utf-8")) == 1
-        assert wire.loads(body)["ok"] == rows
+        for f in (math.inf, -math.inf, 1e308, 5e-324, 1.5):
+            assert roundtrip(Value.real(f)) == Value.real(f)
+        nan = roundtrip(Value.real(math.nan))
+        assert nan.t is SQLType.REAL and math.isnan(nan.v)
+        negative_zero = roundtrip(Value.real(-0.0))
+        assert math.copysign(1.0, negative_zero.v) == -1.0
 
     def test_blob_edges(self):
-        rows = [(Value.blob(b""),), (Value.blob(bytes(range(256))),),
-                (Value.blob(b"\x00" * 300),)]
-        assert roundtrip(rows) == rows
+        for b in (b"", bytes(range(256)), b"\x00" * 300,
+                  bytes(1 << 20)):
+            back = roundtrip(Value.blob(b))
+            assert back.t is SQLType.BLOB and back.v == b
 
-    def test_null_bitmap_boundary_row_counts(self):
-        # Cell counts straddling byte boundaries of the bitmap.
-        for nrows in (1, 7, 8, 9, 16, 17):
-            rows = [(NULL if r % 2 else Value.integer(r),)
-                    for r in range(nrows)]
-            assert roundtrip(rows) == rows
+    def test_text_edges(self):
+        for s in ("", "répéter", "\ud800", "a\udfffb", "\x00",
+                  "x" * 100_000):
+            back = roundtrip(Value.text(s))
+            assert back.t is SQLType.TEXT and back.v == s
 
-    def test_all_null_matrix(self):
-        rows = [(NULL, NULL, NULL)] * 9
-        assert roundtrip(rows) == rows
+    def test_decoded_singletons_are_interned(self):
+        back = roundtrip((NULL, TRUE, FALSE))
+        assert back[0] is NULL and back[1] is TRUE and back[2] is FALSE
+        for i in (-128, -1, 0, 7, 256):
+            assert roundtrip(Value.integer(i)) is Value.integer(i)
 
-    def test_huge_rowset(self):
-        rows = [tuple(Value.integer(r * 10 + c) for c in range(10))
-                for r in range(1000)]
-        assert roundtrip(rows) == rows
+    def test_enum_is_not_pickled_per_cell(self):
+        body = pickle.dumps([Value.integer(1000)] * 3)
+        assert b"SQLType" not in body
 
     def test_fuzz_random_matrices(self):
         rng = random.Random(1234)
@@ -100,84 +100,41 @@ class TestRowsetRoundTrip:
             return TRUE if kind == 5 else FALSE
 
         for _ in range(100):
-            nrows = rng.randrange(6)
-            ncols = rng.randrange(1, 5)
-            rows = [tuple(random_value() for _ in range(ncols))
-                    for _ in range(nrows)]
+            rows = [tuple(random_value() for _ in range(rng.randrange(1, 5)))
+                    for _ in range(rng.randrange(6))]
             assert roundtrip(rows) == rows
 
-    def test_decoded_singletons_are_interned(self):
-        rows = [(NULL, TRUE, FALSE, Value.integer(7))]
-        back = roundtrip(rows)[0]
-        assert back[0] is NULL and back[1] is TRUE and back[2] is FALSE
-        # Small-int interning survives the decode path too.
-        assert back[3] is Value.integer(7)
 
+class TestFrameRoundTrip:
+    def test_reply_of_rows(self):
+        rows = [tuple(Value.integer(r * 10 + c) for c in range(10))
+                for r in range(1000)]
+        assert frame_roundtrip({"ok": rows}) == {"ok": rows}
 
-class TestPickleFallback:
-    def assert_pickled(self, obj):
-        body = wire.dumps(obj, use_rowset=True)
-        assert body[0] == wire.TAG_PICKLE
-        decoded = wire.loads(body)
-        assert decoded == obj or repr(decoded) == repr(obj)
-
-    def test_ragged_rows(self):
-        self.assert_pickled({"ok": [(NULL,), (NULL, NULL)]})
-
-    def test_non_tuple_rows(self):
-        self.assert_pickled({"ok": [[NULL]]})
-
-    def test_non_value_cells(self):
-        self.assert_pickled({"ok": [("bare string",)]})
-
-    def test_plan_step_like_payload(self):
-        # Rows of arbitrary objects (EXPLAIN plans) must fall back.
-        class Step:
-            def __eq__(self, other):
-                return isinstance(other, Step)
-        body = wire.dumps({"ok": [Step.__name__]}, use_rowset=True)
-        assert body[0] == wire.TAG_PICKLE
-
-    def test_out_of_range_integer(self):
-        self.assert_pickled({"ok": [(Value(SQLType.INTEGER, 2**64),)]})
-
-    def test_unencodable_text(self):
-        self.assert_pickled({"ok": [(Value.text("\ud800"),)]})
-
-    def test_control_frames_always_pickle(self):
+    def test_control_frames(self):
         for obj in ({"op": "execute", "sql": "SELECT 1"},
                     {"error": ("DBError", "boom")},
-                    {"ok": "not-a-rowset"},
-                    ["a", "list"]):
-            body = wire.dumps(obj, use_rowset=True)
-            assert body[0] == wire.TAG_PICKLE
-            assert wire.loads(body) == obj
+                    {"dialect": "sqlite"}):
+            assert frame_roundtrip(obj) == obj
 
-    def test_rowset_disabled_by_default(self):
-        rows = [(Value.integer(1),)]
-        body = wire.dumps({"ok": rows})
-        assert body[0] == wire.TAG_PICKLE
-        assert wire.loads(body) == {"ok": rows}
+    def test_plan_step_payload(self):
+        steps = [PlanStep(kind="full-scan", table="t0")]
+        assert frame_roundtrip({"ok": steps}) == {"ok": steps}
+
+    def test_length_prefix(self):
+        stream = io.BytesIO()
+        write_frame(stream, {"ok": []})
+        raw = stream.getvalue()
+        assert int.from_bytes(raw[:4], "big") == len(raw) - 4
 
 
 class TestFrameErrors:
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire tag"):
-            wire.loads(bytes([0x7A]) + b"junk")
-
     def test_empty_frame_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            wire.loads(b"")
+        with pytest.raises(EOFError):
+            read_frame(io.BytesIO(b""))
 
-    def test_future_rowset_version_rejected(self):
-        body = bytearray(wire.dumps({"ok": [(NULL,)]}, use_rowset=True))
-        assert body[0] == wire.TAG_ROWSET
-        body[1] = wire.WIRE_VERSION + 1
-        with pytest.raises(ValueError, match="unsupported rowset version"):
-            wire.loads(bytes(body))
-
-    def test_pickle_tag_still_decodes_rowset_shape(self):
-        # Decoders accept both encodings regardless of negotiation.
-        rows = [(Value.integer(1), Value.text("x"))]
-        body = bytes([wire.TAG_PICKLE]) + pickle.dumps({"ok": rows})
-        assert wire.loads(body) == {"ok": rows}
+    def test_truncated_frame_rejected(self):
+        stream = io.BytesIO()
+        write_frame(stream, {"ok": [(Value.integer(1),)]})
+        with pytest.raises(EOFError):
+            read_frame(io.BytesIO(stream.getvalue()[:-1]))

@@ -1,7 +1,9 @@
 """Runner instrumentation: the PQS loop measures itself accurately."""
 
 from repro.adapters.minidb_adapter import MiniDBConnection
+from repro.core import runner as runner_module
 from repro.core.runner import PQSRunner, RunnerConfig
+from repro.interp.base import EvalError
 from repro.telemetry import ListSink, Telemetry, Tracer, names
 
 
@@ -42,6 +44,28 @@ class TestCountersMatchStatistics:
         stats = hunted(None)
         assert stats.seconds > 0
         assert stats.queries_per_second > 0
+
+
+class TestSynthesisFailures:
+    def test_failed_syntheses_are_counted(self, monkeypatch):
+        class FailingQueryGenerator:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def synthesize(self, pivot):
+                raise EvalError("cannot evaluate on the pivot row")
+
+            synthesize_negative = synthesize
+
+        monkeypatch.setattr(runner_module, "QueryGenerator",
+                            FailingQueryGenerator)
+        telemetry = Telemetry()
+        stats = hunted(telemetry)
+        failures = telemetry.registry.value(names.SYNTHESIS_FAILURES)
+        assert stats.queries == 0
+        assert stats.pivots > 0
+        assert failures == stats.pivots * RunnerConfig().queries_per_pivot
+        assert names.SYNTHESIS_FAILURES in names.HELP
 
 
 class TestPhaseHistograms:
