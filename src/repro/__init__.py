@@ -28,36 +28,61 @@ Quick start::
         print(report.test_case.render())
 """
 
-from repro.adapters import (
-    DBMSConnection,
-    FaultPlan,
-    FaultyFactory,
-    MiniDBConnection,
-    SQLite3Connection,
-    SubprocessConfig,
-    SubprocessConnection,
-)
-from repro.campaigns import Campaign, CampaignConfig, CampaignResult
-from repro.core import (
-    BugReport,
-    Oracle,
-    PQSRunner,
-    RunnerConfig,
-    TestCase,
-    TestCaseReducer,
-)
-from repro.errors import (
-    DBCrash,
-    DBError,
-    DBTimeout,
-    HarnessError,
-    PQSError,
-)
-from repro.minidb import BUG_CATALOG, BugRegistry, Engine, ResultSet
-from repro.telemetry import MetricsRegistry, Telemetry, Tracer
-from repro.values import Value
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.adapters import (
+        DBMSConnection,
+        FaultPlan,
+        FaultyFactory,
+        MiniDBConnection,
+        SQLite3Connection,
+        SubprocessConfig,
+        SubprocessConnection,
+    )
+    from repro.campaigns import Campaign, CampaignConfig, CampaignResult
+    from repro.core import (
+        BugReport,
+        Oracle,
+        PQSRunner,
+        RunnerConfig,
+        TestCase,
+        TestCaseReducer,
+    )
+    from repro.errors import (
+        DBCrash,
+        DBError,
+        DBTimeout,
+        HarnessError,
+        PQSError,
+    )
+    from repro.minidb import BUG_CATALOG, BugRegistry, Engine, ResultSet
+    from repro.telemetry import MetricsRegistry, Telemetry, Tracer
+    from repro.values import Value
 
 __version__ = "1.0.0"
+
+#: Where each public name is defined.  Names resolve on first access
+#: (module ``__getattr__``), so ``import repro`` -- which every isolated
+#: worker pays -- loads no subpackage, MiniDB least of all.
+_EXPORTS = {
+    "repro.adapters": (
+        "DBMSConnection", "FaultPlan", "FaultyFactory", "MiniDBConnection",
+        "SQLite3Connection", "SubprocessConfig", "SubprocessConnection"),
+    "repro.campaigns": ("Campaign", "CampaignConfig", "CampaignResult"),
+    "repro.core": ("BugReport", "Oracle", "PQSRunner", "RunnerConfig",
+                   "TestCase", "TestCaseReducer"),
+    "repro.errors": ("DBCrash", "DBError", "DBTimeout", "HarnessError",
+                     "PQSError"),
+    "repro.minidb": ("BUG_CATALOG", "BugRegistry", "Engine", "ResultSet"),
+    "repro.telemetry": ("MetricsRegistry", "Telemetry", "Tracer"),
+    "repro.values": ("Value",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
 
 __all__ = [
     "BUG_CATALOG",
@@ -91,3 +116,12 @@ __all__ = [
     "Value",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value

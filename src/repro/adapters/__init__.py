@@ -15,14 +15,33 @@ crash/hang/error plans for exercising that machinery (and all three
 oracles) on demand.
 """
 
-from repro.adapters.base import DBMSConnection
-from repro.adapters.faults import FaultPlan, FaultyConnection, FaultyFactory
-from repro.adapters.minidb_adapter import MiniDBConnection
-from repro.adapters.sqlite3_adapter import SQLite3Connection
-from repro.adapters.subprocess_adapter import (
-    SubprocessConfig,
-    SubprocessConnection,
-)
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.adapters.base import DBMSConnection
+    from repro.adapters.faults import FaultPlan, FaultyConnection, FaultyFactory
+    from repro.adapters.minidb_adapter import MiniDBConnection
+    from repro.adapters.sqlite3_adapter import SQLite3Connection
+    from repro.adapters.subprocess_adapter import (
+        SubprocessConfig,
+        SubprocessConnection,
+    )
+
+#: Where each public name is defined, imported on first access: the
+#: isolated worker imports this package, and must not pay for MiniDB.
+_HOME = {
+    "DBMSConnection": "repro.adapters.base",
+    "FaultPlan": "repro.adapters.faults",
+    "FaultyConnection": "repro.adapters.faults",
+    "FaultyFactory": "repro.adapters.faults",
+    "MiniDBConnection": "repro.adapters.minidb_adapter",
+    "SQLite3Connection": "repro.adapters.sqlite3_adapter",
+    "SubprocessConfig": "repro.adapters.subprocess_adapter",
+    "SubprocessConnection": "repro.adapters.subprocess_adapter",
+}
 
 __all__ = [
     "DBMSConnection",
@@ -34,3 +53,12 @@ __all__ = [
     "SubprocessConfig",
     "SubprocessConnection",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value

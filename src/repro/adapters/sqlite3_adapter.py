@@ -10,12 +10,17 @@ to validate the oracle interpreter.
 from __future__ import annotations
 
 import sqlite3
+from typing import TYPE_CHECKING
 
 from repro.errors import DBError, IntegrityError
-from repro.guidance.fingerprint import PlanStep, steps_from_sqlite_eqp
-from repro.multiplan.hints import PlannerHints
 from repro.sqlast.indexed_by import force_index, force_no_index
 from repro.values import Value
+
+if TYPE_CHECKING:
+    # The isolated worker imports this module; the guidance and
+    # multiplan packages would load MiniDB into it.
+    from repro.guidance.fingerprint import PlanStep
+    from repro.multiplan.hints import PlannerHints
 
 
 class SQLite3Connection:
@@ -49,6 +54,8 @@ class SQLite3Connection:
         format drift across SQLite versions (3.24's "SCAN TABLE t0" vs
         3.36+'s "SCAN t0" — the parsing lives in
         :func:`repro.guidance.fingerprint.parse_sqlite_eqp_detail`)."""
+        from repro.guidance.fingerprint import steps_from_sqlite_eqp
+
         try:
             cursor = self._conn.execute(f"EXPLAIN QUERY PLAN {sql}")
             rows = cursor.fetchall()

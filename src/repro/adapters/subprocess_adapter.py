@@ -19,7 +19,12 @@ process boundary in pure stdlib Python:
 * after a crash or timeout the harness transparently **restarts** the
   worker and **replays** the log of previously-successful statements to
   restore database state, under a bounded retry budget with exponential
-  backoff (:class:`~repro.errors.HarnessError` when exhausted).
+  backoff (:class:`~repro.errors.HarnessError` when exhausted);
+* a worker **outlives its connection**: :meth:`SubprocessConnection.close`
+  parks a healthy worker, the next connection's ``hello`` frame
+  re-targets it (a fresh target from that connection's factory), and
+  parked workers are closed and reaped at interpreter exit.  Only a
+  crash, a watchdog kill or a failed handshake costs a new process.
 
 Replay assumes the target executes statements deterministically — true
 for SQLite, MiniDB and every fault-plan wrapper in this repo.  A
@@ -31,6 +36,7 @@ deterministic fault does not re-fire forever.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import select
@@ -38,6 +44,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,6 +100,45 @@ def _read_exact(stream, n: int) -> bytes:
     return b"".join(parts)
 
 
+#: Healthy workers parked by :meth:`SubprocessConnection.close` for the
+#: next connection to re-target; see :func:`_reap_idle`.
+_idle: list[subprocess.Popen] = []
+_idle_lock = threading.Lock()
+
+
+def _take_idle() -> Optional[subprocess.Popen]:
+    """A parked worker that is still alive, or None."""
+    with _idle_lock:
+        while _idle:
+            proc = _idle.pop()
+            if proc.poll() is None:
+                return proc
+            _close_pipes(proc)
+    return None
+
+
+@atexit.register
+def _reap_idle() -> None:
+    """Close every parked worker and wait for it, so its CPU time and
+    peak RSS count in this process's child rusage.  A worker whose
+    parent was killed instead exits on EOF."""
+    with _idle_lock:
+        procs, _idle[:] = _idle[:], []
+    for proc in procs:
+        try:
+            write_frame(proc.stdin, {"op": "close"})
+            proc.wait(timeout=5)
+        except Exception:
+            proc.kill()
+            proc.wait()
+        finally:
+            _close_pipes(proc)
+
+
+# A forked child must not share the parent's workers or their pipes.
+os.register_at_fork(after_in_child=_idle.clear)
+
+
 class _DeadlineExceeded(Exception):
     """Internal: the watchdog deadline expired mid-read."""
 
@@ -131,6 +177,9 @@ class SubprocessConnection:
     ``accepts_offset = True`` is instead called with ``offset=<fresh
     statement count>`` so deterministic fault schedules keep their place
     across restarts.
+
+    The worker process is borrowed, not owned: a healthy one is parked
+    on :meth:`close` and re-targeted by the next connection's handshake.
     """
 
     def __init__(self, factory: Callable[[], Any],
@@ -141,6 +190,9 @@ class SubprocessConnection:
         self.telemetry = telemetry or NULL_TELEMETRY
         self.dialect = "sqlite"  # refined by the handshake
         self._proc: Optional[subprocess.Popen] = None
+        #: A request was sent whose reply has not been read: the pipe is
+        #: out of step, so the worker must not be parked.
+        self._pending = False
         self._log: list[str] = []
         #: Fresh (non-replay) statements attempted — the fault offset.
         self._fresh = 0
@@ -229,17 +281,15 @@ class SubprocessConnection:
         raise HarnessError(f"unintelligible worker reply: {reply!r}")
 
     def close(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is None:
+        """Park a healthy worker for the next connection; kill one that
+        is mid-request."""
+        if self._pending:
+            self._kill()
             return
-        try:
-            write_frame(proc.stdin, {"op": "close"})
-            proc.wait(timeout=5)
-        except Exception:
-            proc.kill()
-            proc.wait()
-        finally:
-            _close_pipes(proc)
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            with _idle_lock:
+                _idle.append(proc)
 
     # -- introspection ------------------------------------------------------
     @property
@@ -275,20 +325,23 @@ class SubprocessConnection:
                         f"attempt(s): {exc!r}") from None
                 time.sleep(self.config.backoff_base *
                            self.config.backoff_factor ** (failures - 1))
+            except BaseException:
+                # A worker left mid-recovery is never parked.
+                self._kill()
+                raise
 
     def _spawn(self) -> None:
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        self._proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.adapters.subprocess_worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=env)
+        """Re-target a parked worker, or start one; the ``hello`` frame
+        builds a fresh target from the factory either way."""
+        self._proc = _take_idle() or _start_worker()
         hello = {"op": "hello", "factory": self.factory,
                  "offset": self._fresh}
         reply = self._request(hello, self.config.startup_timeout)
+        if isinstance(reply, dict) and "fatal" in reply:
+            # The factory raised: a tool bug, which no restart mends.
+            raise HarnessError(
+                f"connection factory failed in the worker:\n"
+                f"{reply['fatal']}")
         if not isinstance(reply, dict) or "dialect" not in reply:
             raise _WorkerDied(f"bad handshake reply: {reply!r}")
         self.dialect = reply["dialect"]
@@ -309,14 +362,17 @@ class SubprocessConnection:
     def _request(self, message: dict, timeout: Optional[float]) -> Any:
         self._send(message)
         try:
-            return self._recv(timeout)
+            reply = self._recv(timeout)
         except EOFError:
             raise self._reap("read") from None
+        self._pending = False
+        return reply
 
     def _send(self, message: dict) -> None:
         assert self._proc is not None
         body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         self._m_bytes_out.inc(_HEADER.size + len(body))
+        self._pending = True
         try:
             stdin = self._proc.stdin
             stdin.write(_HEADER.pack(len(body)) + body)
@@ -391,6 +447,18 @@ class SubprocessConnection:
         proc.kill()
         proc.wait()
         _close_pipes(proc)
+
+
+def _start_worker() -> subprocess.Popen:
+    src_dir = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (src_dir if not existing
+                         else src_dir + os.pathsep + existing)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.adapters.subprocess_worker"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, env=env)
 
 
 def _close_pipes(proc: subprocess.Popen) -> None:

@@ -1,11 +1,16 @@
 """Child-process entrypoint for :class:`SubprocessConnection`.
 
-Runs one target connection and serves the pipe protocol, one request
-and one reply frame per statement:
+Serves the pipe protocol, one request and one reply frame per
+statement, for one target connection at a time.  The process outlives
+a :class:`SubprocessConnection`: the parent parks it between
+connections and each new connection re-targets it with ``hello``.
 
-* ``hello``   — unpickle the connection factory, instantiate the target
+* ``hello``   — accepted at any time: close the current target (if
+  any), unpickle the connection factory, instantiate a fresh target
   (passing ``offset=`` when the factory advertises ``accepts_offset``),
-  and reply with the target's dialect;
+  and reply with its dialect.  A factory that raises, or that cannot be
+  unpickled here, is answered with ``{"fatal": traceback}`` and the
+  worker exits;
 * ``execute`` — run one fresh statement; reply ``{"ok": rows}``,
   ``{"error": (type, message)}``, or — for a simulated
   :class:`~repro.errors.DBCrash` — announce ``{"crash": message}`` and
@@ -17,7 +22,8 @@ and one reply frame per statement:
 * ``query_plan`` / ``with_plan`` / ``index_candidates`` — optional
   introspection hooks, forwarded when the target offers them and
   answered with an ``UnsupportedError`` reply otherwise;
-* ``close``   — close the target and exit 0.
+* ``close``   — close the target and exit 0.  EOF on stdin exits 0
+  too, so a worker whose parent was killed does not linger.
 
 Any non-DBError exception from the target is a tool bug: it is reported
 as ``{"fatal": traceback}`` so the parent can raise
@@ -62,34 +68,46 @@ def _serve(connection, message: dict):
     return hook(*(message[field] for field in fields))
 
 
+def _close(connection) -> None:
+    if connection is not None:
+        try:
+            connection.close()
+        except Exception:
+            pass
+
+
 def main() -> int:
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
-    try:
-        hello = read_frame(stdin)
-    except EOFError:
-        return 0
-    factory = hello["factory"]
-    try:
-        if getattr(factory, "accepts_offset", False):
-            connection = factory(offset=hello.get("offset", 0))
-        else:
-            connection = factory()
-    except Exception:
-        write_frame(stdout, {"fatal": traceback.format_exc()})
-        return 1
-    write_frame(stdout, {"dialect": getattr(connection, "dialect", "sqlite")})
+    connection = None
     while True:
         try:
             message = read_frame(stdin)
         except EOFError:
             return 0
-        if message.get("op") == "close":
-            try:
-                connection.close()
-            except Exception:
-                pass
+        except Exception:
+            # A request this process cannot unpickle, such as a factory
+            # defined in the parent's __main__: a tool bug.
+            write_frame(stdout, {"fatal": traceback.format_exc()})
+            return 1
+        op = message.get("op")
+        if op == "close":
+            _close(connection)
             return 0
+        if op == "hello":
+            _close(connection)
+            factory = message["factory"]
+            try:
+                if getattr(factory, "accepts_offset", False):
+                    connection = factory(offset=message.get("offset", 0))
+                else:
+                    connection = factory()
+            except Exception:
+                write_frame(stdout, {"fatal": traceback.format_exc()})
+                return 1
+            write_frame(stdout,
+                        {"dialect": getattr(connection, "dialect", "sqlite")})
+            continue
         try:
             rows = _serve(connection, message)
         except DBCrash as crash:

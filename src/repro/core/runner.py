@@ -165,6 +165,7 @@ class PQSRunner:
         self._m_synthesis_failures = t.counter(
             metric_names.SYNTHESIS_FAILURES)
         self._m_round_seconds = t.histogram(metric_names.ROUND_SECONDS)
+        self._phase_connect = t.phase(metric_names.PHASE_CONNECT)
         self._phase_stategen = t.phase(metric_names.PHASE_STATEGEN)
         self._phase_pivot = t.phase(metric_names.PHASE_PIVOT)
         self._phase_synth = t.phase(metric_names.PHASE_SYNTH)
@@ -187,7 +188,8 @@ class PQSRunner:
     def run_database_round(self) -> DatabaseRound:
         """One full pass: state generation, pivots, queries, oracles."""
         started = time.monotonic()
-        connection = self.connection_factory()
+        with self._phase_connect:
+            connection = self.connection_factory()
         round_ = DatabaseRound()
         # Fresh database => default run-time options; the oracle's LIKE
         # semantics must track PRAGMA case_sensitive_like (§3.4: the

@@ -31,15 +31,18 @@ PHASE_SECONDS = "pqs_phase_seconds"
 #: Whole-round wall clock (histogram).
 ROUND_SECONDS = "pqs_round_seconds"
 
-#: The four instrumented phases of one PQS round (paper Figure 1):
-#: random state generation (step 1), pivot selection (step 2, including
-#: the relation probe), query synthesis incl. rectification (steps 3–5),
-#: and the containment check (steps 6–7).
+#: The five instrumented phases of one PQS round: connection setup
+#: (the factory call; an isolated worker's start or re-target), then
+#: paper Figure 1's random state generation (step 1), pivot selection
+#: (step 2, including the relation probe), query synthesis incl.
+#: rectification (steps 3–5), and the containment check (steps 6–7).
+PHASE_CONNECT = "connect"
 PHASE_STATEGEN = "stategen"
 PHASE_PIVOT = "pivot_select"
 PHASE_SYNTH = "synthesize"
 PHASE_CONTAIN = "containment"
-PHASES = (PHASE_STATEGEN, PHASE_PIVOT, PHASE_SYNTH, PHASE_CONTAIN)
+PHASES = (PHASE_CONNECT, PHASE_STATEGEN, PHASE_PIVOT, PHASE_SYNTH,
+          PHASE_CONTAIN)
 
 # -- plan-coverage guidance (repro.guidance) --------------------------------
 #: Distinct plan fingerprints seen so far (gauge).
@@ -98,7 +101,7 @@ JOURNAL_DUPLICATE_ROUNDS = "pqs_journal_duplicate_rounds_total"
 JOURNAL_RECOVERED_ROUNDS = "pqs_journal_recovered_rounds_total"
 
 # -- fault-isolation harness (repro.adapters.subprocess_adapter) ------------
-#: Worker (re)starts after the initial spawn (counter).
+#: Worker restarts after a crash or timeout (counter).
 WORKER_RESTARTS = "pqs_worker_restarts_total"
 #: Hung workers killed by the statement watchdog (counter).
 WATCHDOG_KILLS = "pqs_watchdog_kills_total"
@@ -164,7 +167,7 @@ HELP = {
     JOURNAL_DUPLICATE_ROUNDS:
         "Duplicate round indexes deduplicated on journal load",
     JOURNAL_RECOVERED_ROUNDS: "Rounds recovered from a journal on resume",
-    WORKER_RESTARTS: "Subprocess worker (re)starts after the initial spawn",
+    WORKER_RESTARTS: "Subprocess worker restarts after a crash or timeout",
     WATCHDOG_KILLS: "Hung subprocess workers killed by the watchdog",
     REPLAY_STATEMENTS: "Statements replayed per state restoration",
     ROUNDTRIP_SECONDS: "Parent-observed execute() round-trip latency",

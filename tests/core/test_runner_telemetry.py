@@ -102,7 +102,7 @@ class TestTracing:
         sink = ListSink()
         hunted(Telemetry(tracer=Tracer(sink)), databases=1)
         spans = [e["name"] for e in sink.events if e["kind"] == "span"]
-        assert spans[0] == names.PHASE_STATEGEN
+        assert spans[:2] == [names.PHASE_CONNECT, names.PHASE_STATEGEN]
         assert names.PHASE_SYNTH in spans
         assert names.PHASE_CONTAIN in spans
         # Synthesis always closes before its containment check.

@@ -102,7 +102,7 @@ class TestHuntTelemetry:
         snapshot = payload["snapshot"]
         phases = [k for k in snapshot
                   if k.startswith("pqs_phase_seconds{")]
-        assert len(phases) == 4
+        assert len(phases) == 5
         assert all(snapshot[k]["count"] > 0 for k in phases)
         assert payload["derived"]["queries_per_second"] > 0
         # Stats output grows throughput and phase lines.
