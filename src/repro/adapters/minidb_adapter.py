@@ -3,12 +3,14 @@ and for defect-injected SQLite)."""
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro.guidance.fingerprint import PlanStep, steps_from_minidb
 from repro.minidb.bugs import BugRegistry
 from repro.minidb.engine import Engine
 from repro.minidb.parser import parse_statement
+from repro.minidb.statements import Explain
 from repro.multiplan.hints import PlannerHints
 from repro.values import Value
 
@@ -40,16 +42,40 @@ class MiniDBConnection:
 
         Like :meth:`query_plan`, a forced execution is *not* part of the
         tested statement stream: it does not count toward
-        ``statements_executed``, and every piece of forcing state —
-        ``engine.hints`` and any hint-synthesized ANALYZE flags — is
-        restored before returning, so the unforced stream stays
-        bit-identical whether or not forced runs happened in between.
+        ``statements_executed``, and every piece of forcing state is
+        restored before returning (see :meth:`_forcing`), so the
+        unforced stream stays bit-identical whether or not forced runs
+        happened in between.
         """
+        with self._forcing(sql, hints) as explain:
+            steps = steps_from_minidb(
+                self.engine.execute_statement(explain).python_rows())
+            return self.engine.execute_statement(explain.select).rows, steps
+
+    def forced_rows(self, sql: str,
+                    hints: PlannerHints) -> list[tuple[Value, ...]]:
+        """The rows of :meth:`with_plan` without its plan steps.
+
+        It raises whenever :meth:`with_plan` raises: both reject the
+        same hints and SQL before executing, and the executor chooses
+        every access path, where a forced plan can be refused, before
+        anything that EXPLAIN skips can fail.
+        """
+        with self._forcing(sql, hints) as explain:
+            return self.engine.execute_statement(explain.select).rows
+
+    @contextmanager
+    def _forcing(self, sql: str, hints: PlannerHints) -> Iterator[Explain]:
+        """Run the body under *hints*; yields *sql* parsed as EXPLAIN
+        QUERY PLAN (so only a SELECT can be forced) and then restores
+        ``engine.hints``, ``hint_analyzed`` and every table's
+        ``analyzed`` flag, whichever way the body exits."""
         hints.validate()
         engine = self.engine
         if hints.force_index is not None:
             # CatalogError("no such index: ...") for unknown names.
             engine.catalog.index(hints.force_index)
+        explain = parse_statement(f"EXPLAIN QUERY PLAN {sql}")
         saved_analyzed = {name: table.analyzed
                           for name, table in engine.catalog.tables.items()}
         try:
@@ -59,10 +85,7 @@ class MiniDBConnection:
                         engine.hint_analyzed = True
                     table.analyzed = hints.analyze
             engine.hints = hints
-            steps = steps_from_minidb(engine.execute_statement(
-                parse_statement(f"EXPLAIN QUERY PLAN {sql}")).python_rows())
-            rows = engine.execute_statement(parse_statement(sql)).rows
-            return rows, steps
+            yield explain
         finally:
             engine.hints = None
             engine.hint_analyzed = False

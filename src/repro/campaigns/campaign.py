@@ -322,8 +322,11 @@ class Campaign:
         order, capping reports per defect."""
         reports_per_bug: dict[str, int] = {}
         seen_bugs: set[str] = set()
+        telemetry = self.config.telemetry or NULL_TELEMETRY
+        reduce_phase = telemetry.phase(metric_names.PHASE_REDUCE)
         for report in result.stats.reports:
-            processed = self._process(report)
+            with reduce_phase:
+                processed = self._process(report)
             if processed is None:
                 result.unattributed.append(report)
                 continue
@@ -516,6 +519,9 @@ class Campaign:
     def _process(self, report: BugReport) -> Optional[BugReport]:
         """Reduce, shrink, and attribute one raw finding; None when it
         does not reproduce or no enabled defect explains it."""
+        # Replay memos live for one finding, which keeps them bounded.
+        self.replayer.forget()
+        self.multiplan_replayer.forget()
         if report.oracle is Oracle.MULTIPLAN:
             still_fails, attribute = self._multiplan_replay(report)
         else:
@@ -534,7 +540,8 @@ class Campaign:
             # authors "manually shortened them where possible", §4.1).
             from repro.core.shrink import QueryShrinker
 
-            shrinker = QueryShrinker(still_fails)
+            shrinker = QueryShrinker(still_fails,
+                                     telemetry=self.config.telemetry)
             report.test_case = shrinker.shrink(report.test_case)
         report.attributed_bugs = attribute(report.test_case)
         if not report.attributed_bugs:

@@ -39,6 +39,12 @@ class DifferentialReplayer:
         self.dialect = dialect
         self.bugs = bugs
         self.semantics = get_semantics(dialect)
+        #: (defects, statements) -> outcome; see forget().
+        self._memo: dict[tuple, StatementOutcome] = {}
+
+    def forget(self) -> None:
+        """Drop memoized replays (the campaign does so per finding)."""
+        self._memo.clear()
 
     # -- predicates -----------------------------------------------------------
     def manifests(self, test_case: TestCase) -> bool:
@@ -84,6 +90,18 @@ class DifferentialReplayer:
     # -- execution -----------------------------------------------------------
     def _outcome(self, bugs: BugRegistry,
                  test_case: TestCase) -> StatementOutcome:
+        """Memoized: a replay is a pure function of the enabled defects
+        and the statements, and delta debugging, the predicate's
+        pre-check, attribution and difference_kind re-ask the same
+        ones."""
+        key = (frozenset(bugs.enabled), tuple(test_case.statements))
+        outcome = self._memo.get(key)
+        if outcome is None:
+            outcome = self._memo[key] = self._replay(bugs, test_case)
+        return outcome
+
+    def _replay(self, bugs: BugRegistry,
+                test_case: TestCase) -> StatementOutcome:
         engine = Engine(self.dialect, bugs=bugs)
         final = test_case.statements[-1]
         for sql in test_case.statements[:-1]:

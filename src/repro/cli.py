@@ -484,7 +484,6 @@ def _report_reducer(args):
     from repro.campaigns.journal import CampaignJournal
     from repro.campaigns.replay import DifferentialReplayer
     from repro.core.reducer import TestCaseReducer
-    from repro.errors import ReductionError
     from repro.minidb.bugs import BugRegistry, bugs_for_dialect
 
     header = CampaignJournal(args.journal).read_header()
@@ -492,13 +491,13 @@ def _report_reducer(args):
     bug_ids = header.get("bug_ids") or [
         b.bug_id for b in bugs_for_dialect(dialect)]
     replayer = DifferentialReplayer(dialect, BugRegistry(set(bug_ids)))
-    reducer = TestCaseReducer(replayer.manifests)
 
     def reduce_case(case):
-        try:
-            return reducer.reduce(case)
-        except ReductionError:
-            return case
+        # One reducer (and replay memo) per case: each case gets the
+        # whole replay budget.  ReductionError reaches build_report,
+        # which keeps the raw case and counts it as unreduced.
+        replayer.forget()
+        return TestCaseReducer(replayer.manifests).reduce(case)
 
     return reduce_case
 

@@ -21,10 +21,13 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.reports import TestCase
+from repro.errors import DBError
 from repro.minidb.parser import parse_statement
 from repro.minidb.statements import Select
 from repro.sqlast.nodes import Expr, LiteralNode, walk
 from repro.sqlast.render import render_expr
+from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import names as metric_names
 from repro.values import NULL, Value
 
 FailurePredicate = Callable[[TestCase], bool]
@@ -38,22 +41,25 @@ class QueryShrinker:
     """Shrinks the WHERE/ON expressions of a failing final SELECT."""
 
     def __init__(self, still_fails: FailurePredicate,
-                 max_attempts: int = 400):
+                 max_attempts: int = 400, telemetry=None):
         self.still_fails = still_fails
         self.max_attempts = max_attempts
         self.attempts = 0
+        self.telemetry = telemetry or NULL_TELEMETRY
 
     def shrink(self, test_case: TestCase) -> TestCase:
         """Return a test case whose final query is expression-minimal.
 
         Only SELECT finals are shrunk (error/crash finals are usually a
-        single maintenance statement already); anything unparseable is
-        returned unchanged.
+        single maintenance statement already); a final MiniDB cannot
+        parse is returned unchanged and counted.
         """
         final = test_case.statements[-1]
         try:
             statement = parse_statement(final)
-        except Exception:  # noqa: BLE001 - foreign dialect corner
+        except DBError:
+            self.telemetry.counter(metric_names.REDUCE_UNSHRUNK,
+                                   reason="unparseable").inc()
             return test_case
         if not isinstance(statement, Select) or statement.where is None:
             return test_case

@@ -112,6 +112,15 @@ class Engine:
         #: scan taken *before* its writes cannot linger.
         self._scan_cache: dict[tuple[str, str], list] = {}
         self._scan_caching = True
+        #: id(parsed Select) -> (Select, bound Select).  Binding reads
+        #: only column metadata (never rows, hints or defect state), so
+        #: one bound form serves EXPLAIN, every forced plan and repeated
+        #: executions until the catalog may change; the stable node ids
+        #: are what let the interpreter's compile memo hit.  Cleared
+        #: before and after every non-SELECT/EXPLAIN statement (see
+        #: execute_statement): CREATE VIEW validation binds while the
+        #: write runs.
+        self._bound_selects: dict[int, tuple[st.Select, st.Select]] = {}
         #: Multi-plan forcing (repro.multiplan.hints.PlannerHints): set
         #: transiently by MiniDBConnection.with_plan around one query.
         #: None means "plan normally" — the permanent state of every
@@ -167,13 +176,17 @@ class Engine:
         # up front (a failing statement may still have touched state) and
         # keep it suspended for the duration: a scan performed *by* this
         # statement (e.g. CREATE VIEW validation, INSERT ... SELECT)
-        # must not be remembered past the writes that follow it.
+        # must not be remembered past the writes that follow it.  The
+        # bound-SELECT cache is dropped on both sides for the same
+        # reason (a failed ALTER or a ROLLBACK swaps the catalog back).
         self._scan_cache.clear()
+        self._bound_selects.clear()
         self._scan_caching = False
         try:
             return self._execute_mutating(stmt)
         finally:
             self._scan_caching = True
+            self._bound_selects.clear()
 
     def _execute_mutating(self, stmt: st.Statement) -> ResultSet:
         if isinstance(stmt, st.CreateTable):

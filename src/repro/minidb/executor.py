@@ -89,23 +89,16 @@ class SelectExecutor:
                       ) -> None:
         scope_tables = self._scope_tables(select)
         scope = Scope(scope_tables, self.dialect)
-        bound = self._bind_select(select, scope)
-        hints = self.engine.hints
+        bound = self._bound(select, scope)
         where = None
         rewrite_tags: list[str] = []
         if bound.where is not None:
             where = rewrite(bound.where, self.dialect, self.bugs, scope,
-                            hints)
+                            self.engine.hints)
             rewrite_tags = self._rewrite_tags(bound.where, where)
         for visible, table in scope_tables[:len(bound.tables)]:
-            indexes = self.catalog.indexes_on(table.name)
-            if self.dialect == "postgres" and \
-                    self.catalog.has_table(table.name) and \
-                    self.catalog.children_of(table.name):
-                indexes = []
-            path = choose_path(table, where, indexes, bound.distinct,
-                               self.bugs, hints)
-            steps.append(self._plan_step(visible, path))
+            steps.append(self._plan_step(
+                visible, self._choose_path(bound, table, where)))
         for join, (visible, table) in zip(
                 select.joins, scope_tables[len(bound.tables):]):
             steps.append((visible, "full-scan", None,
@@ -178,19 +171,25 @@ class SelectExecutor:
     def _run(self, select: st.Select) -> tuple[list[str], list[tuple]]:
         scope_tables = self._scope_tables(select)
         scope = Scope(scope_tables, self.dialect)
-        bound = self._bind_select(select, scope)
-        self._planning_defect_checks(bound, scope_tables)
+        bound = self._bound(select, scope)
 
         where = None
         if bound.where is not None:
             where = rewrite(bound.where, self.dialect, self.bugs, scope,
                             self.engine.hints)
+        # Paths are chosen before the planning-time defect checks, in
+        # EXPLAIN's order, so a forced plan the planner rejects ("no
+        # query solution") raises the same error whether or not an
+        # EXPLAIN ran first.  Unforced, choose_path never raises.
+        paths = [self._choose_path(bound, table, where)
+                 for _visible, table in scope_tables[:len(bound.tables)]]
+        self._planning_defect_checks(bound, scope_tables)
 
         skip_scan_index = None
         source_rows: list[SourceRow] = []
         if scope_tables:
             source_rows, skip_scan_index = self._from_rows(
-                bound, scope_tables, where)
+                bound, scope_tables, paths)
         else:
             source_rows = [SourceRow(env={})]
 
@@ -227,6 +226,19 @@ class SelectExecutor:
             out.append((name, self.engine.resolve_relation(name)))
         return out
 
+    def _bound(self, select: st.Select, scope: Scope) -> st.Select:
+        """*select* bound against *scope*, memoized per engine (see
+        ``Engine._bound_selects``).  No pipeline stage mutates a bound
+        Select: every stage reads it and builds new rows and nodes."""
+        cache = self.engine._bound_selects
+        entry = cache.get(id(select))
+        if entry is None:
+            if len(cache) >= 256:
+                cache.clear()
+            entry = (select, self._bind_select(select, scope))
+            cache[id(select)] = entry
+        return entry[1]
+
     def _bind_select(self, select: st.Select, scope: Scope) -> st.Select:
         bound = st.Select(
             items=[st.SelectItem(
@@ -247,11 +259,24 @@ class SelectExecutor:
             distinct=select.distinct, compound=select.compound)
         return bound
 
+    def _choose_path(self, select: st.Select, table: Table,
+                     where: Optional[Expr]) -> AccessPath:
+        indexes = self.catalog.indexes_on(table.name)
+        if self.dialect == "postgres" and \
+                self.catalog.has_table(table.name) and \
+                self.catalog.children_of(table.name):
+            # A parent's indexes do not cover inherited child rows; an
+            # inheritance scan must walk the heap of every table.
+            indexes = []
+        return choose_path(table, where, indexes, select.distinct,
+                           self.bugs, self.engine.hints)
+
     def _from_rows(self, select: st.Select,
                    scope_tables: list[tuple[str, Table]],
-                   where: Optional[Expr],
+                   paths: list[AccessPath],
                    ) -> tuple[list[SourceRow], Optional[object]]:
-        """Scan + join all FROM sources into combined rows."""
+        """Scan + join all FROM sources into combined rows, the plain
+        tables along their chosen *paths*."""
         skip_scan_index = None
         plain = scope_tables[:len(select.tables)]
         combined: list[SourceRow] = [SourceRow(env={})]
@@ -259,16 +284,7 @@ class SelectExecutor:
             and self.bugs.on("sqlite-stale-stats-join") \
             and self.engine.hint_analyzed
         prev: Optional[tuple[str, Table]] = None
-        for visible, table in plain:
-            indexes = self.catalog.indexes_on(table.name)
-            if self.dialect == "postgres" and \
-                    self.catalog.has_table(table.name) and \
-                    self.catalog.children_of(table.name):
-                # A parent's indexes do not cover inherited child rows;
-                # an inheritance scan must walk the heap of every table.
-                indexes = []
-            path = choose_path(table, where, indexes, select.distinct,
-                               self.bugs, self.engine.hints)
+        for (visible, table), path in zip(plain, paths):
             if path.kind == "skip-scan":
                 skip_scan_index = path.index
             scanned = self._scan(visible, table, path)

@@ -36,6 +36,12 @@ class MultiPlanReplayer:
     def __init__(self, dialect: str, bugs: BugRegistry):
         self.dialect = dialect
         self.bugs = bugs
+        #: (defects, statements, hints) -> divergence; see forget().
+        self._memo: dict[tuple, bool] = {}
+
+    def forget(self) -> None:
+        """Drop memoized replays (the campaign does so per finding)."""
+        self._memo.clear()
 
     # -- predicates ---------------------------------------------------------
     def diverges(self, test_case: TestCase,
@@ -62,6 +68,19 @@ class MultiPlanReplayer:
     # -- execution ----------------------------------------------------------
     def _diverges_under(self, bugs: BugRegistry, test_case: TestCase,
                         hints_list: list[PlannerHints]) -> bool:
+        """Memoized: a replay is a pure function of the enabled defects,
+        the statements and the hints, and delta debugging, the
+        predicate's pre-check and attribution re-ask the same ones."""
+        key = (frozenset(bugs.enabled), tuple(test_case.statements),
+               tuple(hints_list))
+        diverged = self._memo.get(key)
+        if diverged is None:
+            diverged = self._memo[key] = self._replay(bugs, test_case,
+                                                      hints_list)
+        return diverged
+
+    def _replay(self, bugs: BugRegistry, test_case: TestCase,
+                hints_list: list[PlannerHints]) -> bool:
         from repro.adapters.minidb_adapter import MiniDBConnection
 
         connection = MiniDBConnection(self.dialect, bugs=bugs)
@@ -76,7 +95,7 @@ class MultiPlanReplayer:
         outcomes = set()
         for hints in hints_list:
             try:
-                rows, _steps = connection.with_plan(final, hints)
+                rows = connection.forced_rows(final, hints)
             except DBCrash:
                 return False
             except DBError:

@@ -32,6 +32,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.campaigns.journal import CampaignJournal
+from repro.errors import ReductionError
 from repro.observe.events import campaign_id, load_events
 from repro.telemetry import names as metric_names
 from repro.telemetry.registry import MetricsRegistry
@@ -56,7 +57,9 @@ def build_report(journal_path: str,
 
     ``reduce_fn`` (TestCase → TestCase), when given, shrinks each
     finding's test case before fingerprinting — two raw findings that
-    reduce to the same statements then collapse into one bug.
+    reduce to the same statements then collapse into one bug.  A case
+    it rejects with :class:`~repro.errors.ReductionError` keeps its raw
+    statements and is counted under ``report["reduction"]``.
     """
     header, state = CampaignJournal(journal_path).load_any()
     dialect = header.get("dialect", "?")
@@ -78,7 +81,11 @@ def build_report(journal_path: str,
         "duplicate_journal_rounds": state.recovery.duplicate_rounds,
     }
     report["totals"] = _totals(records)
-    report["bugs"] = _dedupe_bugs(records, reduce_fn)
+    report["bugs"], unreduced = _dedupe_bugs(records, reduce_fn)
+    if reduce_fn is not None:
+        report["reduction"] = {
+            "reduced": report["totals"]["raw_findings"] - unreduced,
+            "unreduced": unreduced}
     report["by_oracle"] = _count_by(report["bugs"], "oracle")
     report["by_error_kind"] = _count_by(
         [b for b in report["bugs"] if b["oracle"] == "error"],
@@ -116,14 +123,20 @@ def _totals(records) -> dict:
     return totals
 
 
-def _dedupe_bugs(records, reduce_fn=None) -> list[dict]:
-    """Distinct findings by content fingerprint, first sighting first."""
+def _dedupe_bugs(records, reduce_fn=None) -> tuple[list[dict], int]:
+    """Distinct findings by content fingerprint, first sighting first,
+    and how many findings *reduce_fn* left unreduced."""
     bugs: dict[str, dict] = {}
+    unreduced = 0
     for record in records:
         for raw in record.reports:
             report = raw
             if reduce_fn is not None:
-                report = replace(raw, test_case=reduce_fn(raw.test_case))
+                try:
+                    report = replace(raw,
+                                     test_case=reduce_fn(raw.test_case))
+                except ReductionError:
+                    unreduced += 1
             key = report.fingerprint()
             entry = bugs.get(key)
             if entry is None:
@@ -144,8 +157,9 @@ def _dedupe_bugs(records, reduce_fn=None) -> list[dict]:
                 entry["sightings"] += 1
                 if record.index not in entry["rounds"]:
                     entry["rounds"].append(record.index)
-    return sorted(bugs.values(),
-                  key=lambda b: (b["first_round"], b["fingerprint"]))
+    ordered = sorted(bugs.values(),
+                     key=lambda b: (b["first_round"], b["fingerprint"]))
+    return ordered, unreduced
 
 
 def _count_by(entries, field: str) -> dict:
@@ -310,6 +324,11 @@ def render_report(report: dict) -> str:
             f"{bug['statement_kind']:<8} loc={bug['loc']:<3} "
             f"sightings={bug['sightings']}  first round "
             f"{bug['first_round']} (seed {bug['first_seed']})")
+    reduction = report.get("reduction")
+    if reduction:
+        lines.append(f"reduction: {reduction['reduced']} finding(s) "
+                     f"reduced, {reduction['unreduced']} left unreduced "
+                     "(no buggy-vs-clean difference on replay)")
     if report["by_error_kind"]:
         lines.append("error-oracle bugs by statement kind: "
                      + _fmt_counts(report["by_error_kind"]))

@@ -41,8 +41,18 @@ PHASE_STATEGEN = "stategen"
 PHASE_PIVOT = "pivot_select"
 PHASE_SYNTH = "synthesize"
 PHASE_CONTAIN = "containment"
-PHASES = (PHASE_CONNECT, PHASE_STATEGEN, PHASE_PIVOT, PHASE_SYNTH,
-          PHASE_CONTAIN)
+ROUND_PHASES = (PHASE_CONNECT, PHASE_STATEGEN, PHASE_PIVOT, PHASE_SYNTH,
+                PHASE_CONTAIN)
+#: Triage of one raw finding after the hunt (reduce, shrink, attribute;
+#: paper §4.1) — outside every round.
+PHASE_REDUCE = "reduce"
+#: Every phase, in report order: the round phases, then triage.
+PHASES = ROUND_PHASES + (PHASE_REDUCE,)
+
+# -- triage (repro.campaigns.campaign, repro.core.shrink) -------------------
+#: Findings whose final query the shrinker left as it was (counter,
+#: label ``reason``; ``unparseable``: MiniDB cannot parse it).
+REDUCE_UNSHRUNK = "pqs_reduce_unshrunk_total"
 
 # -- plan-coverage guidance (repro.guidance) --------------------------------
 #: Distinct plan fingerprints seen so far (gauge).
@@ -138,6 +148,7 @@ HELP = {
     REPORTS: "Findings, labeled by detecting oracle",
     PHASE_SECONDS: "Per-phase latency of the PQS loop",
     ROUND_SECONDS: "Whole-round wall clock",
+    REDUCE_UNSHRUNK: "Findings whose final query was left unshrunk",
     GUIDANCE_PLANS_DISTINCT: "Distinct plan fingerprints seen so far",
     GUIDANCE_NOVEL_ROUNDS: "Rounds that produced at least one novel plan",
     GUIDANCE_PLAN_LOOKUPS: "Successful query_plan introspections",

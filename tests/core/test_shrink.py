@@ -1,10 +1,14 @@
 """Expression-level query shrinking tests."""
 
+import pytest
+
+from repro.core import shrink
 from repro.core.reports import TestCase
 from repro.core.shrink import QueryShrinker
 from repro.errors import DBError
 from repro.minidb.bugs import BugRegistry
 from repro.minidb.engine import Engine
+from repro.telemetry import Telemetry, names
 
 
 def engine_fails_predicate(bug_id: str, wrong_result_marker):
@@ -75,6 +79,29 @@ class TestShrinkMechanics:
         ])
         shrunk = QueryShrinker(lambda c: True).shrink(case)
         assert len(shrunk.statements[-1]) <= len(case.statements[-1])
+
+
+class TestUnparseableFinal:
+    def test_counted_and_returned_unchanged(self):
+        telemetry = Telemetry()
+        case = TestCase(statements=["CREATE TABLE t0(c0)",
+                                    "SELEKT c0 FROM t0"])
+        shrunk = QueryShrinker(lambda c: True,
+                               telemetry=telemetry).shrink(case)
+        assert shrunk is case
+        counter = telemetry.registry.counter(names.REDUCE_UNSHRUNK,
+                                             reason="unparseable")
+        assert counter.value == 1
+        assert names.REDUCE_UNSHRUNK in names.HELP
+
+    def test_a_programming_error_propagates(self, monkeypatch):
+        def broken(sql):
+            raise AttributeError("not a DBError")
+
+        monkeypatch.setattr(shrink, "parse_statement", broken)
+        case = TestCase(statements=["SELECT 1 WHERE 1"])
+        with pytest.raises(AttributeError, match="not a DBError"):
+            QueryShrinker(lambda c: True).shrink(case)
 
 
 class TestCampaignIntegration:

@@ -102,7 +102,9 @@ class TestHuntTelemetry:
         snapshot = payload["snapshot"]
         phases = [k for k in snapshot
                   if k.startswith("pqs_phase_seconds{")]
-        assert len(phases) == 5
+        # The five round phases plus triage (this hunt has findings).
+        assert len(phases) == 6
+        assert 'pqs_phase_seconds{phase="reduce"}' in phases
         assert all(snapshot[k]["count"] > 0 for k in phases)
         assert payload["derived"]["queries_per_second"] > 0
         # Stats output grows throughput and phase lines.
@@ -300,6 +302,50 @@ class TestReport:
         report = json.loads(output)
         assert report["campaign"] == "sqlite-s3"
         assert report["rounds"]["completed"] == 6
+
+    def test_report_reduce_gives_every_finding_its_own_budget(self,
+                                                              tmp_path):
+        # 80 sightings of one padded partial-index finding, each of which
+        # takes ~27 replays to reduce: one shared 2000-replay budget runs
+        # out part-way and leaves the later sightings unreduced (a second
+        # "bug" with the raw statements).
+        import json
+
+        from repro.campaigns.journal import (
+            JOURNAL_VERSION,
+            CampaignJournal,
+            RoundRecord,
+        )
+        from repro.core.reports import BugReport, Oracle, TestCase
+
+        padding = [f"CREATE TABLE p{i}(c0)" for i in range(24)]
+        statements = padding[:12] + [
+            "CREATE TABLE t0(c0)",
+            "CREATE INDEX i0 ON t0(1) WHERE c0 NOT NULL",
+        ] + padding[12:] + [
+            "INSERT INTO t0(c0) VALUES (0), (1), (2), (3), (NULL)",
+            "SELECT c0 FROM t0 WHERE t0.c0 IS NOT 1",
+        ]
+        unreproducible = ["CREATE TABLE t0(c0)", "SELECT c0 FROM t0"]
+        journal = tmp_path / "j.jsonl"
+        with CampaignJournal(str(journal)) as writer:
+            writer.start({"version": JOURNAL_VERSION, "dialect": "sqlite",
+                          "seed": 0, "databases": 81, "bug_ids": []},
+                         fresh=True)
+            cases = [statements] * 80 + [unreproducible]
+            for index, case in enumerate(cases):
+                finding = BugReport(oracle=Oracle.CONTAINMENT,
+                                    dialect="sqlite",
+                                    test_case=TestCase(statements=case))
+                writer.append_round(RoundRecord(index=index, seed=index,
+                                                reports=[finding]))
+        code, output = run_cli("report", str(journal), "--reduce",
+                               "--json", "--no-history")
+        assert code == 0
+        report = json.loads(output)
+        assert [(bug["loc"], bug["sightings"]) for bug in report["bugs"]] \
+            == [(4, 80), (2, 1)]
+        assert report["reduction"] == {"reduced": 80, "unreduced": 1}
 
     def test_report_missing_journal_errors(self, tmp_path):
         code, output = run_cli("report", str(tmp_path / "nope.jsonl"),
