@@ -7,16 +7,19 @@ reduces every finding, attributes it to specific defects by differential
 replay against single-defect engines, and aggregates the statistics that
 regenerate the paper's Tables 2–3 and Figures 2–3.
 
-Long campaigns are *supervised*: rounds flow through a work-stealing
-queue (repro.campaigns.scheduler), workers are restarted under a budget
-and stalled ones detected (repro.campaigns.supervisor), poison rounds
-are quarantined instead of aborting, the journal is checksummed and
-self-healing (repro.campaigns.journal), and the whole stack is
-exercised by a deterministic fault injector (repro.campaigns.chaos).
+Journaled campaigns, and campaigns with ``threads > 1``, run their
+rounds through one round queue (repro.campaigns.scheduler) drained by
+one executor in the calling thread (repro.campaigns.executor).
+``threads`` counts round streams, not OS threads: under the GIL a
+thread fleet bought no speed, so it was removed.  Failed rounds are
+retried and poison rounds quarantined instead of aborting, the journal
+is checksummed and self-healing (repro.campaigns.journal), and the
+whole stack is exercised by a deterministic fault injector
+(repro.campaigns.chaos).
 """
 
 from repro.campaigns.campaign import Campaign, CampaignConfig, CampaignResult
-from repro.campaigns.chaos import ChaosEvents, ChaosKill, ChaosPolicy, NULL_CHAOS
+from repro.campaigns.chaos import ChaosEvents, ChaosPolicy, NULL_CHAOS
 from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import (
     CampaignJournal,
@@ -28,12 +31,6 @@ from repro.campaigns.journal import (
 )
 from repro.campaigns.replay import DifferentialReplayer
 from repro.campaigns.scheduler import RoundQueue
-from repro.campaigns.supervisor import (
-    SupervisionReport,
-    Supervisor,
-    SupervisorConfig,
-    WorkerFailure,
-)
 from repro.campaigns.metrics import (
     constraint_statistics,
     statement_distribution,
@@ -46,7 +43,6 @@ __all__ = [
     "CampaignJournal",
     "CampaignResult",
     "ChaosEvents",
-    "ChaosKill",
     "ChaosPolicy",
     "DifferentialReplayer",
     "JournalState",
@@ -56,10 +52,6 @@ __all__ = [
     "RoundExecutor",
     "RoundQueue",
     "RoundRecord",
-    "SupervisionReport",
-    "Supervisor",
-    "SupervisorConfig",
-    "WorkerFailure",
     "constraint_statistics",
     "round_seed",
     "statement_distribution",

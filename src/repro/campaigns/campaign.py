@@ -7,27 +7,23 @@ from upstream developers, ours comes from differential replay against
 single-defect engines plus the defect catalog's recorded upstream
 resolution (fixed / verified / docs / intended / duplicate).
 
-One engine, three run modes, picked from the config:
+One engine, two run modes, picked from the config:
 
-* no journal, one thread — the runner's own sequential RNG stream;
-* a journal, one thread — a one-shard fleet: the shared
-  :class:`~repro.campaigns.scheduler.RoundQueue` drained by one
-  :class:`~repro.campaigns.executor.RoundExecutor` inline, each round
-  under a campaign-global derived seed, so an interrupted hunt resumes;
-* several threads — paper §3.4's recipe, "running each thread on a
-  distinct database", supervised.  Each worker owns its own engines,
-  runner, random stream and metrics registry, so the hot path shares no
-  mutable state.  A :class:`~repro.campaigns.supervisor.Supervisor`
-  requeues a dead worker's leased rounds and restarts it under a bounded
-  budget; a round that keeps failing is quarantined instead of aborting
-  the hunt.  Python threads do not overlap CPU-bound work (the GIL), so
-  against the pure-Python MiniDB this is about workload *shape*, not
-  speedup; against an out-of-process DBMS adapter the same structure
-  pipelines naturally.
+* no journal and one thread — the runner's own sequential RNG stream;
+* a journal, or ``threads > 1`` — the round queue: one
+  :class:`~repro.campaigns.executor.RoundExecutor` drains the
+  :class:`~repro.campaigns.scheduler.RoundQueue` in this thread, each
+  round under a campaign-global derived seed, so an interrupted hunt
+  resumes and a failing round is retried, then quarantined, instead of
+  aborting the hunt.
 
-Every mode ends the same way: findings are reduced, attributed and
-triaged centrally in round order, so results do not depend on worker
-scheduling.
+The paper runs one thread per database (§3.4).  Here ``threads`` only
+counts round streams: Python threads do not overlap CPU-bound work (the
+GIL), and a measured thread fleet was no faster than this one loop, so
+``threads=N`` runs the same campaign-global rounds inline.
+
+Both modes end the same way: findings are reduced, attributed and
+triaged in round order.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.adapters.minidb_adapter import MiniDBConnection
-from repro.campaigns.chaos import NULL_CHAOS
 from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import (
     JOURNAL_VERSION,
@@ -48,22 +43,17 @@ from repro.campaigns.journal import (
 )
 from repro.campaigns.replay import DifferentialReplayer
 from repro.campaigns.scheduler import RoundQueue
-from repro.campaigns.supervisor import (
-    SupervisionReport,
-    Supervisor,
-    SupervisorConfig,
-)
 from repro.core.reducer import TestCaseReducer
 from repro.core.reports import BugReport, Oracle, RunStatistics
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import PQSError, ReductionError
-from repro.guidance import NULL_GUIDANCE, PlanCoverage, PlanGuidance
+from repro.guidance import NULL_GUIDANCE, PlanGuidance
 from repro.minidb.bugs import BUG_CATALOG, BugRegistry, bugs_for_dialect
 from repro.multiplan.hints import BASELINE, PlannerHints
 from repro.multiplan.replay import MultiPlanReplayer
 from repro.observe.observatory import NULL_OBSERVATORY, Observatory
 from repro.plantime.archive import TimingArchive
-from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry import names as metric_names
 
 #: BugReport oracle value -> catalog oracle tag.
@@ -96,10 +86,11 @@ def primary_attribution(report: BugReport) -> str:
 class CampaignConfig:
     dialect: str = "sqlite"
     seed: int = 0
-    #: Database rounds in the whole campaign (shared by all threads).
+    #: Database rounds in the whole campaign.
     databases: int = 50
-    #: Worker threads.  1 runs in this thread; more run a supervised
-    #: fleet over one shared round queue.
+    #: Round streams (paper §3.4's thread count).  More than 1 selects
+    #: the round-queue path, which runs every round in this thread
+    #: under campaign-global seeds; the count does not change results.
     threads: int = 1
     #: Defects to enable; None enables the dialect's full catalog.
     bug_ids: Optional[list[str]] = None
@@ -109,20 +100,15 @@ class CampaignConfig:
     max_reports_per_bug: int = 2
     #: JSONL journal path.  When set, each database round gets an
     #: independently-derived seed and its raw results are persisted as
-    #: the campaign runs, so an interrupted hunt can be continued.  A
-    #: fleet shares one journal (it is internally locked), and a resume
-    #: redistributes the remaining rounds over however many threads the
-    #: resuming run has.
+    #: the campaign runs, so an interrupted hunt can be continued, under
+    #: any thread count.
     journal: Optional[str] = None
     #: Continue from an existing journal instead of starting over.
     resume: bool = False
     #: Observability sink (metrics registry + tracer); None runs with
     #: the no-op :data:`repro.telemetry.NULL_TELEMETRY`.  Deliberately
     #: not part of the journal fingerprint: turning telemetry on must
-    #: not invalidate a resumable hunt.  Fleet workers hunt with
-    #: *private* registries (no cross-thread contention on the hot
-    #: path); after the join each snapshot is merged into this one and
-    #: kept in :attr:`CampaignResult.worker_snapshots`.
+    #: not invalidate a resumable hunt.
     telemetry: Optional["Telemetry"] = None
     #: Observability hub (repro.observe.Observatory): event log plus
     #: live status views.  Like telemetry — and unlike guidance — it is
@@ -133,10 +119,8 @@ class CampaignConfig:
     #: Query-plan-coverage guidance (repro.guidance).  Unlike telemetry
     #: this *is* journal-fingerprinted when on: feedback changes what
     #: the campaign generates, so a guided journal cannot silently
-    #: continue an unguided hunt (or vice versa).  Each fleet worker
-    #: runs its own scheduler; feedback under work stealing is
-    #: best-effort per worker, but the merged coverage is rebuilt from
-    #: the per-round records in round-index order.
+    #: continue an unguided hunt (or vice versa).  The scheduler is
+    #: seeded with the campaign seed under any thread count.
     guidance: bool = False
     #: Write the final plan-coverage set (PlanCoverage JSON) here.
     #: Setting a path without ``guidance=True`` observes plans
@@ -151,24 +135,23 @@ class CampaignConfig:
     #: ``runner.plan_timing``.
     timing_archive: Optional[str] = None
     #: Fault-injection schedule (repro.campaigns.chaos.ChaosPolicy) for
-    #: the supervised fleet; None runs undisturbed.
+    #: the round-queue path; None runs undisturbed.
     chaos: Optional[object] = None
     #: Per-runner knobs, including the multi-plan oracle and plan timing.
     #: Both are journal-fingerprinted when on: their outcomes are
     #: journaled, so such a journal must not silently continue (or be
     #: continued by) a hunt without them.
     runner: RunnerConfig = field(default_factory=RunnerConfig)
-    #: Fleet restart, backoff and stall knobs (threads > 1 only).
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
     def __post_init__(self) -> None:
         # Dialect and seed are the campaign's identity; this is the one
         # place the runner inherits them.
         self.runner.dialect = self.dialect
         self.runner.seed = self.seed
-        if self.chaos is not None and self.threads <= 1:
-            raise PQSError("chaos requires threads > 1 (it targets the "
-                           "supervised fleet)")
+        if self.chaos is not None and not (self.journal
+                                           or self.threads > 1):
+            raise PQSError("chaos requires the round-queue path "
+                           "(a journal or threads > 1)")
 
 
 @dataclass
@@ -193,22 +176,6 @@ class CampaignResult:
     quarantined: list[QuarantineRecord] = field(default_factory=list)
     #: What journal recovery had to repair on ``--resume``.
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
-    # -- fleet only (threads > 1) ------------------------------------------
-    #: Rounds completed per logical worker slot (restarted incarnations
-    #: count toward their slot; journal-preloaded rounds toward none).
-    per_thread_rounds: list[int] = field(default_factory=list)
-    #: Distinct plans per slot, when plans were tracked.
-    per_thread_plans: list[int] = field(default_factory=list)
-    #: One entry per worker death: the summary line followed by the
-    #: full formatted traceback — a fleet failure must be debuggable
-    #: from the campaign result alone.
-    worker_errors: list[str] = field(default_factory=list)
-    #: Per-worker metric snapshots (one per spawned incarnation), kept
-    #: so per-worker skew is inspectable.
-    worker_snapshots: list[dict] = field(default_factory=list)
-    #: What supervision did (restarts, stalls, backoff, failures).
-    supervision: SupervisionReport = field(
-        default_factory=SupervisionReport)
 
     def harness_reports(self) -> list[str]:
         """Synthesized human-readable reports for quarantined rounds —
@@ -262,24 +229,20 @@ class Campaign:
         return MiniDBConnection(self.config.dialect,
                                 bugs=BugRegistry(set(self.bugs.enabled)))
 
-    def build_runner(self, telemetry=None, seed: Optional[int] = None,
-                     ) -> PQSRunner:
+    def build_runner(self) -> PQSRunner:
         """A fresh runner wired exactly as this campaign hunts: own
-        connection factory, telemetry, and guidance scheduler (each
-        fleet worker — and each supervisor restart — gets its own)."""
-        if telemetry is None:
-            telemetry = self.config.telemetry
+        connection factory, telemetry, and guidance scheduler."""
+        telemetry = self.config.telemetry
         guidance = NULL_GUIDANCE
         if self.config.guidance or self.config.plan_coverage:
             # plan_coverage without guidance observes passively: plans
             # are fingerprinted and dumped, generation is untouched.
             guidance = PlanGuidance(
-                seed=self.config.seed if seed is None else seed,
+                seed=self.config.seed,
                 feedback=self.config.guidance,
                 telemetry=telemetry)
-        # Each runner gets its own RunnerConfig: reseed() mutates
-        # config.seed, and concurrent workers sharing one config would
-        # race on it (stamping reports with another worker's seed).
+        # The runner gets its own RunnerConfig: reseed() mutates
+        # config.seed, which must not leak into the campaign's config.
         return PQSRunner(self._connection, replace(self.config.runner),
                          telemetry=telemetry, guidance=guidance)
 
@@ -289,17 +252,14 @@ class Campaign:
         config = self.config
         telemetry = config.telemetry or NULL_TELEMETRY
         observe = config.observe or NULL_OBSERVATORY
-        if config.threads > 1:
-            result = self._run_fleet(telemetry, observe)
+        runner = self.build_runner()
+        if config.journal or config.threads > 1:
+            result = self._run_queue(runner, telemetry, observe)
         else:
-            runner = self.build_runner()
-            if config.journal:
-                result = self._run_inline(runner, telemetry, observe)
-            else:
-                result = CampaignResult(
-                    config=config, stats=runner.run(config.databases))
-            if runner.guidance.enabled:
-                result.plan_coverage = runner.guidance.coverage
+            result = CampaignResult(
+                config=config, stats=runner.run(config.databases))
+        if runner.guidance.enabled:
+            result.plan_coverage = runner.guidance.coverage
         if result.plan_coverage is not None:
             observe.attach_coverage(result.plan_coverage)
             if config.plan_coverage:
@@ -307,8 +267,7 @@ class Campaign:
         if config.runner.plan_timing:
             # Built from the per-round outcome dicts — the same records
             # a journal carries, min-merged order-insensitively — so
-            # live, resumed, and fleet campaigns produce byte-identical
-            # archives.
+            # live and resumed campaigns produce byte-identical archives.
             result.timing_archive = TimingArchive.from_outcomes(
                 result.stats.plantime_outcomes)
             if config.timing_archive:
@@ -339,7 +298,7 @@ class Campaign:
             seen_bugs.add(primary)
             result.reports.append(processed)
 
-    # -- round-queue execution (journaled or threaded) ----------------------
+    # -- round-queue execution (journaled or threads > 1) -------------------
     def _fingerprint(self) -> dict:
         fingerprint = {"version": JOURNAL_VERSION,
                        "dialect": self.config.dialect,
@@ -373,8 +332,7 @@ class Campaign:
         Every round runs under :func:`~repro.campaigns.journal.round_seed`
         — an independent derivation from (campaign seed, round index) —
         so journal-loaded and freshly-run rounds compose into exactly
-        the statistics an uninterrupted run would produce, under any
-        thread count.
+        the statistics an uninterrupted run would produce.
         """
         config = self.config
         queue = RoundQueue(range(config.databases), config.seed,
@@ -408,7 +366,7 @@ class Campaign:
     def _queue_result(self, queue: RoundQueue,
                       state: JournalState) -> CampaignResult:
         """Statistics folded from the settled queue in round-index order,
-        so the outcome is independent of worker scheduling."""
+        so the outcome does not depend on retries or resumes."""
         quarantined = queue.quarantined_in_order()
         stats = RunStatistics()
         for record in queue.records_in_order():
@@ -418,11 +376,9 @@ class Campaign:
                               quarantined=quarantined,
                               recovery=state.recovery)
 
-    def _run_inline(self, runner: PQSRunner, telemetry: Telemetry,
-                    observe) -> CampaignResult:
-        """A one-shard fleet: one executor drains the queue in this
-        thread (no supervisor), with the fleet's quarantine and recovery
-        semantics."""
+    def _run_queue(self, runner: PQSRunner, telemetry: Telemetry,
+                   observe) -> CampaignResult:
+        """One executor drains the round queue in this thread."""
         with self._round_queue(telemetry, observe) as (queue, journal,
                                                        state):
             if runner.guidance.enabled:
@@ -434,86 +390,11 @@ class Campaign:
                     record = state.rounds[index]
                     runner.guidance.restore_round(record.seed,
                                                   record.plans)
-            RoundExecutor(0, runner, queue, self.config.seed,
-                          journal=journal, telemetry=telemetry,
+            RoundExecutor(runner, queue, self.config.seed,
+                          journal=journal, chaos=self.config.chaos,
+                          telemetry=telemetry,
                           events=observe.events).run_loop()
         return self._queue_result(queue, state)
-
-    def _run_fleet(self, telemetry: Telemetry, observe) -> CampaignResult:
-        config = self.config
-        chaos = config.chaos or NULL_CHAOS
-        spawned: list[Telemetry] = []
-        with self._round_queue(telemetry, observe) as (queue, journal,
-                                                       state):
-            def worker_factory(worker_id: int,
-                               heartbeats: dict) -> RoundExecutor:
-                child = None
-                if telemetry.enabled:
-                    # Private registry per worker; the shared tracer is
-                    # lock-protected, so spans interleave but each line
-                    # stays whole.
-                    child = Telemetry(registry=MetricsRegistry(),
-                                      tracer=telemetry.tracer)
-                    spawned.append(child)
-                runner = self.build_runner(
-                    telemetry=child,
-                    # Distinct guidance streams per incarnation.
-                    seed=config.seed + 7919 * (worker_id + 1))
-                return RoundExecutor(
-                    worker_id, runner, queue, config.seed,
-                    journal=journal, chaos=chaos, telemetry=child,
-                    heartbeats=heartbeats, events=observe.events)
-
-            supervisor = Supervisor(queue, config.threads, worker_factory,
-                                    config=config.supervisor,
-                                    telemetry=telemetry,
-                                    events=observe.events)
-            observe.attach_heartbeats(supervisor.heartbeats)
-            observe.attach_supervision(supervisor.report)
-            supervision = supervisor.run()
-        if not queue.completed and supervision.failures:
-            # Nothing survived; there is nothing to degrade to.
-            raise supervision.failures[0].exception
-
-        result = self._queue_result(queue, state)
-        result.supervision = supervision
-        result.worker_errors = [
-            f"worker slot {failure.slot}: {failure.summary}\n"
-            f"{failure.traceback}"
-            for failure in supervision.failures]
-        result.worker_snapshots = [t.registry.snapshot() for t in spawned]
-        for snapshot in result.worker_snapshots:
-            telemetry.registry.merge_snapshot(snapshot)
-
-        # Rounds and plans attributed to logical slots.  completed_by
-        # holds the completing incarnation's worker_id (None for
-        # journal-preloaded rounds); worker_slots maps it home.
-        rounds_per_slot = [0] * config.threads
-        coverage = (PlanCoverage()
-                    if config.guidance or config.plan_coverage else None)
-        per_slot_coverage = [PlanCoverage() for _ in range(config.threads)]
-        for record in queue.records_in_order():
-            worker_id = queue.completed_by.get(record.index)
-            slot = supervision.worker_slots.get(worker_id) \
-                if worker_id is not None else None
-            if slot is not None:
-                rounds_per_slot[slot] += 1
-            if coverage is None:
-                continue
-            # Index-order rebuild: the globally-earliest round holding
-            # a fingerprint always recorded it (no worker saw it
-            # before), so the merged set — including which example
-            # query witnesses each plan — is schedule-independent.
-            for fingerprint, example in record.plans:
-                coverage.observe(fingerprint, example)
-                if slot is not None:
-                    per_slot_coverage[slot].observe(fingerprint, example)
-        result.per_thread_rounds = rounds_per_slot
-        if coverage is not None:
-            result.plan_coverage = coverage
-            result.per_thread_plans = [c.distinct
-                                       for c in per_slot_coverage]
-        return result
 
     # -- per-report processing ---------------------------------------------
     def _process(self, report: BugReport) -> Optional[BugReport]:

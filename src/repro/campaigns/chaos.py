@@ -1,24 +1,20 @@
-"""Deterministic chaos injection for supervised campaigns.
+"""Deterministic chaos injection for round-queue campaigns.
 
-The supervision layer's guarantees — work-stealing, bounded restarts,
-quarantine, checksummed journal recovery — are only believable if they
-are exercised.  :class:`ChaosPolicy` is a seeded fault schedule that
-kills workers, injects transient round failures, and corrupts journal
-bytes *from outside the unit under test*, so an acceptance test can
-assert the strongest property there is: a chaos-ridden campaign
-completes and produces results **bit-identical** to an undisturbed run.
+The round queue's guarantees — retries, quarantine, checksummed journal
+recovery — are only believable if they are exercised.
+:class:`ChaosPolicy` is a seeded fault schedule that injects transient
+round failures and corrupts journal bytes *from outside the unit under
+test*, so an acceptance test can assert the strongest property there
+is: a chaos-ridden campaign completes and produces results
+**bit-identical** to an undisturbed run.
 
-Three fault channels, each independently seeded and budget-capped so a
-chaos campaign always terminates:
+Two fault channels, each seeded and budget-capped so a chaos campaign
+always terminates:
 
-* **worker kills** — :meth:`on_lease` raises :class:`ChaosKill` (a
-  ``BaseException``, so no engine-level ``except Exception`` can swallow
-  it) after a worker leases a round but before it executes; the
-  supervisor must requeue the lease and restart the worker;
 * **transient round failures** — :meth:`on_round_start` raises
   :class:`~repro.errors.HarnessError` for a deterministic, seed-chosen
   subset of rounds on their first ``transient_failures`` attempts; the
-  scheduler must requeue and the retry must succeed.  Rounds listed in
+  queue must requeue and the retry must succeed.  Rounds listed in
   ``poison_rounds`` fail *every* attempt and must end up quarantined;
 * **journal corruption** — :meth:`on_journal_write` flips a byte in an
   already-written journal line (never the header); a later resume must
@@ -31,8 +27,6 @@ run is reproducible under ``PYTHONHASHSEED`` like everything else.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 
 from repro.errors import HarnessError
@@ -40,30 +34,17 @@ from repro.guidance.scheduler import mix_seed
 from repro.rng import RandomSource
 
 
-class ChaosKill(BaseException):
-    """Simulated abrupt worker death (the thread-pool analogue of
-    ``kill -9`` on a fleet worker).  Derived from ``BaseException`` so
-    nothing between the injection point and the supervisor can absorb
-    it."""
-
-    def __init__(self, message: str = "chaos: worker killed"):
-        super().__init__(message)
-        self.message = message
-
-
 @dataclass
 class ChaosEvents:
     """What a policy actually did — asserted on by the chaos tests."""
 
-    kills: int = 0
     transients: int = 0
     corruptions: int = 0
     poisoned: int = 0
 
     @property
     def any(self) -> int:
-        return self.kills + self.transients + self.corruptions \
-            + self.poisoned
+        return self.transients + self.corruptions + self.poisoned
 
 
 @dataclass
@@ -71,10 +52,6 @@ class ChaosPolicy:
     """A seeded, budget-capped fault schedule for one campaign run."""
 
     seed: int = 0
-    #: Probability a lease event kills the leasing worker.
-    kill_probability: float = 0.15
-    #: Hard cap on kills (keep below the fleet's total restart budget).
-    max_kills: int = 3
     #: Fraction (percent) of round indexes that fail transiently.
     transient_percent: int = 25
     #: Failed attempts each transient round makes before succeeding
@@ -89,60 +66,43 @@ class ChaosPolicy:
     events: ChaosEvents = field(default_factory=ChaosEvents)
 
     def __post_init__(self) -> None:
-        self._lock = threading.Lock()
         self._rng = RandomSource(mix_seed(self.seed, 0xC4A05))
 
     enabled = True
 
     # -- fault channels -----------------------------------------------------
-    def on_lease(self, slot: int, index: int) -> None:
-        """May raise :class:`ChaosKill` after a lease is taken."""
-        with self._lock:
-            if self.events.kills >= self.max_kills:
-                return
-            if not self._rng.flip(self.kill_probability):
-                return
-            self.events.kills += 1
-        raise ChaosKill(f"chaos: killed worker {slot} holding "
-                        f"round {index}")
-
     def on_round_start(self, index: int, attempt: int) -> None:
         """May raise :class:`~repro.errors.HarnessError` before a round
         executes (a stand-in for e.g. the subprocess harness exhausting
         its replay budget)."""
         if index in self.poison_rounds:
-            with self._lock:
-                self.events.poisoned += 1
+            self.events.poisoned += 1
             raise HarnessError(
                 f"chaos: poison round {index} (attempt {attempt + 1})")
         if not self._is_transient(index):
             return
         if attempt >= self.transient_failures:
             return
-        with self._lock:
-            self.events.transients += 1
+        self.events.transients += 1
         raise HarnessError(
             f"chaos: transient failure on round {index} "
             f"(attempt {attempt + 1})")
 
     def on_journal_write(self, path: str) -> bool:
         """Maybe flip one byte in an already-written journal line."""
-        with self._lock:
-            if self.events.corruptions >= self.max_corruptions:
-                return False
-            if not self._rng.flip(self.corrupt_probability):
-                return False
-            pick = self._rng.int_between(0, 2**30)
-        if not self._corrupt_line(path, pick):
+        if self.events.corruptions >= self.max_corruptions:
             return False
-        with self._lock:
-            self.events.corruptions += 1
+        if not self._rng.flip(self.corrupt_probability):
+            return False
+        if not self._corrupt_line(path, self._rng.int_between(0, 2**30)):
+            return False
+        self.events.corruptions += 1
         return True
 
     # -- internals ----------------------------------------------------------
     def _is_transient(self, index: int) -> bool:
         # Membership depends only on (seed, index): stable no matter
-        # which worker leases the round, in what order, how many times.
+        # in what order the round runs or how many times.
         return mix_seed(self.seed, index) % 100 < self.transient_percent
 
     @staticmethod
@@ -179,9 +139,6 @@ class NullChaos:
 
     __slots__ = ()
     enabled = False
-
-    def on_lease(self, slot: int, index: int) -> None:
-        return None
 
     def on_round_start(self, index: int, attempt: int) -> None:
         return None

@@ -1,28 +1,23 @@
-"""The campaign round executor: one worker's lease-run-journal loop.
+"""The campaign round executor: the lease-run-journal loop.
 
-An executor owns one :class:`~repro.core.runner.PQSRunner` (its own
-engines, RNG, guidance scheduler, and — under a parallel campaign — its
-own private metrics registry) and drains the shared
-:class:`~repro.campaigns.scheduler.RoundQueue`: lease a round index,
-derive its campaign-global seed, run it, journal the result, settle the
-lease.  A journaled one-thread campaign runs one executor inline (a
-one-shard fleet); a multi-thread :class:`~repro.campaigns.campaign.Campaign`
-runs one per worker thread under the supervisor.
+An executor owns one :class:`~repro.core.runner.PQSRunner` (its
+engines, RNG and guidance scheduler) and drains the campaign's
+:class:`~repro.campaigns.scheduler.RoundQueue` in the calling thread:
+lease a round index, derive its campaign-global seed, run it, journal
+the result, settle the lease.  A journaled campaign and every campaign
+with ``threads > 1`` run one executor.
 
-Failure handling is deliberately split by blast radius:
+Failure handling is split by blast radius:
 
 * :class:`~repro.errors.HarnessError` (the fault-isolation harness gave
   up on a round, or chaos injected a transient) settles *the round* via
   :meth:`RoundQueue.fail` — requeue below the quarantine threshold,
-  quarantine record at it — and the worker moves on;
-* anything else (including :class:`~repro.campaigns.chaos.ChaosKill`)
-  escapes the loop and kills *the worker*; the supervisor requeues its
-  leases and restarts it under the budget.
+  quarantine record at it — and the loop moves on;
+* anything else escapes the loop and aborts the campaign.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.campaigns.journal import CampaignJournal, RoundRecord, round_seed
@@ -35,63 +30,51 @@ from repro.telemetry import names as metric_names
 
 
 class RoundExecutor:
-    """Drains the round queue with one runner; safe to run on any
-    thread (it shares nothing mutable but the queue, the journal, and
-    its heartbeat slot, each internally synchronized or single-writer).
+    """Drains the round queue with one runner.
 
     With an event log attached the executor narrates its loop —
     ``round_leased`` / ``round_failed`` / ``round_completed`` /
     ``round_quarantined`` / ``bug_found`` / ``plan_novel`` /
     ``chaos_corruption`` — and binds ``worker``/``round``/``round_seed``
     tracer context around each round so trace spans join the journal and
-    the event log on the same keys.  Outcome events (completed, bug,
-    plan, quarantine) are emitted only when the queue *accepts* the
-    settlement: a stolen lease's late duplicate produces no events, the
-    same way its journal line is deduplicated on load.
+    the event log on the same keys.  ``worker`` is always 0: there is
+    one executor, and the key stays so existing readers still join.
     """
 
-    def __init__(self, worker_id: int, runner, queue: RoundQueue,
-                 campaign_seed: int,
+    #: The ``worker`` key on events and spans.
+    worker_id = 0
+
+    def __init__(self, runner, queue: RoundQueue, campaign_seed: int,
                  journal: Optional[CampaignJournal] = None,
                  chaos=None,
                  telemetry: Optional[Telemetry] = None,
-                 heartbeats: Optional[dict] = None,
                  events=None):
-        self.worker_id = worker_id
         self.runner = runner
         self.queue = queue
         self.campaign_seed = campaign_seed
         self.journal = journal
         self.chaos = chaos or NULL_CHAOS
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.heartbeats = heartbeats if heartbeats is not None else {}
         self.events = events if events is not None else NULL_EVENTS
         self._m_requeued = self.telemetry.counter(
             metric_names.SUPERVISOR_REQUEUED)
         self._m_quarantined = self.telemetry.counter(
             metric_names.SUPERVISOR_QUARANTINED)
-        #: Rounds this executor completed (not merely leased).
-        self.rounds_completed = 0
 
-    # -- the worker loop ----------------------------------------------------
+    # -- the loop -----------------------------------------------------------
     def run_loop(self) -> None:
-        """Lease and run rounds until the queue settles or aborts."""
+        """Lease and run rounds until nothing is pending."""
         while True:
-            index = self.queue.lease(self.worker_id)
+            index = self.queue.lease()
             if index is None:
                 return
-            self._beat()
             seed = round_seed(self.campaign_seed, index)
+            attempt = self.queue.attempts(index)
             self.events.emit("round_leased", round=index,
                              worker=self.worker_id, round_seed=seed,
-                             attempt=self.queue.attempts(index))
-            # Chaos may kill the worker here — after the lease, before
-            # the round — precisely the window where a lost lease must
-            # be requeued by the supervisor, not lost.
-            self.chaos.on_lease(self.worker_id, index)
+                             attempt=attempt)
             try:
-                self.chaos.on_round_start(index,
-                                          self.queue.attempts(index))
+                self.chaos.on_round_start(index, attempt)
                 with self.telemetry.tracer.context(
                         worker=self.worker_id, round=index,
                         round_seed=seed):
@@ -105,10 +88,8 @@ class RoundExecutor:
                     self.events.emit("chaos_corruption", round=index,
                                      worker=self.worker_id,
                                      path=self.journal.path)
-            if self.queue.complete(index, record, self.worker_id):
-                self._emit_outcome(record)
-            self.rounds_completed += 1
-            self._beat()
+            self.queue.complete(index, record)
+            self._emit_outcome(record)
 
     def run_round(self, index: int) -> RoundRecord:
         """Run one round under its campaign-global derived seed."""
@@ -128,7 +109,7 @@ class RoundExecutor:
 
     # -- internals ----------------------------------------------------------
     def _emit_outcome(self, record: RoundRecord) -> None:
-        """Events for an *accepted* completion (exactly once per round)."""
+        """Events for a completed round."""
         self.events.emit(
             "round_completed", round=record.index,
             worker=self.worker_id, round_seed=record.seed,
@@ -165,6 +146,3 @@ class RoundExecutor:
         self.events.emit("round_quarantined", round=index,
                          worker=self.worker_id, round_seed=seed,
                          error=summary)
-
-    def _beat(self) -> None:
-        self.heartbeats[self.worker_id] = time.monotonic()

@@ -18,10 +18,10 @@ carrying a ``crc`` field computed over the canonical serialization of
 the rest of the line.  On load, a line that fails to parse *or* fails
 its checksum is skipped and counted — not trusted, and crucially not
 treated as end-of-file, so one corrupt line in the middle of a journal
-no longer drops every later valid round.  Re-run round indexes (a
-work-stealing fleet can journal the same round twice when a lease is
-stolen from a stalled worker that later finishes) are deduplicated on
-load, first occurrence wins.  v1 journals (no checksums) remain
+no longer drops every later valid round.  Repeated round indexes
+(journals written by older thread fleets could hold the same round
+twice, and a journal is input from outside the program) are
+deduplicated on load, first occurrence wins.  v1 journals (no checksums) remain
 readable: ``crc`` is verified whenever present and required only when
 the header declares version ≥ 2.
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
@@ -202,15 +201,13 @@ class JournalState:
 class CampaignJournal:
     """Append-only checksummed JSONL journal for one campaign.
 
-    Thread-safe for writers: a work-stealing fleet's executors append
-    to one shared journal, serialized by an internal lock.  Usable as a
-    context manager; :meth:`close` is idempotent.
+    Written by the campaign's one round executor.  Usable as a context
+    manager; :meth:`close` is idempotent.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._handle: Optional[TextIO] = None
-        self._lock = threading.Lock()
 
     def __enter__(self) -> "CampaignJournal":
         return self
@@ -364,17 +361,15 @@ class CampaignJournal:
         self._write_line(record.to_json())
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def _write_line(self, data: dict) -> None:
         data = dict(data)
         data["crc"] = line_checksum(data)
-        with self._lock:
-            self._handle.write(_canonical(data) + "\n")
-            # One durable line per record: a kill between rounds loses
-            # nothing, a kill mid-round loses only that round.
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        self._handle.write(_canonical(data) + "\n")
+        # One durable line per record: a kill between rounds loses
+        # nothing, a kill mid-round loses only that round.
+        self._handle.flush()
+        os.fsync(self._handle.fileno())

@@ -1,21 +1,16 @@
-"""The campaign work queue: round indexes as stealable units of work.
+"""The campaign work queue: round indexes as retryable units of work.
 
-The static per-thread shard split (worker *i* owns rounds
-``i*k .. i*k+k-1``) had a failure mode the paper's long-running hunts
-cannot afford: a dead or slow worker silently loses its whole shard.
-:class:`RoundQueue` replaces it with a shared queue of round indexes —
-any worker leases the next pending round, a failed or abandoned lease is
-*requeued* for someone else, and a round that keeps failing is
-*quarantined* after a bounded number of attempts instead of aborting the
-campaign.
+:class:`RoundQueue` holds a campaign's round indexes.  The round
+executor leases the next pending round, and a failed round is
+*requeued* for another attempt; a round that keeps failing is
+*quarantined* after a bounded number of attempts instead of aborting
+the campaign.
 
 Because every round derives its own seed
-(:func:`~repro.campaigns.journal.round_seed`), a round's outcome is
-independent of which worker runs it and when; the queue therefore makes
-worker death a scheduling event, not a data-loss event.  Completion is
-idempotent — a stalled worker whose lease was stolen may finish late and
-its duplicate result is simply dropped (and deduplicated on journal
-load).
+(:func:`~repro.campaigns.journal.round_seed`), a round's outcome does
+not depend on when it runs; a retry at the back of the queue, or a
+round recovered from a journal, composes into the same statistics as an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -28,15 +23,14 @@ from repro.campaigns.journal import QuarantineRecord, RoundRecord, round_seed
 
 
 class RoundQueue:
-    """Thread-safe work-stealing queue of campaign round indexes.
+    """The queue of campaign round indexes one executor drains.
 
     Lifecycle of one round: ``pending`` → leased (by :meth:`lease`) →
     either completed (:meth:`complete`), requeued (:meth:`fail` under
-    the threshold, or :meth:`release` when its worker died), or
-    quarantined (:meth:`fail` at the threshold).  :meth:`lease` blocks
-    while the queue is merely *empty* (a requeue may still arrive) and
-    returns None once every round is settled or :meth:`abort` was
-    called.
+    the threshold), or quarantined (:meth:`fail` at the threshold).
+    :meth:`lease` returns None once nothing is pending.  One lock
+    guards the bookkeeping, because the status server reads it from its
+    own thread while the hunt runs.
     """
 
     def __init__(self, indexes: Iterable[int], campaign_seed: int,
@@ -45,67 +39,45 @@ class RoundQueue:
         self._campaign_seed = campaign_seed
         self.quarantine_threshold = max(1, quarantine_threshold)
         self._total = len(self._pending)
-        #: index -> worker slot currently holding the lease.
-        self._leases: dict[int, int] = {}
+        #: Rounds leased and not yet settled.
+        self._leased: set[int] = set()
         #: index -> failed attempts so far.
         self._attempts: dict[int, int] = {}
         self.completed: dict[int, RoundRecord] = {}
-        #: index -> slot that completed it (None for preloaded rounds).
-        self.completed_by: dict[int, Optional[int]] = {}
         self.quarantined: dict[int, QuarantineRecord] = {}
-        self._aborted = False
-        #: Worker ids barred from leasing (stalled incarnations whose
-        #: leases were stolen); their in-flight completions still count.
-        self._retired_workers: set[int] = set()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
 
     # -- preloading (journal resume) ----------------------------------------
     def preload(self, rounds: dict[int, RoundRecord],
                 quarantined: dict[int, QuarantineRecord]) -> None:
         """Mark journal-recovered rounds as already settled."""
-        with self._cond:
+        with self._lock:
             for index, record in rounds.items():
-                if index in self._leases or index not in self._pending:
+                if index not in self._pending:
                     continue
                 self._pending.remove(index)
                 self.completed[index] = record
-                self.completed_by[index] = None
             for index, record in quarantined.items():
                 if index not in self._pending:
                     continue
                 self._pending.remove(index)
                 self.quarantined[index] = record
-            self._cond.notify_all()
 
-    # -- worker-facing ------------------------------------------------------
-    def lease(self, slot: int) -> Optional[int]:
-        """Next round index for *slot*; None when the queue is done."""
-        with self._cond:
-            while True:
-                if self._aborted or self._settled_locked() \
-                        or slot in self._retired_workers:
-                    self._cond.notify_all()
-                    return None
-                if self._pending:
-                    index = self._pending.popleft()
-                    self._leases[index] = slot
-                    return index
-                # Empty but not settled: leased rounds may be requeued.
-                self._cond.wait(timeout=0.05)
+    # -- executor-facing ----------------------------------------------------
+    def lease(self) -> Optional[int]:
+        """Next pending round index; None when nothing is pending."""
+        with self._lock:
+            if not self._pending:
+                return None
+            index = self._pending.popleft()
+            self._leased.add(index)
+            return index
 
-    def complete(self, index: int, record: RoundRecord,
-                 slot: Optional[int] = None) -> bool:
-        """Settle *index* with *record*; False if it already settled
-        (a late finish after the lease was stolen)."""
-        with self._cond:
-            self._leases.pop(index, None)
-            if index in self.completed or index in self.quarantined:
-                self._cond.notify_all()
-                return False
+    def complete(self, index: int, record: RoundRecord) -> None:
+        """Settle *index* with *record*."""
+        with self._lock:
+            self._leased.discard(index)
             self.completed[index] = record
-            self.completed_by[index] = slot
-            self._cond.notify_all()
-            return True
 
     def fail(self, index: int, error: str) -> Optional[QuarantineRecord]:
         """Record a failed attempt; requeue or quarantine.
@@ -114,11 +86,8 @@ class RoundQueue:
         the threshold (the caller journals it), None when it was
         requeued for another attempt.
         """
-        with self._cond:
-            self._leases.pop(index, None)
-            if index in self.completed or index in self.quarantined:
-                self._cond.notify_all()
-                return None
+        with self._lock:
+            self._leased.discard(index)
             attempts = self._attempts.get(index, 0) + 1
             self._attempts[index] = attempts
             if attempts >= self.quarantine_threshold:
@@ -127,61 +96,24 @@ class RoundQueue:
                     seed=round_seed(self._campaign_seed, index),
                     attempts=attempts, error=error)
                 self.quarantined[index] = record
-                self._cond.notify_all()
                 return record
             self._pending.append(index)
-            self._cond.notify_all()
             return None
 
     def attempts(self, index: int) -> int:
-        with self._cond:
+        with self._lock:
             return self._attempts.get(index, 0)
 
-    # -- supervisor-facing --------------------------------------------------
-    def release(self, slot: int) -> list[int]:
-        """Requeue every round leased to *slot* (worker died or
-        stalled); returns the stolen indexes."""
-        with self._cond:
-            stolen = sorted(i for i, s in self._leases.items()
-                            if s == slot)
-            for index in stolen:
-                del self._leases[index]
-                self._pending.append(index)
-            if stolen:
-                self._cond.notify_all()
-            return stolen
-
-    def retire_worker(self, slot: int) -> None:
-        """Bar *slot* from future leases (a stalled zombie must not
-        pick up fresh work after its leases were stolen)."""
-        with self._cond:
-            self._retired_workers.add(slot)
-            self._cond.notify_all()
-
-    def abort(self) -> None:
-        """Give up: wake every blocked worker with None."""
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
-    def _settled_locked(self) -> bool:
-        return len(self.completed) + len(self.quarantined) >= self._total
-
+    # -- readers -------------------------------------------------------------
     @property
     def settled(self) -> bool:
         """Every round completed or quarantined."""
-        with self._cond:
-            return self._settled_locked()
-
-    @property
-    def aborted(self) -> bool:
-        with self._cond:
-            return self._aborted
+        return self.outstanding == 0
 
     @property
     def outstanding(self) -> int:
         """Rounds not yet settled (pending + leased)."""
-        with self._cond:
+        with self._lock:
             return self._total - len(self.completed) - len(self.quarantined)
 
     @property
@@ -191,10 +123,10 @@ class RoundQueue:
     def counts(self) -> dict[str, int]:
         """One consistent snapshot of the queue's bookkeeping — the
         status service reads this instead of racing four properties."""
-        with self._cond:
+        with self._lock:
             completed = len(self.completed)
             quarantined = len(self.quarantined)
-            leased = len(self._leases)
+            leased = len(self._leased)
             return {"total": self._total, "completed": completed,
                     "quarantined": quarantined, "leased": leased,
                     "pending": (self._total - completed - quarantined
@@ -202,10 +134,10 @@ class RoundQueue:
 
     def records_in_order(self) -> list[RoundRecord]:
         """Completed records sorted by round index — merge in this
-        order and the result is independent of worker scheduling."""
-        with self._cond:
+        order and the result does not depend on retries."""
+        with self._lock:
             return [self.completed[i] for i in sorted(self.completed)]
 
     def quarantined_in_order(self) -> list[QuarantineRecord]:
-        with self._cond:
+        with self._lock:
             return [self.quarantined[i] for i in sorted(self.quarantined)]

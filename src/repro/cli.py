@@ -23,7 +23,6 @@ import argparse
 import sys
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.supervisor import SupervisorConfig
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import DBCrash, DBError, PQSError
 from repro.minidb.bugs import BUG_CATALOG, bugs_for_dialect
@@ -57,7 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--no-reduce", action="store_true",
                       help="skip delta-debugging reduction")
     hunt.add_argument("--threads", type=int, default=1,
-                      help="parallel campaign workers (default: 1)")
+                      help="round streams, each of --databases rounds "
+                           "(default: 1); more than 1 runs every round "
+                           "in one loop under campaign-global round "
+                           "seeds, like --journal (Python threads "
+                           "give no speedup under the GIL)")
     hunt.add_argument("--journal", default=None, metavar="PATH",
                       help="write per-database results to a JSONL "
                            "journal as the hunt runs")
@@ -109,26 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print a live progress line (rounds, "
                            "reports, queries/s, ETA) to stderr every "
                            "SECS seconds")
-    hunt.add_argument("--max-worker-restarts", type=int, default=2,
-                      metavar="N",
-                      help="restarts allowed per parallel worker slot "
-                           "before it is retired (default: 2)")
     hunt.add_argument("--quarantine-threshold", type=int, default=3,
                       metavar="N",
                       help="failed attempts before a round is "
                            "quarantined instead of retried "
                            "(default: 3)")
-    hunt.add_argument("--stall-timeout", type=float, default=0.0,
-                      metavar="SECS",
-                      help="steal a parallel worker's leased rounds "
-                           "when its heartbeat goes stale this long "
-                           "(default: 0 = disabled)")
     hunt.add_argument("--chaos-seed", type=int, default=None,
                       metavar="SEED",
-                      help="inject a seeded fault schedule (worker "
-                           "kills, transient failures, journal "
-                           "corruption) into a parallel hunt — "
-                           "exercises the supervision layer; results "
+                      help="inject a seeded fault schedule "
+                           "(transient failures, journal corruption) "
+                           "into a round-queue hunt (--journal or "
+                           "--threads > 1) — exercises retries, "
+                           "quarantine and journal recovery; results "
                            "must match an undisturbed run")
     hunt.add_argument("--serve", default=None, metavar="[HOST:]PORT",
                       help="serve a live status dashboard over HTTP "
@@ -138,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "HOST is given, port 0 picks a free port")
     hunt.add_argument("--events", default=None, metavar="PATH",
                       help="write the unified campaign event log "
-                           "(typed JSONL: round lifecycle, worker "
-                           "lifecycle, chaos, bugs, plan novelty) "
+                           "(typed JSONL: round lifecycle, chaos, "
+                           "bugs, plan novelty) "
                            "as the hunt runs; per-round events need "
                            "the round-queue path (--journal or "
                            "--threads)")
@@ -246,10 +241,6 @@ def cmd_hunt(args) -> int:
     if args.resume and not args.journal:
         print("--resume requires --journal")
         return 2
-    if args.chaos_seed is not None and args.threads <= 1:
-        print("--chaos-seed requires --threads > 1 (chaos targets the "
-              "supervised parallel fleet)")
-        return 2
     if args.plan_timing and not args.multiplan:
         print("--plan-timing requires --multiplan (the timing collector "
               "rides inside the multi-plan oracle)")
@@ -266,12 +257,10 @@ def cmd_hunt(args) -> int:
     if args.progress > 0:
         from repro.telemetry import ProgressReporter
 
-        # The queue's exact settled counts beat registry counters
-        # whenever a queue exists (always in parallel mode, where
-        # workers count in private registries; and under work stealing,
-        # where a duplicate re-run double-counts).  The observatory's
-        # counts() falls through to (0, 0) without a queue, so only
-        # hook it up when one will be attached.
+        # The queue's exact settled counts (quarantined rounds
+        # included) beat registry counters whenever a queue exists.
+        # The observatory's counts() falls through to (0, 0) without a
+        # queue, so only hook it up when one will be attached.
         counts = None
         if observatory.enabled and (args.journal or args.threads > 1):
             counts = observatory.counts
@@ -306,10 +295,7 @@ def cmd_hunt(args) -> int:
             runner=RunnerConfig(
                 multiplan=args.multiplan, plan_timing=args.plan_timing,
                 plan_timing_repeats=args.timing_repeats,
-                plan_regression_ratio=args.regression_ratio),
-            supervisor=SupervisorConfig(
-                max_worker_restarts=args.max_worker_restarts,
-                stall_timeout=args.stall_timeout))
+                plan_regression_ratio=args.regression_ratio))
         result = Campaign(config).run()
     except PQSError as error:
         print(f"error: {error}")
@@ -328,30 +314,19 @@ def cmd_hunt(args) -> int:
                       coverage=result.plan_coverage,
                       recovery=result.recovery)
     _print_timing_archive(args, result.timing_archive)
-    for index, count in enumerate(result.per_thread_rounds):
-        print(f"worker {index}: {count} round(s)")
-    supervision = result.supervision
-    if supervision.restarts or supervision.stalls:
-        print(f"supervision: {supervision.restarts} restart(s), "
-              f"{supervision.stalls} stall(s), "
-              f"{supervision.backoff_seconds:.2f}s backoff")
     if chaos is not None:
         events = chaos.events
-        print(f"chaos: {events.kills} kill(s), "
-              f"{events.transients} transient(s), "
+        print(f"chaos: {events.transients} transient(s), "
               f"{events.corruptions} corruption(s)")
     _print_quarantine(result.harness_reports())
-    for summary in result.worker_errors:
-        print(f"FAILED {summary}")
     for report in result.reports:
         print(f"\n[{report.oracle.value}] {report.message} "
               f"(triage: {report.triage})")
         print(f"  defect: {', '.join(report.attributed_bugs)}")
         for statement in report.test_case.statements:
             print(f"    {statement};")
-    across = f" across {threads} worker(s)" if threads > 1 else ""
     print(f"\ndetected {len(result.detected_bug_ids)} distinct "
-          f"defect(s) in {len(result.reports)} report(s){across}")
+          f"defect(s) in {len(result.reports)} report(s)")
     return 0
 
 

@@ -36,8 +36,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <h1 id="title">pqs hunt</h1>
 <div class="bar"><div id="done"></div></div>
 <p id="summary" class="muted">connecting&hellip;</p>
-<h2>workers</h2>
-<table id="workers"><tbody></tbody></table>
 <h2>bugs</h2>
 <table id="bugs"><tbody></tbody></table>
 <h2>planner</h2>
@@ -92,10 +90,6 @@ async function tick() {
       bits.push("ETA " + Math.round(status.eta_seconds) + "s");
     if (status.finished) bits.push("FINISHED");
     document.getElementById("summary").textContent = bits.join(" | ");
-    fill("workers", ["slot", "worker", "heartbeat age (s)", "restarts"],
-         (status.workers || []).map(w =>
-           [w.slot, w.worker, w.heartbeat_age_seconds ?? "-",
-            w.restarts ?? 0]));
     const bugs = (await (await fetch("/bugs")).json()).bugs || [];
     fill("bugs", ["round", "oracle", "fingerprint", "statements"],
          bugs.map(b => [b.round, b.oracle, b.fingerprint,

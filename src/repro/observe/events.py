@@ -3,7 +3,7 @@
 A long-running hunt already leaves three artifacts — the journal (what
 each round produced), the span trace (how long each phase took), and
 the metrics snapshot (how much of everything happened).  What was
-missing is the *narrative*: which worker leased which round when, what
+missing is the *narrative*: which round was leased when, what
 failed and why, where chaos struck, when a bug surfaced.  The event log
 is that narrative, and it shares correlation keys with the other
 artifacts so they all join:
@@ -13,8 +13,8 @@ artifacts so they all join:
 * ``round`` / ``round_seed`` — the round index and its derived seed,
   exactly the ``index``/``seed`` fields of journal lines and the
   ``round``/``round_seed`` context attributes of trace spans;
-* ``worker`` — the executor incarnation id, the same id the supervisor
-  maps to a logical slot.
+* ``worker`` — the executor id, always 0 since one executor runs every
+  round; kept so logs of older multi-worker builds still merge.
 
 One event per line, JSON, append-only (:class:`JsonlSink` compatible);
 ``seq`` is a campaign-wide monotonic emission counter and ``t`` is
@@ -49,7 +49,9 @@ from typing import Iterable, Optional
 #: The event vocabulary.  The rank is the canonical tiebreak order for
 #: events of one round when streams are merged: a round is leased, may
 #: fail, then completes or is quarantined; bugs and plan novelty hang
-#: off the completion.
+#: off the completion.  The ``worker_*`` kinds are no longer emitted;
+#: they stay so logs written by older thread-fleet builds still merge
+#: and report.
 KIND_RANK = {
     "campaign_start": 0,
     "worker_start": 1,

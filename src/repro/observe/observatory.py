@@ -1,13 +1,11 @@
 """The observatory: one read-side hub over a live campaign's state.
 
 The status server, the progress line, and the final report all want the
-same answers — how far along is the hunt, who is healthy, what did it
-find — but the authoritative sources are scattered: the
+same answers — how far along is the hunt, what did it find — but the
+authoritative sources are scattered: the
 :class:`~repro.campaigns.scheduler.RoundQueue` knows exact settled
-counts (the *only* live source in parallel mode, where workers count in
-private registries merged after the join), the supervisor's heartbeat
-map knows worker liveness, the metrics registry knows throughput, and
-the plan-coverage set knows novelty.  :class:`Observatory` holds weak
+counts (quarantined rounds included), the metrics registry knows
+throughput, and the plan-coverage set knows novelty.  :class:`Observatory` holds weak
 references to whichever of those a campaign attaches and computes
 consistent read-only views on demand.
 
@@ -40,8 +38,6 @@ class Observatory:
         self.events = events if events is not None else NULL_EVENTS
         self.registry = registry
         self._queue = None
-        self._heartbeats: Optional[dict] = None
-        self._supervision = None
         self._coverage = None
         self._start = time.monotonic()
         self._finished: Optional[float] = None
@@ -49,12 +45,6 @@ class Observatory:
     # -- attachment (called once each by the campaign layers) ---------------
     def attach_queue(self, queue) -> None:
         self._queue = queue
-
-    def attach_heartbeats(self, heartbeats: dict) -> None:
-        self._heartbeats = heartbeats
-
-    def attach_supervision(self, report) -> None:
-        self._supervision = report
 
     def attach_coverage(self, coverage) -> None:
         self._coverage = coverage
@@ -73,7 +63,7 @@ class Observatory:
         return snapshot["completed"], snapshot["quarantined"]
 
     def status(self) -> dict:
-        """The ``/status`` document: rounds, workers, throughput, ETA."""
+        """The ``/status`` document: rounds, throughput, ETA."""
         elapsed = (self._finished or time.monotonic()) - self._start
         status: dict = {
             "campaign": self.campaign,
@@ -91,7 +81,6 @@ class Observatory:
         if total and done and not status["finished"]:
             remaining = max(total - done, 0)
             status["eta_seconds"] = round(remaining * elapsed / done, 3)
-        status["workers"] = self._worker_health()
         status["multiplan"] = self.multiplan()
         return status
 
@@ -128,35 +117,6 @@ class Observatory:
                     queries / elapsed, 2)
         return throughput
 
-    def _worker_health(self) -> list[dict]:
-        if self._heartbeats is None:
-            return []
-        now = time.monotonic()
-        slots = {}
-        if self._supervision is not None:
-            slots = dict(self._supervision.worker_slots)
-        workers = []
-        # Report the *latest* incarnation per logical slot; earlier
-        # worker ids in the heartbeat map are dead history.
-        latest: dict[int, int] = {}
-        for worker_id in self._heartbeats:
-            slot = slots.get(worker_id, worker_id)
-            if worker_id >= latest.get(slot, -1):
-                latest[slot] = worker_id
-        for slot in sorted(latest):
-            worker_id = latest[slot]
-            beat = self._heartbeats.get(worker_id)
-            entry = {"slot": slot, "worker": worker_id,
-                     "heartbeat_age_seconds":
-                         round(now - beat, 3) if beat else None}
-            workers.append(entry)
-        if self._supervision is not None:
-            for entry in workers:
-                entry["restarts"] = sum(
-                    1 for wid, slot in slots.items()
-                    if slot == entry["slot"]) - 1
-        return workers
-
     def bugs(self) -> list[dict]:
         """The ``/bugs`` document: raw findings journaled so far, as
         :meth:`~repro.core.reports.BugReport.to_json` dicts tagged with
@@ -178,15 +138,6 @@ class Observatory:
             return {"tracked": False}
         return {"tracked": True,
                 "distinct_plans": len(self._coverage)}
-
-    def supervision(self) -> dict:
-        if self._supervision is None:
-            return {}
-        report = self._supervision
-        return {"restarts": report.restarts, "stalls": report.stalls,
-                "backoff_seconds": round(report.backoff_seconds, 3),
-                "worker_deaths": len(report.failures),
-                "aborted": report.aborted}
 
     def multiplan(self) -> dict:
         """Live multi-plan oracle activity: exact queue-record fold when
@@ -255,12 +206,6 @@ class NullObservatory:
     def attach_queue(self, queue) -> None:
         pass
 
-    def attach_heartbeats(self, heartbeats: dict) -> None:
-        pass
-
-    def attach_supervision(self, report) -> None:
-        pass
-
     def attach_coverage(self, coverage) -> None:
         pass
 
@@ -277,9 +222,6 @@ class NullObservatory:
         return []
 
     def coverage(self) -> dict:
-        return {}
-
-    def supervision(self) -> dict:
         return {}
 
     def multiplan(self) -> dict:

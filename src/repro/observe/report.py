@@ -342,7 +342,7 @@ def render_report(report: dict) -> str:
     health = report.get("health")
     if health:
         lines.append("")
-        lines.append("fleet health: " + _fmt_counts(health))
+        lines.append("health: " + _fmt_counts(health))
     phases = report.get("phases")
     if phases:
         lines.append("")

@@ -9,11 +9,10 @@ Observatory`:
 endpoint   contents                                             format
 ========== ==================================================== =========
 ``/``      self-contained polling dashboard                     HTML
-``/status`` rounds leased/completed/quarantined, worker health, JSON
-           throughput and ETA
-``/metrics`` the live metrics registry                          Prometheus
-           (plain single-process hunts update it per round;       text
-           parallel workers merge theirs after the join)
+``/status`` rounds leased/completed/quarantined, throughput   JSON
+           and ETA
+``/metrics`` the live metrics registry, updated per round       Prometheus
+                                                                text
 ``/bugs``  raw findings journaled so far                        JSON
 ``/coverage`` plan-coverage summary                             JSON
 ``/plantime`` optimizer observatory: timed queries and worst    JSON
@@ -79,9 +78,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, DASHBOARD_HTML,
                             "text/html; charset=utf-8")
             elif route == "/status":
-                status = observatory.status()
-                status["supervision"] = observatory.supervision()
-                self._json(status)
+                self._json(observatory.status())
             elif route == "/metrics":
                 registry = observatory.registry
                 text = registry.to_prometheus() if registry is not None \

@@ -167,7 +167,9 @@ ARTIFACTS: tuple[Artifact, ...] = (
     Artifact(
         "§3.4 threads", "thread per database",
         ("src/repro/campaigns/campaign.py",
-         "tests/campaigns/test_parallel.py")),
+         "tests/campaigns/test_parallel.py"),
+        "as round streams in one loop: Python threads gave no speedup "
+        "under the GIL, so the thread fleet was removed"),
     Artifact(
         "§3.4 expressions on columns", "projected-expression checking",
         ("src/repro/core/querygen.py", "tests/core/test_pivot_querygen.py")),

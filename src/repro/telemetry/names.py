@@ -86,16 +86,9 @@ PLANTIME_SLOWDOWN = "pqs_plantime_slowdown_ratio"
 #: configured ratio; counter).
 PLANTIME_REGRESSIONS = "pqs_plantime_regressions_total"
 
-# -- supervised campaign fleet (repro.campaigns.{scheduler,supervisor}) -----
-#: Campaign workers restarted by the supervisor after a death (counter).
-SUPERVISOR_RESTARTS = "pqs_supervisor_worker_restarts_total"
-#: Workers whose heartbeat went stale and had their leases stolen
-#: (counter).
-SUPERVISOR_STALLS = "pqs_supervisor_stalled_workers_total"
-#: Deterministic backoff slept before worker restarts (counter, seconds).
-SUPERVISOR_BACKOFF_SECONDS = "pqs_supervisor_backoff_seconds_total"
-#: Rounds returned to the work queue after a failure, worker death, or
-#: lease steal (counter).
+# -- campaign round queue (repro.campaigns.{scheduler,executor}) -----------
+#: Rounds returned to the work queue after a failure (counter).  The
+#: ``supervisor`` in the name is historical; dashboards key on it.
 SUPERVISOR_REQUEUED = "pqs_supervisor_requeued_rounds_total"
 #: Rounds quarantined after exhausting the retry threshold (counter).
 SUPERVISOR_QUARANTINED = "pqs_supervisor_quarantined_rounds_total"
@@ -165,13 +158,8 @@ HELP = {
         "Planner slowdown: baseline elapsed over best forced elapsed",
     PLANTIME_REGRESSIONS:
         "Queries flagged as planner regressions",
-    SUPERVISOR_RESTARTS: "Campaign workers restarted after a death",
-    SUPERVISOR_STALLS:
-        "Workers whose heartbeat went stale and had leases stolen",
-    SUPERVISOR_BACKOFF_SECONDS:
-        "Deterministic backoff slept before worker restarts",
     SUPERVISOR_REQUEUED:
-        "Rounds returned to the work queue after a failure or steal",
+        "Rounds returned to the work queue after a failure",
     SUPERVISOR_QUARANTINED:
         "Rounds quarantined after exhausting the retry threshold",
     JOURNAL_CORRUPT_LINES: "Corrupt journal lines skipped on load",

@@ -29,16 +29,12 @@ class ProgressReporter:
     A round is *done* when it completed **or** was quarantined — a
     poison round never completes, so counting completions alone stalls
     the percentage and the ETA on a quarantined tail forever.  The
-    completed count is additionally clamped to the campaign total:
-    under work stealing a stalled worker's round can run twice (the
-    duplicate is dropped at the queue, but the runner's counter saw
-    both), and a progress line must never read 103%.
+    completed count is additionally clamped to the campaign total, so
+    a progress line never reads 103% whatever the counter saw.
 
     ``counts`` optionally overrides the registry read: a zero-argument
     callable returning ``(completed, quarantined)`` — the observatory
-    supplies the work queue's exact settled counts this way, which also
-    fixes parallel hunts (whose workers count rounds in private
-    registries the shared one only sees after the join).
+    supplies the work queue's exact settled counts this way.
     """
 
     def __init__(self, registry, total_rounds: int,
@@ -80,7 +76,7 @@ class ProgressReporter:
     # -- rendering ----------------------------------------------------------
     def _settled(self) -> tuple[int, int]:
         """(completed, quarantined), clamped so their sum never exceeds
-        the campaign total (duplicate re-runs under work stealing)."""
+        the campaign total."""
         if self.counts is not None:
             completed, quarantined = self.counts()
         else:

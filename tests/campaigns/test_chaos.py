@@ -1,30 +1,25 @@
 """Chaos acceptance: a fault-ridden campaign must equal an undisturbed one.
 
-The strongest property the supervision layer can claim: with workers
-being killed, rounds failing transiently, and journal bytes corrupted —
-all from a seeded schedule — the campaign still completes, and its
-merged reports, statistics, and plan coverage are **bit-identical** to a
-run with chaos disabled.  Rounds derive campaign-global seeds, the
-queue requeues everything that was interrupted, and the merge happens
-in round-index order, so no fault can leave a fingerprint on the
-results.
+The strongest property the round queue can claim: with rounds failing
+transiently and journal bytes corrupted — all from a seeded schedule —
+the campaign still completes, and its merged reports, statistics, and
+plan coverage are **bit-identical** to a run with chaos disabled.
+Rounds derive campaign-global seeds, the queue requeues every failed
+round, and the merge happens in round-index order, so no fault can
+leave a fingerprint on the results.
 """
 
 import dataclasses
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.chaos import ChaosKill, ChaosPolicy
-from repro.campaigns.supervisor import SupervisorConfig
+from repro.campaigns.chaos import ChaosPolicy
 
 BASE = dict(dialect="sqlite", seed=5, threads=3, databases=12,
             reduce=False)
 
 
-def run(journal=None, chaos=None, resume=False, max_worker_restarts=2,
-        **overrides):
-    config = dict(BASE, journal=journal, chaos=chaos, resume=resume,
-                  supervisor=SupervisorConfig(
-                      max_worker_restarts=max_worker_restarts))
+def run(journal=None, chaos=None, resume=False, **overrides):
+    config = dict(BASE, journal=journal, chaos=chaos, resume=resume)
     config.update(overrides)
     return Campaign(CampaignConfig(**config)).run()
 
@@ -41,12 +36,11 @@ def comparable(stats):
 class TestChaosDeterminism:
     def test_chaos_run_is_bit_identical_to_undisturbed(self, tmp_path):
         undisturbed = run()
-        chaos = ChaosPolicy(seed=11, kill_probability=0.5, max_kills=3,
-                            transient_percent=30, transient_failures=1,
+        chaos = ChaosPolicy(seed=11, transient_percent=30,
+                            transient_failures=1,
                             corrupt_probability=0.5, max_corruptions=2)
         disturbed = run(journal=str(tmp_path / "chaos.jsonl"),
-                        chaos=chaos, max_worker_restarts=3)
-        assert chaos.events.kills > 0, "the schedule must actually kill"
+                        chaos=chaos)
         assert chaos.events.transients > 0
         assert comparable(disturbed.stats) == \
             comparable(undisturbed.stats)
@@ -57,36 +51,37 @@ class TestChaosDeterminism:
 
     def test_chaos_with_guidance_coverage_matches(self, tmp_path):
         undisturbed = run(plan_coverage=str(tmp_path / "a.json"))
-        chaos = ChaosPolicy(seed=3, kill_probability=0.4, max_kills=2,
-                            transient_percent=25, transient_failures=1)
+        chaos = ChaosPolicy(seed=3, transient_percent=25,
+                            transient_failures=1)
         disturbed = run(journal=str(tmp_path / "chaos.jsonl"),
-                        chaos=chaos, max_worker_restarts=3,
+                        chaos=chaos,
                         plan_coverage=str(tmp_path / "b.json"))
         assert undisturbed.plan_coverage is not None
         assert sorted(undisturbed.plan_coverage.fingerprints()) == \
             sorted(disturbed.plan_coverage.fingerprints())
 
-    def test_same_chaos_seed_same_schedule(self):
+    def test_same_chaos_seed_same_schedule(self, tmp_path):
         events = []
-        for _ in range(2):
-            chaos = ChaosPolicy(seed=17, kill_probability=0.5,
-                                max_kills=2, transient_percent=40)
-            kills = 0
-            for step in range(20):
-                try:
-                    chaos.on_lease(0, step)
-                except ChaosKill:
-                    kills += 1
+        for attempt in range(2):
+            chaos = ChaosPolicy(seed=17, transient_percent=40,
+                                corrupt_probability=0.5,
+                                max_corruptions=5)
+            journal = tmp_path / f"j{attempt}.jsonl"
+            journal.write_text("".join(f'{{"kind": "round", "index": {i}}}\n'
+                                       for i in range(6)))
+            writes = [chaos.on_journal_write(str(journal))
+                      for _ in range(20)]
             transients = [i for i in range(50)
                           if chaos._is_transient(i)]
-            events.append((kills, tuple(transients)))
+            events.append((writes, journal.read_bytes(),
+                           tuple(transients)))
+        assert any(events[0][0]), "the schedule must corrupt"
         assert events[0] == events[1]
 
 
 class TestQuarantine:
     def test_poison_rounds_quarantined_never_abort(self, tmp_path):
-        chaos = ChaosPolicy(seed=1, kill_probability=0.0,
-                            transient_percent=0,
+        chaos = ChaosPolicy(seed=1, transient_percent=0,
                             corrupt_probability=0.0,
                             poison_rounds=frozenset({2, 7}))
         result = run(journal=str(tmp_path / "q.jsonl"), chaos=chaos,
@@ -101,8 +96,7 @@ class TestQuarantine:
 
     def test_quarantine_journaled_and_resumable(self, tmp_path):
         journal = str(tmp_path / "q.jsonl")
-        chaos = ChaosPolicy(seed=1, kill_probability=0.0,
-                            transient_percent=0,
+        chaos = ChaosPolicy(seed=1, transient_percent=0,
                             corrupt_probability=0.0,
                             poison_rounds=frozenset({2}))
         first = run(journal=journal, chaos=chaos,
@@ -121,8 +115,7 @@ class TestCorruptionRecovery:
             self, tmp_path):
         journal = str(tmp_path / "c.jsonl")
         undisturbed = run()
-        chaos = ChaosPolicy(seed=23, kill_probability=0.0,
-                            transient_percent=0,
+        chaos = ChaosPolicy(seed=23, transient_percent=0,
                             corrupt_probability=1.0, max_corruptions=3)
         run(journal=journal, chaos=chaos)
         assert chaos.events.corruptions > 0
@@ -146,8 +139,8 @@ class TestObservedChaos:
         from repro.observe import EventLog, Observatory, StatusServer
 
         undisturbed = run()
-        chaos = ChaosPolicy(seed=11, kill_probability=0.5, max_kills=3,
-                            transient_percent=30, transient_failures=1,
+        chaos = ChaosPolicy(seed=11, transient_percent=30,
+                            transient_failures=1,
                             corrupt_probability=0.5, max_corruptions=2)
         events = EventLog("sqlite-s5")
         observatory = Observatory(
@@ -156,9 +149,7 @@ class TestObservedChaos:
             events=events)
         with StatusServer(observatory, port=0):
             observed = run(journal=str(tmp_path / "obs.jsonl"),
-                           chaos=chaos, max_worker_restarts=3,
-                           observe=observatory)
-        assert chaos.events.kills > 0
+                           chaos=chaos, observe=observatory)
         assert comparable(observed.stats) == \
             comparable(undisturbed.stats)
         assert [r.seed for r in observed.reports] == \

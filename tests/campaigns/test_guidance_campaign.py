@@ -68,13 +68,17 @@ def test_guided_journal_rejects_unguided_resume(tmp_path):
 
 def test_parallel_campaign_merges_coverage(tmp_path):
     path = tmp_path / "coverage.json"
+    journal = tmp_path / "hunt.jsonl"
     result = Campaign(CampaignConfig(
         seed=21, threads=2, databases=6, reduce=False,
-        guidance=True, plan_coverage=str(path))).run()
+        guidance=True, plan_coverage=str(path),
+        journal=str(journal))).run()
     assert result.plan_coverage is not None
-    assert len(result.per_thread_plans) == 2
-    # The union can't be smaller than any worker, nor bigger than the sum.
-    assert result.plan_coverage.distinct >= max(result.per_thread_plans)
-    assert result.plan_coverage.distinct <= sum(result.per_thread_plans)
+    # The coverage set is the union of every round's novel plans.
+    union = set()
+    for line in journal.read_text().splitlines()[1:]:
+        union.update(fp for fp, _ in json.loads(line).get("plans", []))
+    assert union
+    assert set(result.plan_coverage.fingerprints()) == union
     loaded = PlanCoverage.load(str(path))
     assert loaded.distinct == result.plan_coverage.distinct

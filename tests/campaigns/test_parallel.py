@@ -1,10 +1,8 @@
-"""Parallel campaign tests (paper §3.4: thread per database).
+"""Multi-stream campaign tests (paper §3.4: thread per database).
 
-The fleet is a supervised work-stealing queue: any worker can run any
-round (rounds derive campaign-global seeds), so these tests assert on
-scheduling-independent properties — totals, merged triage, and journal
-recovery — plus the supervision semantics (worker death keeps the
-survivors' results; total fleet death surfaces the real exception).
+``threads > 1`` runs the round queue: every round derives a
+campaign-global seed, so these tests assert that the thread count
+changes nothing — totals, merged triage, and journal recovery.
 """
 
 import pytest
@@ -13,7 +11,6 @@ from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import round_seed
 from repro.campaigns.replay import DifferentialReplayer
-from repro.campaigns.supervisor import SupervisorConfig
 from repro.core.reports import Oracle
 from repro.errors import PQSError
 
@@ -23,8 +20,6 @@ class TestParallelCampaign:
         config = CampaignConfig(dialect="sqlite", seed=42, threads=3,
                                 databases=75)
         result = Campaign(config).run()
-        assert len(result.per_thread_rounds) == 3
-        assert sum(result.per_thread_rounds) == 75
         assert result.stats.databases == 75
         assert result.detected_bug_ids, "threads found nothing"
         for report in result.reports:
@@ -83,7 +78,7 @@ class TestParallelCampaign:
 
     def test_unattributed_findings_are_kept(self, monkeypatch):
         # A finding no single-defect engine reproduces is a tool bug;
-        # the fleet must surface it, not drop it.
+        # the campaign must surface it, not drop it.
         monkeypatch.setattr(DifferentialReplayer, "manifests",
                             lambda self, test_case: False)
         config = CampaignConfig(dialect="sqlite", seed=42, threads=2,
@@ -95,79 +90,14 @@ class TestParallelCampaign:
         assert result.reports == []
         assert result.unattributed == result.stats.reports
 
-    def test_chaos_requires_threads(self):
+    def test_chaos_requires_threads(self, tmp_path):
         from repro.campaigns.chaos import ChaosPolicy
 
         with pytest.raises(PQSError):
             CampaignConfig(threads=1, chaos=ChaosPolicy(seed=1))
-
-
-class TestGracefulDegradation:
-    CONFIG = dict(dialect="sqlite", seed=42, threads=3,
-                  databases=30, reduce=False,
-                  supervisor=SupervisorConfig(max_worker_restarts=0))
-
-    @staticmethod
-    def _kill_worker_rounds(monkeypatch, doomed, every_attempt=False):
-        """Make run_round raise for chosen round indexes — the worker
-        thread dies (non-HarnessError escapes the executor loop).  By
-        default only the *first* attempt of each doomed round kills, so
-        the requeued round succeeds under whoever steals it."""
-        original = RoundExecutor.run_round
-        import threading
-
-        lock = threading.Lock()
-        killed = set()
-
-        def flaky(self, index):
-            with lock:
-                first = index not in killed
-                killed.add(index)
-            if index in doomed and (first or every_attempt):
-                raise RuntimeError(f"worker lost its target on "
-                                   f"round {index}")
-            return original(self, index)
-
-        monkeypatch.setattr(RoundExecutor, "run_round", flaky)
-
-    def test_one_dead_worker_keeps_other_results(self, monkeypatch):
-        # Round 0 kills the worker that first leases it; with restarts
-        # off that slot is retired, the lease is stolen, and a survivor
-        # completes the round — nothing is lost.
-        self._kill_worker_rounds(monkeypatch, {0})
-        result = Campaign(CampaignConfig(**self.CONFIG)).run()
-        assert result.stats.databases == 30, \
-            "a dead worker's leased round must be requeued, not lost"
-        assert len(result.worker_errors) == 1
-        assert "RuntimeError" in result.worker_errors[0]
-        assert "run_round" in result.worker_errors[0], \
-            "worker errors must carry the full traceback"
-        assert len(result.supervision.failures) == 1
-
-    def test_all_workers_dead_raises(self, monkeypatch):
-        self._kill_worker_rounds(monkeypatch, set(range(30)),
-                                 every_attempt=True)
-        with pytest.raises(RuntimeError):
-            Campaign(CampaignConfig(**self.CONFIG)).run()
-
-    def test_restart_budget_recovers_worker_deaths(self, monkeypatch):
-        # Three lethal first attempts, one restart per slot: the fleet
-        # loses incarnations but completes every round.
-        self._kill_worker_rounds(monkeypatch, {0, 1, 2})
-        config = dict(self.CONFIG)
-        config.update(supervisor=SupervisorConfig(max_worker_restarts=1,
-                                                  restart_backoff=0.0))
-        result = Campaign(CampaignConfig(**config)).run()
-        assert result.stats.databases == 30
-        assert result.supervision.restarts >= 1
-        assert len(result.worker_errors) == 3
-
-    def test_no_failures_reports_none(self):
-        config = CampaignConfig(dialect="sqlite", seed=42, threads=2,
-                                databases=10, reduce=False)
-        result = Campaign(config).run()
-        assert result.worker_errors == []
-        assert result.supervision.restarts == 0
+        # A journal selects the round-queue path too, so chaos is valid.
+        CampaignConfig(threads=1, journal=str(tmp_path / "j.jsonl"),
+                       chaos=ChaosPolicy(seed=1))
 
 
 class TestParallelJournal:
@@ -232,5 +162,3 @@ class TestParallelJournal:
             RoundExecutor.run_round = original
         assert executed == [], "complete journal must re-run nothing"
         assert result.stats.databases == 6
-        assert result.per_thread_rounds == [0, 0], \
-            "preloaded rounds belong to no worker slot"

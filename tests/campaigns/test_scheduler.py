@@ -1,6 +1,4 @@
-"""RoundQueue: work-stealing lease lifecycle, quarantine, idempotence."""
-
-import threading
+"""RoundQueue: lease lifecycle, retries, quarantine, preload."""
 
 from repro.campaigns.journal import QuarantineRecord, RoundRecord, round_seed
 from repro.campaigns.scheduler import RoundQueue
@@ -13,30 +11,22 @@ def record(index, seed=0):
 class TestLeaseLifecycle:
     def test_leases_every_round_once(self):
         queue = RoundQueue(range(5), campaign_seed=0)
-        leased = [queue.lease(0) for _ in range(5)]
+        leased = [queue.lease() for _ in range(5)]
         assert leased == [0, 1, 2, 3, 4]
 
     def test_complete_settles(self):
         queue = RoundQueue(range(2), campaign_seed=0)
-        for index in (queue.lease(0), queue.lease(0)):
-            assert queue.complete(index, record(index), 0)
+        for index in (queue.lease(), queue.lease()):
+            queue.complete(index, record(index))
         assert queue.settled
-        assert queue.lease(0) is None
-
-    def test_complete_is_idempotent(self):
-        queue = RoundQueue(range(1), campaign_seed=0)
-        index = queue.lease(0)
-        assert queue.complete(index, record(index), 0)
-        assert not queue.complete(index, record(index), 1), \
-            "a late duplicate (stolen lease finished anyway) is dropped"
-        assert queue.completed_by[0] == 0, "first completion wins"
+        assert queue.lease() is None
 
     def test_records_in_order(self):
         queue = RoundQueue(range(3), campaign_seed=0)
         for index in (2, 0, 1):
-            queue.lease(0)
+            queue.lease()
         for index in (2, 0, 1):
-            queue.complete(index, record(index), 0)
+            queue.complete(index, record(index))
         assert [r.index for r in queue.records_in_order()] == [0, 1, 2]
 
 
@@ -44,82 +34,33 @@ class TestFailureAndQuarantine:
     def test_fail_requeues_below_threshold(self):
         queue = RoundQueue(range(1), campaign_seed=0,
                            quarantine_threshold=3)
-        index = queue.lease(0)
+        index = queue.lease()
         assert queue.fail(index, "boom") is None
         assert queue.attempts(index) == 1
-        assert queue.lease(0) == index, "failed round comes back"
+        assert queue.lease() == index, "failed round comes back"
 
     def test_quarantine_at_threshold(self):
         queue = RoundQueue(range(1), campaign_seed=7,
                            quarantine_threshold=2)
-        queue.lease(0)
+        queue.lease()
         assert queue.fail(0, "boom 1") is None
-        queue.lease(0)
+        queue.lease()
         quarantine = queue.fail(0, "boom 2")
         assert isinstance(quarantine, QuarantineRecord)
         assert quarantine.index == 0
         assert quarantine.seed == round_seed(7, 0)
         assert quarantine.attempts == 2
         assert queue.settled, "quarantine settles the round"
-        assert queue.lease(0) is None
+        assert queue.lease() is None
 
     def test_quarantined_in_order(self):
         queue = RoundQueue(range(3), campaign_seed=0,
                            quarantine_threshold=1)
         for _ in range(3):
-            index = queue.lease(0)
+            index = queue.lease()
             queue.fail(index, "x")
         assert [q.index for q in queue.quarantined_in_order()] == \
             [0, 1, 2]
-
-
-class TestWorkStealing:
-    def test_release_requeues_dead_workers_leases(self):
-        queue = RoundQueue(range(3), campaign_seed=0)
-        a = queue.lease(1)
-        b = queue.lease(1)
-        queue.lease(2)
-        stolen = queue.release(1)
-        assert stolen == sorted([a, b])
-        # The released rounds are leasable again by someone else.
-        assert queue.lease(2) in stolen
-        assert queue.lease(2) in stolen
-
-    def test_retired_worker_cannot_lease(self):
-        queue = RoundQueue(range(2), campaign_seed=0)
-        queue.retire_worker(1)
-        assert queue.lease(1) is None, "zombies are barred"
-        assert queue.lease(2) == 0, "others keep working"
-
-    def test_lease_blocks_until_requeue(self):
-        queue = RoundQueue(range(1), campaign_seed=0)
-        index = queue.lease(1)
-        got = []
-
-        def waiter():
-            got.append(queue.lease(2))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        # Worker 1 dies; its lease is released and worker 2 gets it.
-        queue.release(1)
-        thread.join(timeout=5.0)
-        assert got == [index]
-
-    def test_abort_wakes_blocked_workers(self):
-        queue = RoundQueue(range(1), campaign_seed=0)
-        queue.lease(1)
-        got = []
-
-        def waiter():
-            got.append(queue.lease(2))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        queue.abort()
-        thread.join(timeout=5.0)
-        assert got == [None]
-        assert queue.aborted
 
 
 class TestPreload:
@@ -127,17 +68,15 @@ class TestPreload:
         queue = RoundQueue(range(4), campaign_seed=0)
         queue.preload({0: record(0), 2: record(2)},
                       {3: QuarantineRecord(index=3, seed=1, attempts=3)})
-        assert queue.lease(0) == 1
-        queue.complete(1, record(1), 0)
+        assert queue.lease() == 1
+        queue.complete(1, record(1))
         assert queue.settled
-        assert queue.completed_by[0] is None, \
-            "journal-loaded rounds belong to no worker"
         assert queue.outstanding == 0
 
     def test_outstanding_counts_pending_and_leased(self):
         queue = RoundQueue(range(3), campaign_seed=0)
         assert queue.outstanding == 3
-        queue.lease(0)
+        queue.lease()
         assert queue.outstanding == 3
-        queue.complete(0, record(0), 0)
+        queue.complete(0, record(0))
         assert queue.outstanding == 2

@@ -1,4 +1,4 @@
-"""The observatory hub: live views over queue, heartbeats, coverage."""
+"""The observatory hub: live views over queue, registry, coverage."""
 
 import time
 
@@ -18,14 +18,14 @@ def settled_queue(total=4, completed=2, quarantined=1):
     queue = RoundQueue(range(total), campaign_seed=0,
                        quarantine_threshold=1)
     for i in range(completed):
-        queue.lease(0)
-        queue.complete(i, record(i), 0)
+        queue.lease()
+        queue.complete(i, record(i))
     for i in range(completed, completed + quarantined):
-        queue.lease(0)
+        queue.lease()
         queue.fail(i, "poison")
     # One round left in flight so leased/pending are distinguishable.
     if completed + quarantined < total:
-        queue.lease(0)
+        queue.lease()
     return queue
 
 
@@ -70,21 +70,6 @@ class TestStatus:
         assert observatory.status()["elapsed_seconds"] == first
         assert observatory.status()["finished"]
 
-    def test_worker_health_reports_latest_incarnation(self):
-        observatory = Observatory()
-        now = time.monotonic()
-        observatory.attach_heartbeats({0: now, 1: now, 5: now})
-
-        class FakeSupervision:
-            worker_slots = {0: 0, 1: 1, 5: 1}  # worker 5 replaced 1
-
-        observatory.attach_supervision(FakeSupervision())
-        workers = observatory.status()["workers"]
-        assert [(w["slot"], w["worker"]) for w in workers] == \
-            [(0, 0), (1, 5)]
-        assert workers[1]["restarts"] == 1
-        assert workers[0]["heartbeat_age_seconds"] is not None
-
 
 class TestBugs:
     def test_bugs_tagged_with_round_and_fingerprint(self):
@@ -94,8 +79,8 @@ class TestBugs:
                                            "VACUUM"]),
             message="boom", seed=99)
         queue = RoundQueue(range(1), campaign_seed=0)
-        queue.lease(0)
-        queue.complete(0, record(0, reports=[report]), 0)
+        queue.lease()
+        queue.complete(0, record(0, reports=[report]))
         observatory = Observatory()
         observatory.attach_queue(queue)
         bugs = observatory.bugs()
@@ -126,8 +111,6 @@ class TestCoverage:
 class TestNullObservatory:
     def test_inert_and_shared(self):
         NULL_OBSERVATORY.attach_queue(object())
-        NULL_OBSERVATORY.attach_heartbeats({})
-        NULL_OBSERVATORY.attach_supervision(object())
         NULL_OBSERVATORY.attach_coverage(object())
         NULL_OBSERVATORY.mark_finished()
         assert NULL_OBSERVATORY.status() == {}

@@ -61,7 +61,7 @@ class TestSettledRounds:
         assert "ETA 0s" in line
 
     def test_duplicate_reruns_never_exceed_total(self):
-        # Work stealing can run a round twice; the counter sees both.
+        # A counter can overshoot the total; the line is clamped.
         registry = registry_with(rounds=12)
         reporter = ProgressReporter(registry, total_rounds=10,
                                     stream=io.StringIO())
@@ -70,8 +70,8 @@ class TestSettledRounds:
         assert "103%" not in line and "120%" not in line
 
     def test_counts_callable_overrides_registry(self):
-        # Parallel hunts: workers count in private registries, so the
-        # shared one reads zero — the observatory's queue counts win.
+        # Round-queue hunts: the observatory's exact queue counts win
+        # over whatever the registry reads.
         registry = registry_with(rounds=0, queries=30)
         reporter = ProgressReporter(registry, total_rounds=10,
                                     stream=io.StringIO(),

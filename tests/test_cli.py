@@ -60,14 +60,28 @@ class TestHunt:
             "--seed", "2", "--no-reduce")
         assert code == 0
 
-    def test_threads_prints_per_worker_counts(self):
-        code, output = run_cli(
-            "hunt", "--dialect", "sqlite", "--databases", "5",
-            "--seed", "2", "--threads", "2", "--no-reduce")
-        assert code == 0
-        assert "worker 0:" in output
-        assert "worker 1:" in output
-        assert "across 2 worker(s)" in output
+    def test_threads_matches_the_inline_round_queue(self, tmp_path):
+        import json
+
+        def hunt(journal, *extra):
+            code, output = run_cli(
+                "hunt", "--dialect", "sqlite", "--multiplan",
+                "--seed", "0", "--journal", str(tmp_path / journal),
+                *extra)
+            assert code == 0
+            lines = []
+            for line in (tmp_path / journal).read_text().splitlines():
+                data = json.loads(line)
+                data.pop("seconds", None)
+                data.pop("crc", None)
+                lines.append(data)
+            stdout = [line for line in output.splitlines()
+                      if not line.startswith("throughput:")]
+            return lines, stdout
+
+        threaded = hunt("a.jsonl", "--threads", "2", "--databases", "8")
+        inline = hunt("b.jsonl", "--databases", "16")
+        assert threaded == inline
 
     def test_journal_and_resume(self, tmp_path):
         journal = str(tmp_path / "hunt.jsonl")
@@ -143,6 +157,20 @@ class TestHuntTelemetry:
         assert code == 0
         err = capsys.readouterr().err
         assert "[pqs] round 4/4 (100%)" in err
+
+    def test_progress_counts_live_under_threads(self, capsys):
+        code, _ = run_cli(
+            "hunt", "--dialect", "sqlite", "--threads", "2",
+            "--databases", "10", "--seed", "1", "--no-reduce",
+            "--multiplan", "--progress", "0.3")
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        done = [int(line.split()[2].split("/")[0]) for line in lines
+                if line.startswith("[pqs] round ")]
+        assert done[-1] == 20
+        # Rounds are counted as they finish, not all at once after the
+        # hunt: some line shows the hunt part-way through.
+        assert any(0 < count < 20 for count in done), done
 
     def test_parallel_hunt_merges_metrics(self, tmp_path):
         import json
