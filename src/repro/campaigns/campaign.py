@@ -22,12 +22,22 @@ counts round streams: Python threads do not overlap CPU-bound work (the
 GIL), and a measured thread fleet was no faster than this one loop, so
 ``threads=N`` runs the same campaign-global rounds inline.
 
-Both modes end the same way: findings are reduced, attributed and
-triaged in round order.
+Both modes triage the same way.  Each finding is reduced, shrunk and
+attributed by one task, :func:`triage_finding`, which depends on that
+finding alone.  A :class:`~repro.campaigns.pool.TriagePool` of worker
+processes, one per usable CPU, runs the tasks, and each round's
+findings are submitted as soon as the round completes (journal-loaded
+rounds on ``--resume`` first), so triage overlaps the hunt.  With one
+usable CPU, or when the pool is lost, the task runs here instead.
+After the hunt, :meth:`Campaign._process` takes each finding's result
+in round order, and ``_triage_all`` folds them into reports: the
+per-defect cap, ``duplicate`` triage and ``unattributed``.  The
+reports do not depend on where a task ran.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -41,6 +51,7 @@ from repro.campaigns.journal import (
     QuarantineRecord,
     RecoveryStats,
 )
+from repro.campaigns.pool import TriagePool
 from repro.campaigns.replay import DifferentialReplayer
 from repro.campaigns.scheduler import RoundQueue
 from repro.core.reducer import TestCaseReducer
@@ -80,6 +91,125 @@ def primary_attribution(report: BugReport) -> str:
         if BUG_CATALOG[bug_id].oracle == tag:
             return bug_id
     return report.attributed_bugs[0]
+
+
+#: The BugReport fields triage sets.
+TRIAGED_FIELDS = ("test_case", "reduced", "attributed_bugs", "oracle")
+
+
+@dataclass
+class Triaged:
+    """One finding's triage, as it comes back from a worker process."""
+
+    #: The report's :data:`TRIAGED_FIELDS` after triage.
+    fields: dict
+    #: False when the finding does not reproduce or no enabled defect
+    #: explains it.
+    ok: bool
+    #: When triage started (``time.monotonic``, system-wide on Linux)
+    #: and how long it took, measured where it ran.
+    started: float
+    seconds: float
+    #: Why the shrinker left the final query as it was, if it did.
+    unshrunk: Optional[str] = None
+
+    def apply(self, report: BugReport) -> Optional[BugReport]:
+        """Set the triaged fields on *report*; the processed report, or
+        None when it was not charged to a defect."""
+        for name, value in self.fields.items():
+            setattr(report, name, value)
+        return report if self.ok else None
+
+
+def triage_finding(dialect: str, bug_ids: tuple, reduce: bool,
+                   report: BugReport) -> Triaged:
+    """Reduce, shrink and attribute one raw finding, then re-derive the
+    oracle its reduced case trips.
+
+    The one triage task, run in a triage worker or in the campaign's
+    process alike.  Its inputs are picklable; it builds fresh
+    replayers, so a finding's replay memo lives exactly as long as its
+    triage; and it runs without telemetry, touching nothing a campaign
+    thread may lock (the campaign records the returned seconds and
+    skip reason).  Mutates *report*, which in a worker is a copy.
+    """
+    started = time.monotonic()
+    bugs = BugRegistry(set(bug_ids))
+    ok, unshrunk = _triage(report, DifferentialReplayer(dialect, bugs),
+                           MultiPlanReplayer(dialect, bugs), reduce)
+    return Triaged(
+        fields={name: getattr(report, name) for name in TRIAGED_FIELDS},
+        ok=ok, started=started, seconds=time.monotonic() - started,
+        unshrunk=unshrunk)
+
+
+def _triage(report: BugReport, replayer: DifferentialReplayer,
+            multiplan_replayer: MultiPlanReplayer,
+            reduce: bool) -> tuple[bool, Optional[str]]:
+    """:func:`triage_finding`'s body: (charged to a defect, unshrunk
+    reason)."""
+    if report.oracle is Oracle.MULTIPLAN:
+        still_fails, attribute = _multiplan_replay(multiplan_replayer,
+                                                   report)
+    else:
+        still_fails = replayer.manifests
+        attribute = replayer.attribute
+    if not still_fails(report.test_case):
+        return False, None
+    unshrunk = None
+    if reduce:
+        reducer = TestCaseReducer(still_fails)
+        try:
+            report.test_case = reducer.reduce(report.test_case)
+        except ReductionError:
+            return False, None
+        report.reduced = True
+        # Expression-level shrinking of the final query (the paper's
+        # authors "manually shortened them where possible", §4.1).
+        from repro.core.shrink import QueryShrinker
+
+        shrinker = QueryShrinker(still_fails)
+        report.test_case = shrinker.shrink(report.test_case)
+        unshrunk = shrinker.unshrunk
+    report.attributed_bugs = attribute(report.test_case)
+    if not report.attributed_bugs:
+        return False, unshrunk
+    if report.oracle is not Oracle.MULTIPLAN:
+        # The reduced case is the reported artifact; re-derive which
+        # oracle it now trips (reduction may have turned an error
+        # case into a wrong-rows case, or vice versa).
+        kind = replayer.difference_kind(report.test_case)
+        report.oracle = _KIND_ORACLE.get(kind, report.oracle)
+    # Order the primary attribution first so every consumer of
+    # attributed_bugs[0] charges the same defect.
+    primary = primary_attribution(report)
+    report.attributed_bugs = [primary] + [
+        b for b in report.attributed_bugs if b != primary]
+    return True, unshrunk
+
+
+def _multiplan_replay(replayer: MultiPlanReplayer, report: BugReport):
+    """Failure predicate and attribution for a multi-plan finding.
+
+    The predicate is *plan divergence under the hints that exposed the
+    finding* (recovered from the report's ``plan_results``), not
+    buggy-vs-clean disagreement: a multiplan defect is by construction
+    invisible to single-plan replay, so minimization must preserve the
+    forced executions and the cross-plan check."""
+    hints_list = [PlannerHints.from_dict(entry.get("hints", {}))
+                  for entry in (report.plan_results or [])]
+    if not hints_list:
+        # A journal predating plan_results: retry with the two
+        # cheapest universally-feasible plans.
+        hints_list = [BASELINE, PlannerHints(force_full_scan=True)]
+
+    def still_diverges(test_case) -> bool:
+        return replayer.diverges(test_case, hints_list)
+
+    def attribute(test_case) -> list[str]:
+        return replayer.attribute(test_case, hints_list)
+
+    return still_diverges, attribute
 
 
 @dataclass
@@ -221,9 +351,15 @@ class Campaign:
         if bug_ids is None:
             bug_ids = [b.bug_id for b in bugs_for_dialect(config.dialect)]
         self.bugs = BugRegistry(set(bug_ids))
-        self.replayer = DifferentialReplayer(config.dialect, self.bugs)
-        self.multiplan_replayer = MultiPlanReplayer(config.dialect,
-                                                    self.bugs)
+        self._telemetry = config.telemetry or NULL_TELEMETRY
+        self._reduce_phase = self._telemetry.phase(
+            metric_names.PHASE_REDUCE)
+        #: triage_finding's inputs before the report.
+        self._triage_args = (config.dialect,
+                             tuple(sorted(self.bugs.enabled)),
+                             config.reduce)
+        self._pool = TriagePool(triage_finding, self._triage_args,
+                                telemetry=self._telemetry)
 
     def _connection(self) -> MiniDBConnection:
         return MiniDBConnection(self.config.dialect,
@@ -248,16 +384,25 @@ class Campaign:
 
     def run(self) -> CampaignResult:
         """Hunt in the mode the config picks (see the module docstring),
-        then reduce, attribute, and triage the findings."""
+        then reduce, attribute, and triage the findings.  The triage
+        workers are joined on every exit path."""
+        try:
+            return self._run()
+        finally:
+            self._pool.close()
+
+    def _run(self) -> CampaignResult:
         config = self.config
-        telemetry = config.telemetry or NULL_TELEMETRY
+        telemetry = self._telemetry
         observe = config.observe or NULL_OBSERVATORY
         runner = self.build_runner()
         if config.journal or config.threads > 1:
             result = self._run_queue(runner, telemetry, observe)
         else:
             result = CampaignResult(
-                config=config, stats=runner.run(config.databases))
+                config=config,
+                stats=runner.run(config.databases,
+                                 on_round=self._submit_round))
         if runner.guidance.enabled:
             result.plan_coverage = runner.guidance.coverage
         if result.plan_coverage is not None:
@@ -276,16 +421,17 @@ class Campaign:
         self._triage_all(result)
         return result
 
+    def _submit_round(self, round_) -> None:
+        """Hand a finished round's findings to the triage pool."""
+        self._pool.submit(round_.reports)
+
     def _triage_all(self, result: CampaignResult) -> None:
-        """Reduce, attribute, and triage every raw finding in round
-        order, capping reports per defect."""
+        """Fold every raw finding's triage in round order, capping
+        reports per defect."""
         reports_per_bug: dict[str, int] = {}
         seen_bugs: set[str] = set()
-        telemetry = self.config.telemetry or NULL_TELEMETRY
-        reduce_phase = telemetry.phase(metric_names.PHASE_REDUCE)
         for report in result.stats.reports:
-            with reduce_phase:
-                processed = self._process(report)
+            processed = self._process(report)
             if processed is None:
                 result.unattributed.append(report)
                 continue
@@ -390,79 +536,28 @@ class Campaign:
                     record = state.rounds[index]
                     runner.guidance.restore_round(record.seed,
                                                   record.plans)
+            for record in queue.records_in_order():  # journal-loaded
+                self._submit_round(record)
             RoundExecutor(runner, queue, self.config.seed,
                           journal=journal, chaos=self.config.chaos,
-                          telemetry=telemetry,
-                          events=observe.events).run_loop()
+                          telemetry=telemetry, events=observe.events,
+                          on_complete=self._submit_round).run_loop()
         return self._queue_result(queue, state)
 
     # -- per-report processing ---------------------------------------------
     def _process(self, report: BugReport) -> Optional[BugReport]:
-        """Reduce, shrink, and attribute one raw finding; None when it
-        does not reproduce or no enabled defect explains it."""
-        # Replay memos live for one finding, which keeps them bounded.
-        self.replayer.forget()
-        self.multiplan_replayer.forget()
-        if report.oracle is Oracle.MULTIPLAN:
-            still_fails, attribute = self._multiplan_replay(report)
-        else:
-            still_fails = self.replayer.manifests
-            attribute = self.replayer.attribute
-        if not still_fails(report.test_case):
-            return None
-        if self.config.reduce:
-            reducer = TestCaseReducer(still_fails)
-            try:
-                report.test_case = reducer.reduce(report.test_case)
-            except ReductionError:
-                return None
-            report.reduced = True
-            # Expression-level shrinking of the final query (the paper's
-            # authors "manually shortened them where possible", §4.1).
-            from repro.core.shrink import QueryShrinker
-
-            shrinker = QueryShrinker(still_fails,
-                                     telemetry=self.config.telemetry)
-            report.test_case = shrinker.shrink(report.test_case)
-        report.attributed_bugs = attribute(report.test_case)
-        if not report.attributed_bugs:
-            return None
-        if report.oracle is not Oracle.MULTIPLAN:
-            # The reduced case is the reported artifact; re-derive which
-            # oracle it now trips (reduction may have turned an error
-            # case into a wrong-rows case, or vice versa).
-            kind = self.replayer.difference_kind(report.test_case)
-            report.oracle = _KIND_ORACLE.get(kind, report.oracle)
-        # Order the primary attribution first so every consumer of
-        # attributed_bugs[0] charges the same defect.
-        primary = primary_attribution(report)
-        report.attributed_bugs = [primary] + [
-            b for b in report.attributed_bugs if b != primary]
-        return report
-
-    def _multiplan_replay(self, report: BugReport):
-        """Failure predicate and attribution for a multi-plan finding.
-
-        The predicate is *plan divergence under the hints that exposed
-        the finding* (recovered from the report's ``plan_results``), not
-        buggy-vs-clean disagreement: a multiplan defect is by
-        construction invisible to single-plan replay, so minimization
-        must preserve the forced executions and the cross-plan check."""
-        hints_list = [PlannerHints.from_dict(entry.get("hints", {}))
-                      for entry in (report.plan_results or [])]
-        if not hints_list:
-            # A journal predating plan_results: retry with the two
-            # cheapest universally-feasible plans.
-            hints_list = [BASELINE, PlannerHints(force_full_scan=True)]
-        replayer = self.multiplan_replayer
-
-        def still_diverges(test_case) -> bool:
-            return replayer.diverges(test_case, hints_list)
-
-        def attribute(test_case) -> list[str]:
-            return replayer.attribute(test_case, hints_list)
-
-        return still_diverges, attribute
+        """Triage one raw finding: apply the triage pool's result for
+        it, or run :func:`triage_finding` here when there is none.
+        Returns the processed report, or None when it does not
+        reproduce or no enabled defect explains it."""
+        triaged = self._pool.take(report)
+        if triaged is None:
+            triaged = triage_finding(*self._triage_args, report)
+        self._reduce_phase.record(triaged.started, triaged.seconds)
+        if triaged.unshrunk is not None:
+            self._telemetry.counter(metric_names.REDUCE_UNSHRUNK,
+                                    reason=triaged.unshrunk).inc()
+        return triaged.apply(report)
 
     def _triage(self, bug_id: str, seen: set[str]) -> str:
         if bug_id in seen:

@@ -18,7 +18,7 @@ Failure handling is split by blast radius:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.campaigns.journal import CampaignJournal, RoundRecord, round_seed
 from repro.campaigns.chaos import NULL_CHAOS
@@ -48,7 +48,9 @@ class RoundExecutor:
                  journal: Optional[CampaignJournal] = None,
                  chaos=None,
                  telemetry: Optional[Telemetry] = None,
-                 events=None):
+                 events=None,
+                 on_complete: Optional[Callable[[RoundRecord],
+                                                None]] = None):
         self.runner = runner
         self.queue = queue
         self.campaign_seed = campaign_seed
@@ -56,6 +58,9 @@ class RoundExecutor:
         self.chaos = chaos or NULL_CHAOS
         self.telemetry = telemetry or NULL_TELEMETRY
         self.events = events if events is not None else NULL_EVENTS
+        #: Sees each completed round's record (the campaign hands its
+        #: findings to triage while the hunt goes on).
+        self.on_complete = on_complete
         self._m_requeued = self.telemetry.counter(
             metric_names.SUPERVISOR_REQUEUED)
         self._m_quarantined = self.telemetry.counter(
@@ -90,6 +95,8 @@ class RoundExecutor:
                                      path=self.journal.path)
             self.queue.complete(index, record)
             self._emit_outcome(record)
+            if self.on_complete is not None:
+                self.on_complete(record)
 
     def run_round(self, index: int) -> RoundRecord:
         """Run one round under its campaign-global derived seed."""

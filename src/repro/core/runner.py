@@ -172,10 +172,16 @@ class PQSRunner:
         self._phase_contain = t.phase(metric_names.PHASE_CONTAIN)
 
     # -- public -----------------------------------------------------------
-    def run(self, databases: int = 10) -> RunStatistics:
+    def run(self, databases: int = 10,
+            on_round: Optional[Callable[[DatabaseRound], None]] = None,
+            ) -> RunStatistics:
+        """Run *databases* rounds; *on_round* sees each one as it ends."""
         stats = RunStatistics()
         for _ in range(databases):
-            stats.absorb_round(self.run_database_round())
+            round_ = self.run_database_round()
+            stats.absorb_round(round_)
+            if on_round is not None:
+                on_round(round_)
         return stats
 
     def reseed(self, seed: int) -> None:

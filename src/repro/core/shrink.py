@@ -18,7 +18,7 @@ result is the kind of minimal expression the paper's listings show
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.reports import TestCase
 from repro.errors import DBError
@@ -26,8 +26,6 @@ from repro.minidb.parser import parse_statement
 from repro.minidb.statements import Select
 from repro.sqlast.nodes import Expr, LiteralNode, walk
 from repro.sqlast.render import render_expr
-from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry import names as metric_names
 from repro.values import NULL, Value
 
 FailurePredicate = Callable[[TestCase], bool]
@@ -41,25 +39,28 @@ class QueryShrinker:
     """Shrinks the WHERE/ON expressions of a failing final SELECT."""
 
     def __init__(self, still_fails: FailurePredicate,
-                 max_attempts: int = 400, telemetry=None):
+                 max_attempts: int = 400):
         self.still_fails = still_fails
         self.max_attempts = max_attempts
         self.attempts = 0
-        self.telemetry = telemetry or NULL_TELEMETRY
+        #: Why the last :meth:`shrink` left the final query as it was,
+        #: or None; the campaign counts it as the ``reason`` label of
+        #: ``pqs_reduce_unshrunk_total``.
+        self.unshrunk: Optional[str] = None
 
     def shrink(self, test_case: TestCase) -> TestCase:
         """Return a test case whose final query is expression-minimal.
 
         Only SELECT finals are shrunk (error/crash finals are usually a
         single maintenance statement already); a final MiniDB cannot
-        parse is returned unchanged and counted.
+        parse is returned unchanged, with :attr:`unshrunk` set.
         """
         final = test_case.statements[-1]
+        self.unshrunk = None
         try:
             statement = parse_statement(final)
         except DBError:
-            self.telemetry.counter(metric_names.REDUCE_UNSHRUNK,
-                                   reason="unparseable").inc()
+            self.unshrunk = "unparseable"
             return test_case
         if not isinstance(statement, Select) or statement.where is None:
             return test_case

@@ -81,13 +81,18 @@ class PhaseTimer:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.monotonic() - self._start
+        self.record(self._start, time.monotonic() - self._start,
+                    {"error": exc_type.__name__}
+                    if exc_type is not None else {})
+        return False
+
+    def record(self, start: float, duration: float,
+               attrs: Optional[dict] = None) -> None:
+        """Observe a phase timed elsewhere, e.g. in a worker process
+        (``start`` is on the same system-wide monotonic clock)."""
         self._histogram.observe(duration)
         if self._tracer is not None:
-            attrs = ({"error": exc_type.__name__}
-                     if exc_type is not None else {})
-            self._tracer._emit(self.name, self._start, duration, attrs)
-        return False
+            self._tracer._emit(self.name, start, duration, attrs or {})
 
 
 class _NullPhaseTimer:
@@ -101,6 +106,10 @@ class _NullPhaseTimer:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
+
+    def record(self, start: float, duration: float,
+               attrs: Optional[dict] = None) -> None:
+        pass
 
 
 _NULL_PHASE = _NullPhaseTimer()

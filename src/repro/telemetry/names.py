@@ -53,6 +53,11 @@ PHASES = ROUND_PHASES + (PHASE_REDUCE,)
 #: Findings whose final query the shrinker left as it was (counter,
 #: label ``reason``; ``unparseable``: MiniDB cannot parse it).
 REDUCE_UNSHRUNK = "pqs_reduce_unshrunk_total"
+#: Times the triage process pool was given up and the remaining
+#: findings were triaged in the campaign's own process (counter, label
+#: ``reason``: ``worker_died`` — a worker exited mid-task, so the pool
+#: broke; ``start_failed`` — the workers could not be started).
+TRIAGE_WORKER_FAILURES = "pqs_triage_worker_failures_total"
 
 # -- plan-coverage guidance (repro.guidance) --------------------------------
 #: Distinct plan fingerprints seen so far (gauge).
@@ -142,6 +147,8 @@ HELP = {
     PHASE_SECONDS: "Per-phase latency of the PQS loop",
     ROUND_SECONDS: "Whole-round wall clock",
     REDUCE_UNSHRUNK: "Findings whose final query was left unshrunk",
+    TRIAGE_WORKER_FAILURES:
+        "Triage process pools given up for in-process triage",
     GUIDANCE_PLANS_DISTINCT: "Distinct plan fingerprints seen so far",
     GUIDANCE_NOVEL_ROUNDS: "Rounds that produced at least one novel plan",
     GUIDANCE_PLAN_LOOKUPS: "Successful query_plan introspections",

@@ -30,9 +30,12 @@ class TestCampaignRun(object):
         assert locs and sum(locs) / len(locs) <= 10
 
     def test_reduced_cases_still_manifest(self, sqlite_result):
+        from repro.campaigns.replay import DifferentialReplayer
+
         campaign = Campaign(CampaignConfig(dialect="sqlite", seed=42))
+        replayer = DifferentialReplayer("sqlite", campaign.bugs)
         for report in sqlite_result.reports:
-            assert campaign.replayer.manifests(report.test_case)
+            assert replayer.manifests(report.test_case)
 
     def test_table2_row_counts_match_reports(self, sqlite_result):
         row = sqlite_result.table2_row()

@@ -5,6 +5,8 @@ replay count, its budget and every reduced case stay what they were.
 
 from __future__ import annotations
 
+import os
+
 from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.replay import DifferentialReplayer
 from repro.core.reducer import TestCaseReducer
@@ -116,17 +118,25 @@ class TestMultiPlanMemo:
 
 class TestCampaignScope:
     def test_memo_is_dropped_per_finding(self, monkeypatch):
-        campaign = Campaign(CampaignConfig(dialect="sqlite", seed=0,
-                                           databases=20))
-        forgets: list = []
-        for replayer in (campaign.replayer, campaign.multiplan_replayer):
-            plain = replayer.forget
-            monkeypatch.setattr(replayer, "forget",
-                                lambda plain=plain: (forgets.append(1),
-                                                     plain()))
-        result = campaign.run()
+        # Each finding's triage builds its own replayers, so no memo
+        # outlives the finding.  Pinned to in-process triage (one
+        # usable CPU), where the replayers are counted.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        built: list = []
+        for cls in (DifferentialReplayer, MultiPlanReplayer):
+            plain = cls.__init__
+
+            def init(self, *args, plain=plain, **kwargs):
+                built.append(self)
+                plain(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        result = Campaign(CampaignConfig(dialect="sqlite", seed=0,
+                                         databases=20)).run()
         assert result.stats.reports
-        assert len(forgets) == 2 * len(result.stats.reports)
+        assert len({id(replayer) for replayer in built}) == len(built) \
+            == 2 * len(result.stats.reports)
 
     def test_each_finding_is_timed_as_the_reduce_phase(self, tmp_path):
         import json
