@@ -63,7 +63,6 @@ from repro.minidb.bugs import BUG_CATALOG, BugRegistry, bugs_for_dialect
 from repro.multiplan.hints import BASELINE, PlannerHints
 from repro.multiplan.replay import MultiPlanReplayer
 from repro.observe.observatory import NULL_OBSERVATORY, Observatory
-from repro.plantime.archive import TimingArchive
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry import names as metric_names
 
@@ -261,16 +260,13 @@ class CampaignConfig:
     #: round — e.g. HarnessError on every try — is journaled and
     #: surfaced instead of aborting the hunt).
     quarantine_threshold: int = 3
-    #: Write the final merged TimingArchive (JSONL) here; needs
-    #: ``runner.plan_timing``.
-    timing_archive: Optional[str] = None
     #: Fault-injection schedule (repro.campaigns.chaos.ChaosPolicy) for
     #: the round-queue path; None runs undisturbed.
     chaos: Optional[object] = None
-    #: Per-runner knobs, including the multi-plan oracle and plan timing.
-    #: Both are journal-fingerprinted when on: their outcomes are
-    #: journaled, so such a journal must not silently continue (or be
-    #: continued by) a hunt without them.
+    #: Per-runner knobs, including the multi-plan oracle.  It is
+    #: journal-fingerprinted when on: its outcomes are journaled, so
+    #: such a journal must not silently continue (or be continued by) a
+    #: hunt without it.
     runner: RunnerConfig = field(default_factory=RunnerConfig)
 
     def __post_init__(self) -> None:
@@ -298,9 +294,6 @@ class CampaignResult:
     #: Raw findings that did not reproduce or could not be charged to a
     #: defect — tool bugs, which the test suite asserts never happen.
     unattributed: list[BugReport] = field(default_factory=list)
-    #: Merged per-plan timing archive when the campaign timed plans
-    #: (``runner.plan_timing``); None otherwise.
-    timing_archive: Optional["TimingArchive"] = None
     #: Poison rounds retired after exhausting the retry threshold
     #: (round-queue modes only).
     quarantined: list[QuarantineRecord] = field(default_factory=list)
@@ -409,14 +402,6 @@ class Campaign:
             observe.attach_coverage(result.plan_coverage)
             if config.plan_coverage:
                 result.plan_coverage.dump(config.plan_coverage)
-        if config.runner.plan_timing:
-            # Built from the per-round outcome dicts — the same records
-            # a journal carries, min-merged order-insensitively — so
-            # live and resumed campaigns produce byte-identical archives.
-            result.timing_archive = TimingArchive.from_outcomes(
-                result.stats.plantime_outcomes)
-            if config.timing_archive:
-                result.timing_archive.dump(config.timing_archive)
         observe.mark_finished()
         self._triage_all(result)
         return result
@@ -462,11 +447,6 @@ class Campaign:
             # by (or resume) a plain hunt; off leaves journal bytes
             # identical to a pre-multiplan build.
             fingerprint["multiplan"] = True
-        if self.config.runner.plan_timing:
-            # Timing journals carry plantime outcomes the resumed
-            # archive is rebuilt from; an untimed continuation would
-            # silently produce a partial archive.
-            fingerprint["plan_timing"] = True
         return fingerprint
 
     @contextmanager

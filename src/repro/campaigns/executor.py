@@ -111,8 +111,7 @@ class RoundExecutor:
             timeouts=round_.timeouts, seconds=round_.seconds,
             reports=round_.reports,
             plans=self.runner.guidance.take_round_plans(),
-            multiplan=round_.multiplan,
-            plantime=round_.plantime)
+            multiplan=round_.multiplan)
 
     # -- internals ----------------------------------------------------------
     def _emit_outcome(self, record: RoundRecord) -> None:

@@ -96,13 +96,6 @@ class RoundRecord:
     #: uninterrupted run would — and omitted from the JSON form when
     #: empty so multiplan-off journals stay byte-identical.
     multiplan: dict = field(default_factory=dict)
-    #: Per-plan timing outcome for the round (timed query count, plan
-    #: timings, PlanRegression records); empty unless ``--plan-timing``
-    #: is on.  Carried in the journal so a ``--resume`` continuation
-    #: rebuilds the timing archive *byte-identically* without re-timing
-    #: completed rounds — and omitted from the JSON form when empty so
-    #: timing-off journals stay byte-identical.
-    plantime: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         data = {"kind": "round", "index": self.index, "seed": self.seed,
@@ -115,8 +108,6 @@ class RoundRecord:
             data["plans"] = [[fp, example] for fp, example in self.plans]
         if self.multiplan:
             data["multiplan"] = dict(self.multiplan)
-        if self.plantime:
-            data["plantime"] = dict(self.plantime)
         return data
 
     @staticmethod
@@ -133,8 +124,7 @@ class RoundRecord:
                      for r in data.get("reports", [])],
             plans=[(fp, example)
                    for fp, example in data.get("plans", [])],
-            multiplan=dict(data.get("multiplan", {})),
-            plantime=dict(data.get("plantime", {})))
+            multiplan=dict(data.get("multiplan", {})))
 
 
 @dataclass

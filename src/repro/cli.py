@@ -10,9 +10,6 @@ Subcommands:
   each entry models;
 * ``pqs report`` — offline triage analytics over a hunt's artifacts
   (journal + event log + metrics snapshot → campaign digest);
-* ``pqs optreport`` — diff two per-plan timing archives (``hunt
-  --plan-timing --timing-archive``) into new / fixed / worsened
-  planner regressions;
 * ``pqs shell``  — a minimal interactive MiniDB shell, handy for
   replaying reduced test cases by hand.
 """
@@ -84,25 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "forced execution plans (full scan, forced "
                            "indexes, pre/post-ANALYZE) and report plans "
                            "that disagree on the row multiset")
-    hunt.add_argument("--plan-timing", action="store_true",
-                      help="time every distinct forced plan (min-of-k "
-                           "re-executions) and flag queries whose "
-                           "planner-chosen plan is slower than the best "
-                           "forced alternative; requires --multiplan")
-    hunt.add_argument("--timing-archive", default=None, metavar="PATH",
-                      help="write the merged per-plan timing archive "
-                           "(JSONL) when the hunt finishes; feed two "
-                           "archives to pqs optreport to diff planner "
-                           "regressions across campaigns")
-    hunt.add_argument("--timing-repeats", type=int, default=3,
-                      metavar="K",
-                      help="timed re-executions per plan, best kept "
-                           "(default: 3)")
-    hunt.add_argument("--regression-ratio", type=float, default=1.5,
-                      metavar="R",
-                      help="flag a query when the unforced plan is at "
-                           "least R times slower than the best forced "
-                           "plan (default: 1.5)")
     hunt.add_argument("--plan-coverage", default=None, metavar="PATH",
                       help="write the distinct-plan coverage set (JSON) "
                            "when the hunt finishes; without --guidance "
@@ -129,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serve a live status dashboard over HTTP "
                            "while the hunt runs: / (HTML), /status, "
                            "/metrics (Prometheus), /bugs, /coverage, "
-                           "/plantime, /events; binds 127.0.0.1 unless "
-                           "HOST is given, port 0 picks a free port")
+                           "/events; binds 127.0.0.1 unless HOST is "
+                           "given, port 0 picks a free port")
     hunt.add_argument("--events", default=None, metavar="PATH",
                       help="write the unified campaign event log "
                            "(typed JSONL: round lifecycle, chaos, "
@@ -164,27 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the history append")
     report.set_defaults(handler=cmd_report)
 
-    optreport = sub.add_parser(
-        "optreport", help="diff two per-plan timing archives into "
-                          "new / fixed / worsened planner regressions "
-                          "(TAQO-style optimizer regression report)")
-    optreport.add_argument("old", help="baseline timing archive (JSONL "
-                                       "from hunt --timing-archive)")
-    optreport.add_argument("new", help="candidate timing archive")
-    optreport.add_argument("--ratio", type=float, default=1.5,
-                           metavar="R",
-                           help="slowdown at or above R counts as a "
-                                "regression (default: 1.5)")
-    optreport.add_argument("--worsen-margin", type=float, default=0.10,
-                           metavar="M",
-                           help="an ongoing regression is 'worsened' "
-                                "when its slowdown grew by more than "
-                                "this fraction (default: 0.10)")
-    optreport.add_argument("--json", action="store_true",
-                           help="print the full comparison as JSON "
-                                "instead of text")
-    optreport.set_defaults(handler=cmd_optreport)
-
     sqlite_cmd = sub.add_parser("sqlite", help="PQS against the real "
                                                "SQLite build")
     sqlite_cmd.add_argument("--databases", type=int, default=25)
@@ -200,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cross-check every query across "
                                  "distinct forced plans (INDEXED BY / "
                                  "NOT INDEXED / ANALYZE rewrites)")
-    sqlite_cmd.add_argument("--plan-timing", action="store_true",
-                            help="time every distinct forced plan and "
-                                 "flag planner regressions; requires "
-                                 "--multiplan")
     sqlite_cmd.set_defaults(handler=cmd_sqlite)
 
     bugs = sub.add_parser("bugs", help="list the injected-defect catalog")
@@ -240,13 +193,6 @@ def cmd_hunt(args) -> int:
     bug_ids = args.bugs.split(",") if args.bugs else None
     if args.resume and not args.journal:
         print("--resume requires --journal")
-        return 2
-    if args.plan_timing and not args.multiplan:
-        print("--plan-timing requires --multiplan (the timing collector "
-              "rides inside the multi-plan oracle)")
-        return 2
-    if args.timing_archive and not args.plan_timing:
-        print("--timing-archive requires --plan-timing")
         return 2
     threads = max(args.threads, 1)
     # --databases counts per thread.
@@ -291,11 +237,8 @@ def cmd_hunt(args) -> int:
             observe=observatory if observatory.enabled else None,
             guidance=args.guidance, plan_coverage=args.plan_coverage,
             quarantine_threshold=args.quarantine_threshold,
-            timing_archive=args.timing_archive, chaos=chaos,
-            runner=RunnerConfig(
-                multiplan=args.multiplan, plan_timing=args.plan_timing,
-                plan_timing_repeats=args.timing_repeats,
-                plan_regression_ratio=args.regression_ratio))
+            chaos=chaos,
+            runner=RunnerConfig(multiplan=args.multiplan))
         result = Campaign(config).run()
     except PQSError as error:
         print(f"error: {error}")
@@ -313,7 +256,6 @@ def cmd_hunt(args) -> int:
     _print_hunt_stats(result.stats, telemetry,
                       coverage=result.plan_coverage,
                       recovery=result.recovery)
-    _print_timing_archive(args, result.timing_archive)
     if chaos is not None:
         events = chaos.events
         print(f"chaos: {events.transients} transient(s), "
@@ -328,13 +270,6 @@ def cmd_hunt(args) -> int:
     print(f"\ndetected {len(result.detected_bug_ids)} distinct "
           f"defect(s) in {len(result.reports)} report(s)")
     return 0
-
-
-def _print_timing_archive(args, archive) -> None:
-    if archive is None or not args.timing_archive:
-        return
-    print(f"timing archive: {args.timing_archive} "
-          f"({len(archive)} query shape(s))")
 
 
 def _print_quarantine(harness_reports: list[str]) -> None:
@@ -510,13 +445,7 @@ def _print_hunt_stats(stats, telemetry=None, coverage=None,
     if stats.quarantined_rounds:
         line += f" quarantined={stats.quarantined_rounds}"
     print(line)
-    if stats.multiplan_queries or stats.multiplan_forced_failures:
-        print(f"multiplan: {stats.multiplan_queries} queries "
-              f"cross-checked over {stats.multiplan_plans} plan "
-              f"executions, {stats.multiplan_divergences} "
-              f"divergence(s), {stats.multiplan_forced_failures} "
-              f"forced-plan failure(s)")
-    _print_plantime_stats(stats)
+    _print_multiplan_stats(stats)
     if recovery is not None and not recovery.clean:
         print(f"journal recovery: {recovery.corrupt_lines} corrupt "
               f"line(s) skipped, {recovery.duplicate_rounds} duplicate "
@@ -554,43 +483,13 @@ def _print_hunt_stats(stats, telemetry=None, coverage=None,
                   f"p95={histogram.percentile(95) * 1e3:.2f}ms")
 
 
-def _print_plantime_stats(stats) -> None:
-    if not stats.plantime_queries:
-        return
-    print(f"plan timing: {stats.plantime_queries} queries timed, "
-          f"{len(stats.plan_regressions)} planner regression(s)")
-    worst = sorted(stats.plan_regressions,
-                   key=lambda r: -r.get("slowdown", 0.0))[:3]
-    for regression in worst:
-        print(f"  {regression.get('slowdown', 0):.2f}x slower than "
-              f"best forced plan: {regression.get('sql', '?')}")
-
-
-def cmd_optreport(args) -> int:
-    import json
-
-    from repro.plantime import (
-        TimingArchive,
-        compare_archives,
-        render_optreport,
-    )
-
-    try:
-        old = TimingArchive.load(args.old)
-        new = TimingArchive.load(args.new)
-    except PQSError as error:
-        print(f"error: {error}")
-        return 2
-    comparison = compare_archives(old, new, ratio=args.ratio,
-                                  worsen_margin=args.worsen_margin)
-    if args.json:
-        print(json.dumps(comparison, indent=2, sort_keys=True))
-    else:
-        print(render_optreport(comparison))
-    # Exit 1 when the candidate archive introduced or worsened a
-    # regression — lets CI gate on planner quality like a test.
-    regressed = comparison["new"] or comparison["worsened"]
-    return 1 if regressed else 0
+def _print_multiplan_stats(stats) -> None:
+    if stats.multiplan_queries or stats.multiplan_forced_failures:
+        print(f"multiplan: {stats.multiplan_queries} queries "
+              f"cross-checked over {stats.multiplan_plans} plan "
+              f"executions, {stats.multiplan_divergences} "
+              f"divergence(s), {stats.multiplan_forced_failures} "
+              f"forced-plan failure(s)")
 
 
 def cmd_sqlite(args) -> int:
@@ -611,25 +510,15 @@ def cmd_sqlite(args) -> int:
             return SubprocessConnection(SQLite3Connection,
                                         harness_config)
 
-    if args.plan_timing and not args.multiplan:
-        print("--plan-timing requires --multiplan")
-        return 2
     runner = PQSRunner(factory,
                        RunnerConfig(dialect="sqlite", seed=args.seed,
                                     multiplan=args.multiplan,
-                                    plan_timing=args.plan_timing,
                                     documented_quirks=SQLITE3_DOCUMENTED_QUIRKS))
     stats = runner.run(args.databases)
     print(f"databases={stats.databases} statements={stats.statements} "
           f"queries={stats.queries} timeouts={stats.timeouts} "
           f"findings={len(stats.reports)}")
-    if stats.multiplan_queries or stats.multiplan_forced_failures:
-        print(f"multiplan: {stats.multiplan_queries} queries "
-              f"cross-checked over {stats.multiplan_plans} plan "
-              f"executions, {stats.multiplan_divergences} "
-              f"divergence(s), {stats.multiplan_forced_failures} "
-              f"forced-plan failure(s)")
-    _print_plantime_stats(stats)
+    _print_multiplan_stats(stats)
     for report in stats.reports:
         print(f"\n[{report.oracle.value}] {report.message}")
         print(report.test_case.render())

@@ -163,23 +163,17 @@ class RunStatistics:
     #: Watchdog expirations — counted apart from expected_errors because
     #: a hang is an availability event, not an error-oracle outcome.
     timeouts: int = 0
-    #: Summed per-round wall clock (busy time, not elapsed: parallel
-    #: workers' rounds overlap, so this can exceed wall time).
+    #: Summed per-round wall clock: busy time, which excludes the
+    #: campaign's setup, journal writes and triage.
     seconds: float = 0.0
     #: Rounds retired to quarantine after exhausting their retry
-    #: threshold (supervised journaled campaigns only).
+    #: threshold (round-queue campaigns only: a journal or threads > 1).
     quarantined_rounds: int = 0
     #: Multi-plan oracle activity (zero unless ``--multiplan`` is on).
     multiplan_queries: int = 0
     multiplan_plans: int = 0
     multiplan_divergences: int = 0
     multiplan_forced_failures: int = 0
-    #: Optimizer observatory (zero/empty unless ``--plan-timing``):
-    #: timed query count, flagged PlanRegression records, and the raw
-    #: per-round outcome dicts the TimingArchive is rebuilt from.
-    plantime_queries: int = 0
-    plan_regressions: list[dict] = field(default_factory=list)
-    plantime_outcomes: list[dict] = field(default_factory=list)
     reports: list[BugReport] = field(default_factory=list)
 
     @property
@@ -203,7 +197,6 @@ class RunStatistics:
         self.timeouts += round_.timeouts
         self.seconds += round_.seconds
         self.absorb_multiplan(round_.multiplan)
-        self.absorb_plantime(round_.plantime)
         self.reports.extend(round_.reports)
 
     def absorb_multiplan(self, outcome: dict) -> None:
@@ -218,34 +211,3 @@ class RunStatistics:
             "forced_failures", 0)
         for plans, count in outcome.get("plans", {}).items():
             self.multiplan_plans += int(plans) * count
-
-    def absorb_plantime(self, outcome: dict) -> None:
-        """Fold one round's plan-timing outcome dict (the shape
-        :meth:`repro.plantime.collector.PlanTimer.take_round_outcome`
-        produces and journals carry) into these counters.  The outcome
-        itself is retained so archives can be rebuilt identically from
-        live rounds, journal replays, and parallel-worker merges."""
-        if not outcome:
-            return
-        self.plantime_queries += outcome.get("timed", 0)
-        self.plan_regressions.extend(
-            dict(r) for r in outcome.get("regressions", ()))
-        self.plantime_outcomes.append(outcome)
-
-    def merge(self, other: "RunStatistics") -> None:
-        self.databases += other.databases
-        self.statements += other.statements
-        self.queries += other.queries
-        self.pivots += other.pivots
-        self.expected_errors += other.expected_errors
-        self.timeouts += other.timeouts
-        self.seconds += other.seconds
-        self.quarantined_rounds += other.quarantined_rounds
-        self.multiplan_queries += other.multiplan_queries
-        self.multiplan_plans += other.multiplan_plans
-        self.multiplan_divergences += other.multiplan_divergences
-        self.multiplan_forced_failures += other.multiplan_forced_failures
-        self.plantime_queries += other.plantime_queries
-        self.plan_regressions.extend(other.plan_regressions)
-        self.plantime_outcomes.extend(other.plantime_outcomes)
-        self.reports.extend(other.reports)

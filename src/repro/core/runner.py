@@ -25,11 +25,10 @@ from repro.core.querygen import QueryGenerator
 from repro.core.reports import BugReport, Oracle, RunStatistics, TestCase
 from repro.core.schema import SchemaModel
 from repro.dialects import get_dialect
-from repro.errors import DBCrash, DBError, DBTimeout, PQSError
+from repro.errors import DBCrash, DBError, DBTimeout
 from repro.guidance.scheduler import NULL_GUIDANCE
 from repro.interp import make_interpreter
 from repro.multiplan.oracle import MultiPlanOracle, NULL_MULTIPLAN
-from repro.plantime.collector import NULL_PLAN_TIMER, PlanTimer
 from repro.interp.base import EvalError
 from repro.rng import RandomSource
 from repro.stategen.actions import ActionGenerator
@@ -80,17 +79,6 @@ class RunnerConfig:
     #: adapters' non-logged ``with_plan`` hook, so the tested statement
     #: stream is bit-identical with this on or off.
     multiplan: bool = False
-    #: Collect per-plan timings and planner-regression findings
-    #: (repro.plantime).  Requires multiplan; adds re-executions through
-    #: the non-logged ``with_plan`` hook only, so the tested statement
-    #: stream stays bit-identical with this on or off.
-    plan_timing: bool = False
-    #: Timed re-executions per plan; the minimum is kept (robust
-    #: min-of-k sampling).
-    plan_timing_repeats: int = 3
-    #: Flag a query as a planner regression when the unforced plan is at
-    #: least this many times slower than the best forced plan.
-    plan_regression_ratio: float = 1.5
 
 
 @dataclass
@@ -111,10 +99,6 @@ class DatabaseRound:
     #: queries / divergences / forced_failures counters plus the
     #: plans-per-query distribution.
     multiplan: dict = field(default_factory=dict)
-    #: Per-plan timing outcome for the round ({} unless --plan-timing):
-    #: timed query count, per-query plan timings, and any
-    #: PlanRegression records (repro.plantime.collector format).
-    plantime: dict = field(default_factory=dict)
 
 
 class PQSRunner:
@@ -133,21 +117,9 @@ class PQSRunner:
         #: Multi-plan differential oracle (repro.multiplan); built from
         #: config.multiplan unless an instance is passed explicitly.
         if multiplan is None:
-            if self.config.plan_timing and not self.config.multiplan:
-                raise PQSError(
-                    "plan timing requires the multiplan oracle")
-            timer = (PlanTimer(
-                         repeats=self.config.plan_timing_repeats,
-                         ratio=self.config.plan_regression_ratio,
-                         telemetry=self.telemetry)
-                     if self.config.plan_timing else NULL_PLAN_TIMER)
-            multiplan = (MultiPlanOracle(telemetry=self.telemetry,
-                                         timer=timer)
+            multiplan = (MultiPlanOracle(telemetry=self.telemetry)
                          if self.config.multiplan else NULL_MULTIPLAN)
         self.multiplan = multiplan
-        #: The oracle's timing collector (NULL_PLAN_TIMER when off or
-        #: when a custom oracle without one was injected).
-        self.plan_timer = getattr(multiplan, "timer", NULL_PLAN_TIMER)
         self.rng = RandomSource(self.config.seed)
         self.dialect = get_dialect(self.config.dialect)
         self.interpreter = make_interpreter(self.config.dialect)
@@ -233,7 +205,6 @@ class PQSRunner:
             connection.close()
         self.guidance.end_round()
         round_.multiplan = self.multiplan.take_round_outcome()
-        round_.plantime = self.plan_timer.take_round_outcome()
         round_.seconds = time.monotonic() - started
         self._m_round_seconds.observe(round_.seconds)
         self._m_rounds.inc()

@@ -149,7 +149,7 @@ class Engine:
             # The pivot probes re-read identical SELECTs between DML-free
             # pivot rounds; cache hits must hand out fresh containers
             # because fault injection mutates returned row lists.  Forced
-            # executions (multiplan/plantime) never come through here —
+            # executions (multiplan) never come through here —
             # with_plan calls execute_statement directly.
             cached = self._select_cache.get(sql)
             if cached is not None:

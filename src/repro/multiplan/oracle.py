@@ -59,8 +59,6 @@ class PlanRun:
     rows: list
     canonical: tuple
     deviant: bool = False
-    #: Min-of-k elapsed seconds, set only under ``--plan-timing``.
-    elapsed: Optional[float] = None
 
     def digest(self) -> str:
         body = "\x1e".join("\x1f".join(row) for row in self.canonical)
@@ -68,13 +66,10 @@ class PlanRun:
 
     def as_result(self) -> dict:
         """The JSON-safe ``plan_results`` entry for a BugReport."""
-        out = {"hints": self.hints.as_dict(),
-               "fingerprint": self.fingerprint,
-               "rows": len(self.rows), "digest": self.digest(),
-               "deviant": self.deviant}
-        if self.elapsed is not None:
-            out["elapsed_us"] = round(self.elapsed * 1e6, 2)
-        return out
+        return {"hints": self.hints.as_dict(),
+                "fingerprint": self.fingerprint,
+                "rows": len(self.rows), "digest": self.digest(),
+                "deviant": self.deviant}
 
 
 @dataclass
@@ -109,14 +104,8 @@ class MultiPlanOracle:
 
     enabled = True
 
-    def __init__(self, telemetry: Optional[Telemetry] = None,
-                 timer=None):
-        from repro.plantime.collector import NULL_PLAN_TIMER
-
+    def __init__(self, telemetry: Optional[Telemetry] = None):
         t = telemetry or NULL_TELEMETRY
-        #: The per-plan timing collector (``--plan-timing``); the null
-        #: timer keeps the hot path free of clock calls when off.
-        self.timer = timer if timer is not None else NULL_PLAN_TIMER
         self._m_queries = t.counter(metric_names.MULTIPLAN_QUERIES)
         self._m_plans = t.histogram(
             metric_names.MULTIPLAN_PLANS_PER_QUERY,
@@ -167,18 +156,13 @@ class MultiPlanOracle:
             if key in seen:
                 continue
             seen.add(key)
-            run = PlanRun(hints=hints, fingerprint=fp, rows=rows,
-                          canonical=_canonical(rows, weak))
-            if self.timer.enabled:
-                run.elapsed = self.timer.sample(query.sql, hints,
-                                                with_plan)
-            runs.append(run)
+            runs.append(PlanRun(hints=hints, fingerprint=fp, rows=rows,
+                                canonical=_canonical(rows, weak)))
         self._round_queries += 1
         self._m_queries.inc()
         self._round_plans[len(runs)] = \
             self._round_plans.get(len(runs), 0) + 1
         self._m_plans.observe(len(runs))
-        self.timer.observe_query(query.sql, runs)
         if len(runs) < 2:
             return None
         if len({run.canonical for run in runs}) == 1:

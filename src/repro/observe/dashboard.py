@@ -1,10 +1,9 @@
 """The single-file HTML dashboard served at ``/``.
 
 One self-contained page — inline CSS, inline JS, no external assets, no
-build step — that polls ``/status``, ``/bugs``, ``/plantime``, and
-``/events`` every two seconds and renders a progress bar, worker-health
-table, bug list, a planner panel (multi-plan oracle activity plus the
-optimizer observatory's worst regressions), and event tail.  Kept
+build step — that polls ``/status``, ``/bugs`` and ``/events`` every two
+seconds and renders a progress bar with round counts, a bug list, a
+planner line (multi-plan oracle activity), and event tail.  Kept
 deliberately boring: the dashboard must work from
 ``curl -o - | browser`` on an air-gapped hunt box.
 """
@@ -40,7 +39,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <table id="bugs"><tbody></tbody></table>
 <h2>planner</h2>
 <p id="planner" class="muted">inactive</p>
-<table id="regressions"><tbody></tbody></table>
 <h2>events</h2>
 <div id="events"></div>
 <script>
@@ -95,20 +93,11 @@ async function tick() {
          bugs.map(b => [b.round, b.oracle, b.fingerprint,
                         (b.test_case.statements || []).length]));
     const mp = status.multiplan || {};
-    const pt = await (await fetch("/plantime")).json();
-    const planBits = [];
-    if (mp.active)
-      planBits.push("multiplan: " + (mp.queries || 0) + " queries, " +
+    document.getElementById("planner").textContent = mp.active
+      ? "multiplan: " + (mp.queries || 0) + " queries, " +
         (mp.divergences || 0) + " divergences, " +
-        (mp.forced_failures || 0) + " forced failures");
-    if (pt.tracked)
-      planBits.push("timing: " + (pt.queries_timed || 0) +
-        " queries timed, " + (pt.regressions || 0) + " regressions");
-    document.getElementById("planner").textContent =
-      planBits.length ? planBits.join(" | ") : "inactive";
-    fill("regressions", ["shape", "slowdown", "query"],
-         (pt.worst || []).map(r =>
-           [r.shape, (r.slowdown || 0).toFixed(2) + "x", r.sql]));
+        (mp.forced_failures || 0) + " forced failures"
+      : "inactive";
     const events =
       (await (await fetch("/events?limit=50")).json()).events || [];
     const pane = document.getElementById("events");

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from repro.core.reports import RunStatistics
 from repro.observe.events import NULL_EVENTS, EventLog
 
 
@@ -145,11 +146,12 @@ class Observatory:
         single-process hunts, where the runner updates them live)."""
         queries = divergences = failures = 0
         if self._queue is not None:
+            stats = RunStatistics()
             for record in self._queue.records_in_order():
-                outcome = getattr(record, "multiplan", {})
-                queries += outcome.get("queries", 0)
-                divergences += outcome.get("divergences", 0)
-                failures += outcome.get("forced_failures", 0)
+                stats.absorb_multiplan(record.multiplan)
+            queries = stats.multiplan_queries
+            divergences = stats.multiplan_divergences
+            failures = stats.multiplan_forced_failures
         elif self.registry is not None:
             from repro.telemetry import names
             queries = int(self.registry.value(names.MULTIPLAN_QUERIES))
@@ -160,36 +162,6 @@ class Observatory:
         return {"active": queries > 0, "queries": queries,
                 "divergences": divergences,
                 "forced_failures": failures}
-
-    def plantime(self) -> dict:
-        """The ``/plantime`` document: optimizer-observatory activity —
-        timed query count and the worst planner regressions seen so far
-        (exact from journaled rounds when a queue is attached, counter
-        fallback otherwise)."""
-        timed = 0
-        regressions: list[dict] = []
-        if self._queue is not None:
-            for record in self._queue.records_in_order():
-                outcome = getattr(record, "plantime", {})
-                timed += outcome.get("timed", 0)
-                regressions.extend(outcome.get("regressions", ()))
-        elif self.registry is not None:
-            # Counters carry counts only; the per-regression records
-            # live in journal rounds, which this mode does not have.
-            from repro.telemetry import names
-            timed = int(self.registry.value(names.PLANTIME_QUERIES))
-            count = int(self.registry.value(names.PLANTIME_REGRESSIONS))
-            if timed == 0 and count == 0:
-                return {"tracked": False}
-            return {"tracked": True, "queries_timed": timed,
-                    "regressions": count, "worst": []}
-        if timed == 0 and not regressions:
-            return {"tracked": False}
-        worst = sorted(regressions,
-                       key=lambda r: (-r.get("slowdown", 0.0),
-                                      r.get("shape", "")))[:10]
-        return {"tracked": True, "queries_timed": timed,
-                "regressions": len(regressions), "worst": worst}
 
 
 class NullObservatory:
@@ -225,9 +197,6 @@ class NullObservatory:
         return {}
 
     def multiplan(self) -> dict:
-        return {}
-
-    def plantime(self) -> dict:
         return {}
 
 

@@ -97,9 +97,6 @@ def build_report(journal_path: str,
     multiplan = _multiplan_section(records)
     if multiplan:
         report["multiplan"] = multiplan
-    plantime = _plantime_section(records)
-    if plantime:
-        report["plantime"] = plantime
     if events_path and os.path.exists(events_path):
         report["health"] = _health_from_events(load_events(events_path))
     if metrics_path and os.path.exists(metrics_path):
@@ -226,39 +223,6 @@ def _multiplan_section(records) -> Optional[dict]:
     }
 
 
-def _plantime_section(records) -> Optional[dict]:
-    """Planner quality: total timed queries plus the worst planner
-    regressions, deduplicated by query shape (the same shape flagged in
-    ten rounds is one line carrying its worst slowdown)."""
-    timed = 0
-    by_shape: dict[str, dict] = {}
-    for record in records:
-        outcome = getattr(record, "plantime", {}) or {}
-        timed += outcome.get("timed", 0)
-        for regression in outcome.get("regressions", ()):
-            shape = regression.get("shape", "?")
-            known = by_shape.get(shape)
-            if known is None:
-                by_shape[shape] = {
-                    "shape": shape,
-                    "sql": regression.get("sql", ""),
-                    "slowdown": regression.get("slowdown", 0.0),
-                    "sightings": 1,
-                }
-            else:
-                known["sightings"] += 1
-                if regression.get("slowdown", 0.0) > known["slowdown"]:
-                    known["slowdown"] = regression["slowdown"]
-                    known["sql"] = regression.get("sql", known["sql"])
-    if not timed and not by_shape:
-        return None
-    worst = sorted(by_shape.values(),
-                   key=lambda r: (-r["slowdown"], r["shape"]))[:10]
-    return {"queries_timed": timed,
-            "regressed_shapes": len(by_shape),
-            "worst": worst}
-
-
 def _health_from_events(events) -> dict:
     counts = {kind: 0 for kind in _HEALTH_KINDS}
     for event in events:
@@ -362,17 +326,6 @@ def render_report(report: dict) -> str:
             lines.append("plans per query: " + ", ".join(
                 f"{plans}->{queries}" for plans, queries
                 in multiplan["plans_per_query"].items()))
-    plantime = report.get("plantime")
-    if plantime:
-        lines.append("")
-        lines.append(
-            f"planner quality: {plantime['queries_timed']} queries "
-            f"timed, {plantime['regressed_shapes']} regressed shape(s)")
-        for entry in plantime["worst"]:
-            lines.append(
-                f"  {entry['shape']}  {entry['slowdown']:.2f}x slower "
-                f"than best forced plan "
-                f"(sightings={entry['sightings']})  {entry['sql']}")
     growth = report.get("coverage_growth")
     if growth:
         lines.append("")
@@ -390,7 +343,7 @@ def history_line(report: dict) -> dict:
     """The one-line summary appended to ``results/history.jsonl``."""
     seconds = report["totals"]["seconds"]
     queries = report["totals"]["queries"]
-    line = {
+    return {
         "campaign": report["campaign"],
         "dialect": report["dialect"],
         "seed": report["seed"],
@@ -405,10 +358,6 @@ def history_line(report: dict) -> dict:
         "queries_per_second":
             round(queries / seconds, 2) if seconds > 0 else 0.0,
     }
-    plantime = report.get("plantime")
-    if plantime:
-        line["plan_regressions"] = plantime["regressed_shapes"]
-    return line
 
 
 def append_history(path: str, report: dict) -> dict:

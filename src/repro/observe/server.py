@@ -15,8 +15,6 @@ endpoint   contents                                             format
                                                                 text
 ``/bugs``  raw findings journaled so far                        JSON
 ``/coverage`` plan-coverage summary                             JSON
-``/plantime`` optimizer observatory: timed queries and worst    JSON
-           planner regressions (``--plan-timing``)
 ``/events`` bounded tail of the unified event log               JSON
            (``?limit=N``, default 100, max the ring capacity)
 ========== ==================================================== =========
@@ -89,8 +87,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json({"bugs": observatory.bugs()})
             elif route == "/coverage":
                 self._json(observatory.coverage())
-            elif route == "/plantime":
-                self._json(observatory.plantime())
             elif route == "/events":
                 query = parse_qs(parsed.query)
                 try:

@@ -195,14 +195,6 @@ ARTIFACTS: tuple[Artifact, ...] = (
         "sqlite-forced-index-fencepost, sqlite-stale-stats-join, and "
         "sqlite-like-prefix-range planner defects the containment "
         "oracle cannot see"),
-    Artifact(
-        "§7 plan timing", "score the planner against its best forced plan",
-        ("src/repro/plantime/collector.py", "benchmarks/bench_plantime.py",
-         "tests/campaigns/test_plantime_campaign.py"),
-        "TAQO-style optimizer observatory (DESIGN.md §13): min-of-k "
-        "per-plan timings aggregated by query shape into mergeable "
-        "archives; pqs optreport diffs two archives into new/fixed/"
-        "worsened planner regressions"),
 )
 
 

@@ -78,19 +78,6 @@ MULTIPLAN_DIVERGENCES = "pqs_multiplan_divergences_total"
 #: Forced-plan executions the target rejected (counter).
 MULTIPLAN_FORCED_FAILURES = "pqs_multiplan_forced_failures_total"
 
-# -- optimizer observatory (repro.plantime) ---------------------------------
-#: Queries with per-plan timings collected (counter).
-PLANTIME_QUERIES = "pqs_plantime_queries_total"
-#: Min-of-k elapsed time per timed forced-plan execution (histogram).
-PLANTIME_PLAN_SECONDS = "pqs_plantime_plan_seconds"
-#: Planner slowdown per query — unforced baseline elapsed over best
-#: forced elapsed (histogram; unit is a ratio, so it uses ratio-shaped
-#: buckets).
-PLANTIME_SLOWDOWN = "pqs_plantime_slowdown_ratio"
-#: Queries flagged as planner regressions (slowdown at or above the
-#: configured ratio; counter).
-PLANTIME_REGRESSIONS = "pqs_plantime_regressions_total"
-
 # -- campaign round queue (repro.campaigns.{scheduler,executor}) -----------
 #: Rounds returned to the work queue after a failure (counter).  The
 #: ``supervisor`` in the name is historical; dashboards key on it.
@@ -126,10 +113,6 @@ PIPE_BYTES_RECEIVED = "pqs_pipe_bytes_received_total"
 #: Bucket layout for count-valued histograms (replay lengths).
 COUNT_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 
-#: Bucket layout for ratio-valued histograms (planner slowdowns): dense
-#: around 1.0 where "fine" and "regressed" separate, sparse above.
-RATIO_BUCKETS = (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0)
-
 #: ``# HELP`` text per metric family, emitted by
 #: :meth:`~repro.telemetry.registry.MetricsRegistry.to_prometheus` —
 #: the exposition-format conformance audit showed scrapes without HELP
@@ -158,13 +141,6 @@ HELP = {
         "Queries where two plans returned different row multisets",
     MULTIPLAN_FORCED_FAILURES:
         "Forced-plan executions the target rejected",
-    PLANTIME_QUERIES: "Queries with per-plan timings collected",
-    PLANTIME_PLAN_SECONDS:
-        "Min-of-k elapsed time per timed forced-plan execution",
-    PLANTIME_SLOWDOWN:
-        "Planner slowdown: baseline elapsed over best forced elapsed",
-    PLANTIME_REGRESSIONS:
-        "Queries flagged as planner regressions",
     SUPERVISOR_REQUEUED:
         "Rounds returned to the work queue after a failure",
     SUPERVISOR_QUARANTINED:

@@ -12,10 +12,9 @@ hunt counts what it does.  Design constraints, in order:
    (:class:`NullRegistry`) hands out shared no-op instruments whose
    methods are empty — instrumented-but-off code stays within noise of
    uninstrumented code.
-2. **Thread safety.**  Each instrument carries its own lock;
-   :class:`~repro.campaigns.campaign.Campaign` fleet workers may share
-   a registry or merge per-worker snapshots (:meth:`MetricsRegistry
-   .merge_snapshot`), both of which must be race-free.
+2. **Thread safety.**  Each instrument carries its own lock, so the
+   hunt loop can update a registry while the ``--serve`` status
+   server's request threads read it.
 3. **Exportability.**  ``snapshot()`` is plain JSON (round-trippable via
    :meth:`MetricsRegistry.from_snapshot`); ``to_prometheus()`` renders
    the conventional text exposition format so a long-running hunt can be
@@ -129,8 +128,8 @@ class Gauge:
         return {"value": self.value}
 
     def absorb(self, data: dict) -> None:
-        # Merging gauges across workers: sum (a merged gauge is a total,
-        # e.g. in-flight work across the fleet).
+        # Merging gauges across snapshots: sum (a merged gauge is a
+        # total).
         self.inc(data.get("value", 0.0))
 
 
@@ -322,7 +321,8 @@ class MetricsRegistry:
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's :meth:`snapshot` into this one
-        (parallel campaigns merge per-worker snapshots this way)."""
+        (:meth:`from_snapshot` rebuilds a saved ``--metrics`` file
+        this way)."""
         for key, data in snapshot.items():
             kind = data.get("kind")
             if kind not in _INSTRUMENT_KINDS:

@@ -2,9 +2,11 @@
 
 import time
 
+from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.journal import RoundRecord
 from repro.campaigns.scheduler import RoundQueue
 from repro.core.reports import BugReport, Oracle, TestCase
+from repro.core.runner import RunnerConfig
 from repro.observe import NULL_OBSERVATORY, EventLog, Observatory
 from repro.telemetry import MetricsRegistry, names
 
@@ -106,6 +108,22 @@ class TestCoverage:
         observatory.attach_coverage(coverage)
         assert observatory.coverage() == {"tracked": True,
                                           "distinct_plans": 1}
+
+
+class TestMultiplan:
+    def test_status_matches_the_campaign_statistics(self):
+        observatory = Observatory(total_rounds=8)
+        config = CampaignConfig(dialect="sqlite", seed=0, threads=2,
+                                databases=8, reduce=False,
+                                observe=observatory,
+                                runner=RunnerConfig(multiplan=True))
+        stats = Campaign(config).run().stats
+        assert stats.multiplan_queries > 0
+        assert observatory.status()["multiplan"] == {
+            "active": True,
+            "queries": stats.multiplan_queries,
+            "divergences": stats.multiplan_divergences,
+            "forced_failures": stats.multiplan_forced_failures}
 
 
 class TestNullObservatory:

@@ -215,19 +215,6 @@ class TestHistory:
         assert history_line(build_report(path))["queries_per_second"] \
             == 0.0
 
-    def test_plan_regressions_stamped_only_when_timed(self, tmp_path):
-        plain = history_line(build_report(
-            write_journal(tmp_path / "a.jsonl",
-                          [RoundRecord(index=0, seed=1)])))
-        assert "plan_regressions" not in plain
-        timed = [RoundRecord(index=0, seed=1, plantime={
-            "timed": 4, "queries": [],
-            "regressions": [{"shape": "abc", "sql": "SELECT 1",
-                             "slowdown": 2.0}]})]
-        stamped = history_line(build_report(
-            write_journal(tmp_path / "b.jsonl", timed)))
-        assert stamped["plan_regressions"] == 1
-
 
 class TestLoadHistory:
     def test_missing_file_is_empty(self, tmp_path):
