@@ -10,12 +10,11 @@ resolution (fixed / verified / docs / intended / duplicate).
 One engine, two run modes, picked from the config:
 
 * no journal and one thread — the runner's own sequential RNG stream;
-* a journal, or ``threads > 1`` — the round queue: one
-  :class:`~repro.campaigns.executor.RoundExecutor` drains the
-  :class:`~repro.campaigns.scheduler.RoundQueue` in this thread, each
-  round under a campaign-global derived seed, so an interrupted hunt
-  resumes and a failing round is retried, then quarantined, instead of
-  aborting the hunt.
+* a journal, or ``threads > 1`` — the round loop: one
+  :class:`~repro.campaigns.executor.RoundExecutor` runs, in this
+  thread and in index order, every round the journal lacks, each under
+  a campaign-global derived seed, so an interrupted hunt resumes where
+  it stopped.
 
 The paper runs one thread per database (§3.4).  Here ``threads`` only
 counts round streams: Python threads do not overlap CPU-bound work (the
@@ -48,16 +47,15 @@ from repro.campaigns.journal import (
     JOURNAL_VERSION,
     CampaignJournal,
     JournalState,
-    QuarantineRecord,
     RecoveryStats,
+    RoundRecord,
 )
 from repro.campaigns.pool import TriagePool
 from repro.campaigns.replay import DifferentialReplayer
-from repro.campaigns.scheduler import RoundQueue
 from repro.core.reducer import TestCaseReducer
 from repro.core.reports import BugReport, Oracle, RunStatistics
 from repro.core.runner import PQSRunner, RunnerConfig
-from repro.errors import PQSError, ReductionError
+from repro.errors import ReductionError
 from repro.guidance import NULL_GUIDANCE, PlanGuidance
 from repro.minidb.bugs import BUG_CATALOG, BugRegistry, bugs_for_dialect
 from repro.multiplan.hints import BASELINE, PlannerHints
@@ -218,8 +216,8 @@ class CampaignConfig:
     #: Database rounds in the whole campaign.
     databases: int = 50
     #: Round streams (paper §3.4's thread count).  More than 1 selects
-    #: the round-queue path, which runs every round in this thread
-    #: under campaign-global seeds; the count does not change results.
+    #: the round loop, which runs every round in this thread under
+    #: campaign-global seeds; the count does not change results.
     threads: int = 1
     #: Defects to enable; None enables the dialect's full catalog.
     bug_ids: Optional[list[str]] = None
@@ -256,13 +254,6 @@ class CampaignConfig:
     #: *passively*: coverage is tracked and dumped but generation is the
     #: exact unguided stream.
     plan_coverage: Optional[str] = None
-    #: Failed attempts before a queued round is quarantined (a poison
-    #: round — e.g. HarnessError on every try — is journaled and
-    #: surfaced instead of aborting the hunt).
-    quarantine_threshold: int = 3
-    #: Fault-injection schedule (repro.campaigns.chaos.ChaosPolicy) for
-    #: the round-queue path; None runs undisturbed.
-    chaos: Optional[object] = None
     #: Per-runner knobs, including the multi-plan oracle.  It is
     #: journal-fingerprinted when on: its outcomes are journaled, so
     #: such a journal must not silently continue (or be continued by) a
@@ -274,10 +265,6 @@ class CampaignConfig:
         # place the runner inherits them.
         self.runner.dialect = self.dialect
         self.runner.seed = self.seed
-        if self.chaos is not None and not (self.journal
-                                           or self.threads > 1):
-            raise PQSError("chaos requires the round-queue path "
-                           "(a journal or threads > 1)")
 
 
 @dataclass
@@ -294,16 +281,11 @@ class CampaignResult:
     #: Raw findings that did not reproduce or could not be charged to a
     #: defect — tool bugs, which the test suite asserts never happen.
     unattributed: list[BugReport] = field(default_factory=list)
-    #: Poison rounds retired after exhausting the retry threshold
-    #: (round-queue modes only).
-    quarantined: list[QuarantineRecord] = field(default_factory=list)
+    #: Always empty: no round is ever quarantined.  Kept only because
+    #: the benchmark harness (``perfbench/child.py``) reads it.
+    quarantined: list = field(default_factory=list)
     #: What journal recovery had to repair on ``--resume``.
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
-
-    def harness_reports(self) -> list[str]:
-        """Synthesized human-readable reports for quarantined rounds —
-        availability failures of the harness, never DBMS findings."""
-        return [record.harness_report() for record in self.quarantined]
 
     @property
     def detected_bug_ids(self) -> set[str]:
@@ -390,7 +372,7 @@ class Campaign:
         observe = config.observe or NULL_OBSERVATORY
         runner = self.build_runner()
         if config.journal or config.threads > 1:
-            result = self._run_queue(runner, telemetry, observe)
+            result = self._run_rounds(runner, telemetry, observe)
         else:
             result = CampaignResult(
                 config=config,
@@ -429,7 +411,7 @@ class Campaign:
             seen_bugs.add(primary)
             result.reports.append(processed)
 
-    # -- round-queue execution (journaled or threads > 1) -------------------
+    # -- the round loop (journaled or threads > 1) ---------------------------
     def _fingerprint(self) -> dict:
         fingerprint = {"version": JOURNAL_VERSION,
                        "dialect": self.config.dialect,
@@ -450,29 +432,18 @@ class Campaign:
         return fingerprint
 
     @contextmanager
-    def _round_queue(self, telemetry: Telemetry, observe):
-        """The campaign's round queue, preloaded from the journal (when
-        one is configured) and yielded with the open journal and the
-        recovered state; the journal is closed on every exit path.
-
-        Every round runs under :func:`~repro.campaigns.journal.round_seed`
-        — an independent derivation from (campaign seed, round index) —
-        so journal-loaded and freshly-run rounds compose into exactly
-        the statistics an uninterrupted run would produce.
-        """
+    def _open_journal(self, telemetry: Telemetry):
+        """The open journal (None without one) and the state recovered
+        from it; the journal is closed on every exit path."""
         config = self.config
-        queue = RoundQueue(range(config.databases), config.seed,
-                           quarantine_threshold=config.quarantine_threshold)
-        observe.attach_queue(queue)
         if not config.journal:
-            yield queue, None, JournalState()
+            yield None, JournalState()
             return
         with CampaignJournal(config.journal) as journal:
             fingerprint = self._fingerprint()
             state = (journal.load_state(fingerprint)
                      if config.resume else JournalState())
             journal.start(fingerprint, fresh=state.empty)
-            queue.preload(state.rounds, state.quarantined)
             # What recovery did, as counters.  The runner counts rounds
             # it actually executes; journal-loaded rounds still advance
             # the live progress line.
@@ -487,42 +458,49 @@ class Campaign:
                 if count:
                     telemetry.counter(name).inc(count)
             telemetry.counter(metric_names.ROUNDS).inc(len(state.rounds))
-            yield queue, journal, state
+            yield journal, state
 
-    def _queue_result(self, queue: RoundQueue,
-                      state: JournalState) -> CampaignResult:
-        """Statistics folded from the settled queue in round-index order,
-        so the outcome does not depend on retries or resumes."""
-        quarantined = queue.quarantined_in_order()
-        stats = RunStatistics()
-        for record in queue.records_in_order():
-            stats.absorb_round(record)
-        stats.quarantined_rounds = len(quarantined)
-        return CampaignResult(config=self.config, stats=stats,
-                              quarantined=quarantined,
-                              recovery=state.recovery)
+    def _run_rounds(self, runner: PQSRunner, telemetry: Telemetry,
+                    observe) -> CampaignResult:
+        """Run every round the journal lacks, in index order, in this
+        thread.
 
-    def _run_queue(self, runner: PQSRunner, telemetry: Telemetry,
-                   observe) -> CampaignResult:
-        """One executor drains the round queue in this thread."""
-        with self._round_queue(telemetry, observe) as (queue, journal,
-                                                       state):
+        Every round runs under :func:`~repro.campaigns.journal.round_seed`
+        — an independent derivation from (campaign seed, round index) —
+        so journal-loaded and freshly-run rounds compose into exactly
+        the statistics an uninterrupted run would produce.
+        """
+        rounds: dict[int, RoundRecord] = {}
+
+        def settle(record: RoundRecord) -> None:
+            rounds[record.index] = record
+            observe.add_round(record)
+            self._submit_round(record)
+
+        with self._open_journal(telemetry) as (journal, state):
+            loaded = [state.rounds[index] for index in sorted(state.rounds)]
             if runner.guidance.enabled:
                 # Guidance replays each journaled round so its seen-set,
                 # pool, and scheduling stream match the original
                 # process exactly (exact for prefix-complete journals;
                 # a corruption gap re-runs only the lost round).
-                for index in sorted(state.rounds):
-                    record = state.rounds[index]
+                for record in loaded:
                     runner.guidance.restore_round(record.seed,
                                                   record.plans)
-            for record in queue.records_in_order():  # journal-loaded
-                self._submit_round(record)
-            RoundExecutor(runner, queue, self.config.seed,
-                          journal=journal, chaos=self.config.chaos,
+            for record in loaded:
+                settle(record)
+            RoundExecutor(runner, self.config.seed, journal=journal,
                           telemetry=telemetry, events=observe.events,
-                          on_complete=self._submit_round).run_loop()
-        return self._queue_result(queue, state)
+                          on_complete=settle).run_loop(
+                [index for index in range(self.config.databases)
+                 if index not in rounds])
+        # Folded in round-index order, so the outcome does not depend on
+        # what a resume loaded.
+        stats = RunStatistics()
+        for index in sorted(rounds):
+            stats.absorb_round(rounds[index])
+        return CampaignResult(config=self.config, stats=stats,
+                              recovery=state.recovery)
 
     # -- per-report processing ---------------------------------------------
     def _process(self, report: BugReport) -> Optional[BugReport]:

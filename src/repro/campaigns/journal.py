@@ -8,10 +8,9 @@ file layout is append-only JSONL:
 * line 1 — a header fingerprinting the campaign (dialect, seed,
   database count, enabled defects, journal version); resuming under a
   different configuration is an error, not silent corruption;
-* each further line — one record: a ``round`` (index, derived seed,
+* each further line — one ``round`` record (index, derived seed,
   counters, raw pre-reduction findings serialized via
-  :meth:`~repro.core.reports.BugReport.to_json`) or a ``quarantine``
-  (a poison round retired after exhausting its retry threshold).
+  :meth:`~repro.core.reports.BugReport.to_json`).
 
 **Format v2** adds a per-line CRC32 checksum: every line is plain JSON
 carrying a ``crc`` field computed over the canonical serialization of
@@ -128,39 +127,6 @@ class RoundRecord:
 
 
 @dataclass
-class QuarantineRecord:
-    """A poison round retired after exhausting its retry threshold.
-
-    Quarantine is the campaign-level analogue of the subprocess
-    harness's restart budget: a round that fails deterministically
-    (e.g. :class:`~repro.errors.HarnessError` on every attempt) is
-    journaled and surfaced instead of aborting the whole hunt.
-    """
-
-    index: int
-    seed: int
-    attempts: int
-    error: str = ""
-
-    def to_json(self) -> dict:
-        return {"kind": "quarantine", "index": self.index,
-                "seed": self.seed, "attempts": self.attempts,
-                "error": self.error}
-
-    @staticmethod
-    def from_json(data: dict) -> "QuarantineRecord":
-        return QuarantineRecord(
-            index=data["index"], seed=data["seed"],
-            attempts=data.get("attempts", 0),
-            error=data.get("error", ""))
-
-    def harness_report(self) -> str:
-        """A human-readable synthesized report for the final stats."""
-        return (f"round {self.index} (seed {self.seed}) quarantined "
-                f"after {self.attempts} attempt(s): {self.error}")
-
-
-@dataclass
 class RecoveryStats:
     """What journal recovery had to do while loading."""
 
@@ -180,12 +146,11 @@ class JournalState:
     """Everything :meth:`CampaignJournal.load_state` recovered."""
 
     rounds: dict[int, RoundRecord] = field(default_factory=dict)
-    quarantined: dict[int, QuarantineRecord] = field(default_factory=dict)
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
 
     @property
     def empty(self) -> bool:
-        return not (self.rounds or self.quarantined)
+        return not self.rounds
 
 
 class CampaignJournal:
@@ -220,7 +185,7 @@ class CampaignJournal:
         return self.load_state(fingerprint).rounds
 
     def load_state(self, fingerprint: dict) -> JournalState:
-        """Full recovery: rounds, quarantines, and recovery counters.
+        """Full recovery: rounds and recovery counters.
 
         Corrupt lines (bad JSON or checksum mismatch) are *skipped and
         counted*, never treated as end-of-file; duplicate round indexes
@@ -273,19 +238,16 @@ class CampaignJournal:
             if data is None:
                 state.recovery.corrupt_lines += 1
                 continue
-            kind = data.get("kind")
-            if kind == "round":
-                record = RoundRecord.from_json(data)
-                if record.index in state.rounds:
-                    state.recovery.duplicate_rounds += 1
-                    continue
-                state.rounds[record.index] = record
-            elif kind == "quarantine":
-                record = QuarantineRecord.from_json(data)
-                if record.index in state.quarantined:
-                    state.recovery.duplicate_rounds += 1
-                    continue
-                state.quarantined[record.index] = record
+            if data.get("kind") != "round":
+                # Not corrupt, just not a round: older builds also wrote
+                # ``quarantine`` lines.  Their round is simply missing,
+                # so a resume runs it.
+                continue
+            record = RoundRecord.from_json(data)
+            if record.index in state.rounds:
+                state.recovery.duplicate_rounds += 1
+                continue
+            state.rounds[record.index] = record
         return header, state
 
     def _check_header(self, line: str,
@@ -343,10 +305,6 @@ class CampaignJournal:
             self._handle = open(self.path, "a", encoding="utf-8")
 
     def append_round(self, record: RoundRecord) -> None:
-        assert self._handle is not None, "journal not started"
-        self._write_line(record.to_json())
-
-    def append_quarantine(self, record: QuarantineRecord) -> None:
         assert self._handle is not None, "journal not started"
         self._write_line(record.to_json())
 

@@ -1,5 +1,5 @@
 """A ``threads > 1`` campaign is :class:`~repro.campaigns.campaign.Campaign`
-on its round-queue path; this name stays only because the benchmark
+on its round-loop path; this name stays only because the benchmark
 harness (``perfbench/child.py``) imports it to probe the fleet workload.
 """
 

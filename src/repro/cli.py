@@ -9,7 +9,7 @@ Subcommands:
 * ``pqs bugs``   — list the injected-defect catalog and the paper bugs
   each entry models;
 * ``pqs report`` — offline triage analytics over a hunt's artifacts
-  (journal + event log + metrics snapshot → campaign digest);
+  (journal + metrics snapshot → campaign digest);
 * ``pqs shell``  — a minimal interactive MiniDB shell, handy for
   replaying reduced test cases by hand.
 """
@@ -55,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--threads", type=int, default=1,
                       help="round streams, each of --databases rounds "
                            "(default: 1); more than 1 runs every round "
-                           "in one loop under campaign-global round "
-                           "seeds, like --journal (Python threads "
-                           "give no speedup under the GIL)")
+                           "in one loop in this process under "
+                           "campaign-global round seeds, like --journal; "
+                           "no extra threads are started")
     hunt.add_argument("--journal", default=None, metavar="PATH",
                       help="write per-database results to a JSONL "
                            "journal as the hunt runs")
@@ -90,19 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print a live progress line (rounds, "
                            "reports, queries/s, ETA) to stderr every "
                            "SECS seconds")
-    hunt.add_argument("--quarantine-threshold", type=int, default=3,
-                      metavar="N",
-                      help="failed attempts before a round is "
-                           "quarantined instead of retried "
-                           "(default: 3)")
-    hunt.add_argument("--chaos-seed", type=int, default=None,
-                      metavar="SEED",
-                      help="inject a seeded fault schedule "
-                           "(transient failures, journal corruption) "
-                           "into a round-queue hunt (--journal or "
-                           "--threads > 1) — exercises retries, "
-                           "quarantine and journal recovery; results "
-                           "must match an undisturbed run")
     hunt.add_argument("--serve", default=None, metavar="[HOST:]PORT",
                       help="serve a live status dashboard over HTTP "
                            "while the hunt runs: / (HTML), /status, "
@@ -111,20 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "given, port 0 picks a free port")
     hunt.add_argument("--events", default=None, metavar="PATH",
                       help="write the unified campaign event log "
-                           "(typed JSONL: round lifecycle, chaos, "
-                           "bugs, plan novelty) "
-                           "as the hunt runs; per-round events need "
-                           "the round-queue path (--journal or "
-                           "--threads)")
+                           "(typed JSONL: round lifecycle, bugs, plan "
+                           "novelty) as the hunt runs; per-round "
+                           "events need --journal or --threads")
     hunt.set_defaults(handler=cmd_hunt)
 
     report = sub.add_parser(
         "report", help="offline triage analytics: digest a hunt's "
-                       "journal (+ optional event log and metrics "
-                       "snapshot) into a campaign report")
+                       "journal (+ optional metrics snapshot) into a "
+                       "campaign report")
     report.add_argument("journal", help="campaign journal (JSONL)")
-    report.add_argument("--events", default=None, metavar="PATH",
-                        help="unified event log from hunt --events")
     report.add_argument("--metrics", default=None, metavar="PATH",
                         help="JSON metrics snapshot from hunt --metrics")
     report.add_argument("--json", action="store_true",
@@ -203,30 +186,16 @@ def cmd_hunt(args) -> int:
     if args.progress > 0:
         from repro.telemetry import ProgressReporter
 
-        # The queue's exact settled counts (quarantined rounds
-        # included) beat registry counters whenever a queue exists.
-        # The observatory's counts() falls through to (0, 0) without a
-        # queue, so only hook it up when one will be attached.
-        counts = None
-        if observatory.enabled and (args.journal or args.threads > 1):
-            counts = observatory.counts
         reporter = ProgressReporter(telemetry.registry, total_rounds,
-                                    interval=args.progress,
-                                    counts=counts).start()
+                                    interval=args.progress).start()
     if getattr(args, "events", None) and not (args.journal
                                               or args.threads > 1):
         # The bulk serial path has no per-round boundary (sequential
-        # RNG by design); only the round-queue path emits round events.
+        # RNG by design); only the round loop emits round events.
         print("[pqs] note: --events without --journal/--threads logs "
-              "campaign lifecycle only (per-round events need the "
-              "round-queue path)", file=sys.stderr)
+              "campaign lifecycle only", file=sys.stderr)
     observatory.events.emit("campaign_start", databases=total_rounds,
                             threads=args.threads)
-    chaos = None
-    if args.chaos_seed is not None:
-        from repro.campaigns.chaos import ChaosPolicy
-
-        chaos = ChaosPolicy(seed=args.chaos_seed)
     try:
         config = CampaignConfig(
             dialect=args.dialect, seed=args.seed,
@@ -236,8 +205,6 @@ def cmd_hunt(args) -> int:
             telemetry=telemetry,
             observe=observatory if observatory.enabled else None,
             guidance=args.guidance, plan_coverage=args.plan_coverage,
-            quarantine_threshold=args.quarantine_threshold,
-            chaos=chaos,
             runner=RunnerConfig(multiplan=args.multiplan))
         result = Campaign(config).run()
     except PQSError as error:
@@ -256,11 +223,6 @@ def cmd_hunt(args) -> int:
     _print_hunt_stats(result.stats, telemetry,
                       coverage=result.plan_coverage,
                       recovery=result.recovery)
-    if chaos is not None:
-        events = chaos.events
-        print(f"chaos: {events.transients} transient(s), "
-              f"{events.corruptions} corruption(s)")
-    _print_quarantine(result.harness_reports())
     for report in result.reports:
         print(f"\n[{report.oracle.value}] {report.message} "
               f"(triage: {report.triage})")
@@ -270,15 +232,6 @@ def cmd_hunt(args) -> int:
     print(f"\ndetected {len(result.detected_bug_ids)} distinct "
           f"defect(s) in {len(result.reports)} report(s)")
     return 0
-
-
-def _print_quarantine(harness_reports: list[str]) -> None:
-    if not harness_reports:
-        return
-    print(f"quarantined {len(harness_reports)} round(s) — harness "
-          "availability failures, not DBMS findings:")
-    for line in harness_reports:
-        print(f"  {line}")
 
 
 def _build_telemetry(args):
@@ -364,8 +317,7 @@ def cmd_report(args) -> int:
 
     reduce_fn = _report_reducer(args) if args.reduce else None
     try:
-        report = build_report(args.journal, events_path=args.events,
-                              metrics_path=args.metrics,
+        report = build_report(args.journal, metrics_path=args.metrics,
                               reduce_fn=reduce_fn)
     except PQSError as error:
         print(f"error: {error}")
@@ -438,13 +390,10 @@ def _write_metrics(args, telemetry, stats) -> None:
 
 def _print_hunt_stats(stats, telemetry=None, coverage=None,
                       recovery=None) -> None:
-    line = (f"statements={stats.statements} "
-            f"queries={stats.queries} "
-            f"expected-errors={stats.expected_errors} "
-            f"timeouts={stats.timeouts}")
-    if stats.quarantined_rounds:
-        line += f" quarantined={stats.quarantined_rounds}"
-    print(line)
+    print(f"statements={stats.statements} "
+          f"queries={stats.queries} "
+          f"expected-errors={stats.expected_errors} "
+          f"timeouts={stats.timeouts}")
     _print_multiplan_stats(stats)
     if recovery is not None and not recovery.clean:
         print(f"journal recovery: {recovery.corrupt_lines} corrupt "

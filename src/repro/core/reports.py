@@ -166,9 +166,6 @@ class RunStatistics:
     #: Summed per-round wall clock: busy time, which excludes the
     #: campaign's setup, journal writes and triage.
     seconds: float = 0.0
-    #: Rounds retired to quarantine after exhausting their retry
-    #: threshold (round-queue campaigns only: a journal or threads > 1).
-    quarantined_rounds: int = 0
     #: Multi-plan oracle activity (zero unless ``--multiplan`` is on).
     multiplan_queries: int = 0
     multiplan_plans: int = 0

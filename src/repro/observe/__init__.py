@@ -10,26 +10,21 @@ The observe package is the read side of a hunt.  Three pieces:
   live aggregation hub and the zero-dependency stdlib HTTP status
   service (``hunt --serve``) over it;
 * :mod:`repro.observe.report` — offline triage analytics
-  (``pqs report``): journal + event log + metrics snapshot in, a
-  deduplicated bug digest and a ``results/history.jsonl`` line out.
+  (``pqs report``): journal + metrics snapshot in, a deduplicated bug
+  digest and a ``results/history.jsonl`` line out.
 
 Everything here is off by default and **observation-only**: no code
-path in this package feeds back into generation, and the chaos
-acceptance tests pin that a fully-observed campaign produces
-bit-identical journals and reports to an unobserved one.
+path in this package feeds back into generation, and the durability
+tests pin that a fully-observed campaign writes the same journal as an
+unobserved one.
 """
 
 from repro.observe.events import (
-    DETERMINISTIC_KINDS,
-    KIND_RANK,
     NULL_EVENTS,
     EventLog,
     NullEventLog,
     campaign_id,
-    deterministic_view,
     load_events,
-    merge_events,
-    novel_fingerprints,
 )
 from repro.observe.observatory import (
     NULL_OBSERVATORY,
@@ -47,8 +42,6 @@ from repro.observe.report import (
 from repro.observe.server import StatusServer, parse_address
 
 __all__ = [
-    "DETERMINISTIC_KINDS",
-    "KIND_RANK",
     "NULL_EVENTS",
     "NULL_OBSERVATORY",
     "EventLog",
@@ -59,12 +52,9 @@ __all__ = [
     "append_history",
     "build_report",
     "campaign_id",
-    "deterministic_view",
     "history_line",
     "load_events",
     "load_history",
-    "merge_events",
-    "novel_fingerprints",
     "parse_address",
     "render_report",
     "render_trend",

@@ -70,7 +70,7 @@ async function tick() {
     const status = await (await fetch("/status")).json();
     const rounds = status.rounds || {};
     const total = rounds.total || 0;
-    const done = (rounds.completed || 0) + (rounds.quarantined || 0);
+    const done = rounds.completed || 0;
     document.getElementById("title").textContent =
       "pqs hunt \\u2014 " + (status.campaign || "?");
     const pct = total ? Math.min(100 * done / total, 100) : 0;
@@ -78,8 +78,7 @@ async function tick() {
     const tp = status.throughput || {};
     const bits = [
       done + "/" + total + " rounds (" + pct.toFixed(0) + "%)",
-      "leased " + (rounds.leased || 0),
-      "quarantined " + (rounds.quarantined || 0),
+      "pending " + (rounds.pending || 0),
       (tp.queries || 0) + " queries",
     ];
     if (tp.queries_per_second !== undefined)

@@ -2,26 +2,28 @@
 
 The status server, the progress line, and the final report all want the
 same answers — how far along is the hunt, what did it find — but the
-authoritative sources are scattered: the
-:class:`~repro.campaigns.scheduler.RoundQueue` knows exact settled
-counts (quarantined rounds included), the metrics registry knows
-throughput, and the plan-coverage set knows novelty.  :class:`Observatory` holds weak
-references to whichever of those a campaign attaches and computes
-consistent read-only views on demand.
+authoritative sources are scattered: the metrics registry counts rounds
+and knows throughput, the campaign's completed round records hold the
+findings, and the plan-coverage set knows novelty.
+:class:`Observatory` holds whichever of those a campaign hands it and
+computes consistent read-only views on demand.
 
-Strictly read-side: the observatory never mutates campaign state, takes
-only the locks the underlying structures already take for any reader,
-and is therefore safe to poll from an HTTP thread while the hunt runs.
-The disabled default is :data:`NULL_OBSERVATORY`.
+Strictly read-side: the observatory never mutates campaign state, and
+its own state (the round records it was handed) sits behind one lock,
+so it is safe to poll from an HTTP thread while the hunt runs.  The
+disabled default is :data:`NULL_OBSERVATORY`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Optional
 
 from repro.core.reports import RunStatistics
 from repro.observe.events import NULL_EVENTS, EventLog
+from repro.telemetry import names
+from repro.telemetry.progress import eta_seconds, round_counts
 
 
 class Observatory:
@@ -38,14 +40,21 @@ class Observatory:
         self.total_rounds = total_rounds
         self.events = events if events is not None else NULL_EVENTS
         self.registry = registry
-        self._queue = None
+        #: Completed round records, handed over one by one on the
+        #: journaled and ``threads > 1`` path; None on a plain hunt.
+        self._rounds: Optional[list] = None
+        self._rounds_lock = threading.Lock()
         self._coverage = None
         self._start = time.monotonic()
         self._finished: Optional[float] = None
 
-    # -- attachment (called once each by the campaign layers) ---------------
-    def attach_queue(self, queue) -> None:
-        self._queue = queue
+    # -- attachment (called by the campaign layers) -------------------------
+    def add_round(self, record) -> None:
+        """Take one completed (or journal-loaded) round record."""
+        with self._rounds_lock:
+            if self._rounds is None:
+                self._rounds = []
+            self._rounds.append(record)
 
     def attach_coverage(self, coverage) -> None:
         self._coverage = coverage
@@ -54,15 +63,6 @@ class Observatory:
         self._finished = time.monotonic()
 
     # -- views ---------------------------------------------------------------
-    def counts(self) -> tuple[int, int]:
-        """(completed, quarantined) — exact queue bookkeeping, the
-        :class:`~repro.telemetry.progress.ProgressReporter` ``counts``
-        hook."""
-        if self._queue is None:
-            return 0, 0
-        snapshot = self._queue.counts()
-        return snapshot["completed"], snapshot["quarantined"]
-
     def status(self) -> dict:
         """The ``/status`` document: rounds, throughput, ETA."""
         elapsed = (self._finished or time.monotonic()) - self._start
@@ -74,41 +74,26 @@ class Observatory:
             "finished": self._finished is not None,
             "events": len(self.events),
         }
-        status["rounds"] = self._round_counts()
-        done = (status["rounds"]["completed"]
-                + status["rounds"]["quarantined"])
-        total = status["rounds"]["total"]
-        status["throughput"] = self._throughput(done, elapsed)
-        if total and done and not status["finished"]:
-            remaining = max(total - done, 0)
-            status["eta_seconds"] = round(remaining * elapsed / done, 3)
+        total = self.total_rounds
+        done = ran = 0
+        if self.registry is not None:
+            done, ran = round_counts(self.registry, total)
+        status["rounds"] = {"total": total, "completed": done,
+                            "pending": max(total - done, 0)}
+        status["throughput"] = self._throughput(ran, elapsed)
+        eta = eta_seconds(done, ran, total, elapsed)
+        if eta is not None and not status["finished"]:
+            status["eta_seconds"] = round(eta, 3)
         status["multiplan"] = self.multiplan()
         return status
 
-    def _round_counts(self) -> dict:
-        if self._queue is not None:
-            return self._queue.counts()
-        # No queue attached (plain single-process hunt): fall back to
-        # the shared registry's round counter, which that mode updates
-        # live.
-        completed = 0
-        if self.registry is not None:
-            from repro.telemetry import names
-            completed = int(self.registry.value(names.ROUNDS))
-        total = self.total_rounds
-        if total:
-            completed = min(completed, total)
-        return {"total": total, "completed": completed,
-                "quarantined": 0, "leased": 0,
-                "pending": max(total - completed, 0)}
-
-    def _throughput(self, done: int, elapsed: float) -> dict:
+    def _throughput(self, ran: int, elapsed: float) -> dict:
+        """Rates over the rounds and queries this process ran."""
         throughput = {
-            "rounds_per_second": round(done / elapsed, 4)
+            "rounds_per_second": round(ran / elapsed, 4)
             if elapsed > 0 else 0.0,
         }
         if self.registry is not None:
-            from repro.telemetry import names
             queries = int(self.registry.value(names.QUERIES))
             statements = int(self.registry.value(names.STATEMENTS))
             throughput["queries"] = queries
@@ -118,14 +103,21 @@ class Observatory:
                     queries / elapsed, 2)
         return throughput
 
+    def _records(self) -> Optional[list]:
+        """The handed-over round records sorted by round index; None on
+        a plain hunt."""
+        with self._rounds_lock:
+            if self._rounds is None:
+                return None
+            records = list(self._rounds)
+        return sorted(records, key=lambda record: record.index)
+
     def bugs(self) -> list[dict]:
         """The ``/bugs`` document: raw findings journaled so far, as
         :meth:`~repro.core.reports.BugReport.to_json` dicts tagged with
         their round and content fingerprint."""
-        if self._queue is None:
-            return []
         found = []
-        for record in self._queue.records_in_order():
+        for record in self._records() or ():
             for report in record.reports:
                 entry = report.to_json()
                 entry["round"] = record.index
@@ -141,19 +133,20 @@ class Observatory:
                 "distinct_plans": len(self._coverage)}
 
     def multiplan(self) -> dict:
-        """Live multi-plan oracle activity: exact queue-record fold when
-        a queue is attached, shared-registry counters otherwise (plain
-        single-process hunts, where the runner updates them live)."""
+        """Live multi-plan oracle activity: an exact fold of the round
+        records when the campaign hands them over (journal-loaded rounds
+        included), shared-registry counters otherwise (plain hunts,
+        where the runner updates them live)."""
         queries = divergences = failures = 0
-        if self._queue is not None:
+        records = self._records()
+        if records is not None:
             stats = RunStatistics()
-            for record in self._queue.records_in_order():
+            for record in records:
                 stats.absorb_multiplan(record.multiplan)
             queries = stats.multiplan_queries
             divergences = stats.multiplan_divergences
             failures = stats.multiplan_forced_failures
         elif self.registry is not None:
-            from repro.telemetry import names
             queries = int(self.registry.value(names.MULTIPLAN_QUERIES))
             divergences = int(
                 self.registry.value(names.MULTIPLAN_DIVERGENCES))
@@ -175,7 +168,7 @@ class NullObservatory:
     events = NULL_EVENTS
     registry = None
 
-    def attach_queue(self, queue) -> None:
+    def add_round(self, record) -> None:
         pass
 
     def attach_coverage(self, coverage) -> None:
@@ -183,9 +176,6 @@ class NullObservatory:
 
     def mark_finished(self) -> None:
         pass
-
-    def counts(self) -> tuple[int, int]:
-        return 0, 0
 
     def status(self) -> dict:
         return {}

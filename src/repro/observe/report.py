@@ -1,9 +1,8 @@
 """Campaign triage analytics: digest the artifacts into one report.
 
-``pqs report`` joins the three artifacts a hunt leaves behind — the
-checksummed journal (authoritative results), the unified event log
-(narrative), and the metrics snapshot (distributions) — into a single
-campaign digest:
+``pqs report`` joins two artifacts a hunt leaves behind — the
+checksummed journal (authoritative results) and the metrics snapshot
+(distributions) — into a single campaign digest:
 
 * **bugs**, deduplicated by reduced-testcase content fingerprint
   (:meth:`~repro.core.reports.BugReport.fingerprint` — the same defect
@@ -12,7 +11,6 @@ campaign digest:
   statement's kind;
 * a **phase-latency table** from the metrics snapshot's
   ``pqs_phase_seconds`` histograms;
-* **worker and quarantine health** from the event log and journal;
 * **plan-coverage growth** — distinct fingerprints after each round,
   reconstructed from the journal's per-round novelty lists.
 
@@ -33,15 +31,9 @@ from typing import Optional
 
 from repro.campaigns.journal import CampaignJournal
 from repro.errors import ReductionError
-from repro.observe.events import campaign_id, load_events
+from repro.observe.events import campaign_id
 from repro.telemetry import names as metric_names
 from repro.telemetry.registry import MetricsRegistry
-
-#: Event kinds folded into the health section, in display order.
-_HEALTH_KINDS = ("worker_start", "worker_death", "worker_restart",
-                 "worker_stalled", "worker_retired", "round_failed",
-                 "chaos_transient", "chaos_corruption")
-
 
 def statement_kind(sql: str) -> str:
     """The leading keyword of a statement — the error-grouping axis."""
@@ -50,7 +42,6 @@ def statement_kind(sql: str) -> str:
 
 
 def build_report(journal_path: str,
-                 events_path: Optional[str] = None,
                  metrics_path: Optional[str] = None,
                  reduce_fn=None) -> dict:
     """The full campaign digest, as a JSON-safe dict.
@@ -71,12 +62,9 @@ def build_report(journal_path: str,
         "journal": journal_path,
     }
     records = [state.rounds[i] for i in sorted(state.rounds)]
-    quarantined = [state.quarantined[i]
-                   for i in sorted(state.quarantined)]
     report["rounds"] = {
         "configured": header.get("databases", 0),
         "completed": len(records),
-        "quarantined": len(quarantined),
         "corrupt_journal_lines": state.recovery.corrupt_lines,
         "duplicate_journal_rounds": state.recovery.duplicate_rounds,
     }
@@ -90,15 +78,10 @@ def build_report(journal_path: str,
     report["by_error_kind"] = _count_by(
         [b for b in report["bugs"] if b["oracle"] == "error"],
         "statement_kind")
-    report["quarantine"] = [
-        {"round": q.index, "seed": q.seed, "attempts": q.attempts,
-         "error": q.error} for q in quarantined]
     report["coverage_growth"] = _coverage_growth(records)
     multiplan = _multiplan_section(records)
     if multiplan:
         report["multiplan"] = multiplan
-    if events_path and os.path.exists(events_path):
-        report["health"] = _health_from_events(load_events(events_path))
     if metrics_path and os.path.exists(metrics_path):
         report["phases"] = _phase_table(metrics_path)
     return report
@@ -223,15 +206,6 @@ def _multiplan_section(records) -> Optional[dict]:
     }
 
 
-def _health_from_events(events) -> dict:
-    counts = {kind: 0 for kind in _HEALTH_KINDS}
-    for event in events:
-        kind = event.get("kind")
-        if kind in counts:
-            counts[kind] += 1
-    return {kind: count for kind, count in counts.items() if count}
-
-
 def _phase_table(metrics_path: str) -> list[dict]:
     with open(metrics_path, encoding="utf-8") as handle:
         snapshot = json.load(handle)
@@ -266,8 +240,7 @@ def render_report(report: dict) -> str:
              f"(dialect={report['dialect']}, seed={report['seed']})"]
     rounds = report["rounds"]
     lines.append(
-        f"rounds: {rounds['completed']}/{rounds['configured']} completed"
-        f", {rounds['quarantined']} quarantined")
+        f"rounds: {rounds['completed']}/{rounds['configured']} completed")
     if rounds["corrupt_journal_lines"] or rounds["duplicate_journal_rounds"]:
         lines.append(
             f"journal recovery: {rounds['corrupt_journal_lines']} corrupt"
@@ -296,17 +269,6 @@ def render_report(report: dict) -> str:
     if report["by_error_kind"]:
         lines.append("error-oracle bugs by statement kind: "
                      + _fmt_counts(report["by_error_kind"]))
-    if report["quarantine"]:
-        lines.append("")
-        lines.append(f"quarantined rounds: {len(report['quarantine'])}")
-        for entry in report["quarantine"]:
-            lines.append(f"  round {entry['round']} after "
-                         f"{entry['attempts']} attempt(s): "
-                         f"{entry['error']}")
-    health = report.get("health")
-    if health:
-        lines.append("")
-        lines.append("health: " + _fmt_counts(health))
     phases = report.get("phases")
     if phases:
         lines.append("")
@@ -348,7 +310,6 @@ def history_line(report: dict) -> dict:
         "dialect": report["dialect"],
         "seed": report["seed"],
         "rounds_completed": report["rounds"]["completed"],
-        "rounds_quarantined": report["rounds"]["quarantined"],
         "statements": report["totals"]["statements"],
         "queries": queries,
         "raw_findings": report["totals"]["raw_findings"],

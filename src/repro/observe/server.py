@@ -9,8 +9,7 @@ Observatory`:
 endpoint   contents                                             format
 ========== ==================================================== =========
 ``/``      self-contained polling dashboard                     HTML
-``/status`` rounds leased/completed/quarantined, throughput   JSON
-           and ETA
+``/status`` rounds completed/pending, throughput and ETA      JSON
 ``/metrics`` the live metrics registry, updated per round       Prometheus
                                                                 text
 ``/bugs``  raw findings journaled so far                        JSON
@@ -21,8 +20,10 @@ endpoint   contents                                             format
 
 The server is strictly an *observer*: handlers only call the
 observatory's read-side views, so serving cannot perturb the statement
-stream — the chaos acceptance tests run a full campaign with the server
-live and assert bit-identical journals.  Binding ``127.0.0.1`` by
+stream — the durability tests run a campaign with the server live and
+assert it writes the same journal as a run without it.  Rates and the
+ETA count only the rounds run in this process, so a resumed hunt does
+not credit itself with the rounds it loaded from its journal.  Binding ``127.0.0.1`` by
 default keeps an unattended hunt from listening on the network
 unannounced; port 0 asks the OS for a free port (tests use this).
 """

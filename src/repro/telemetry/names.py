@@ -78,13 +78,6 @@ MULTIPLAN_DIVERGENCES = "pqs_multiplan_divergences_total"
 #: Forced-plan executions the target rejected (counter).
 MULTIPLAN_FORCED_FAILURES = "pqs_multiplan_forced_failures_total"
 
-# -- campaign round queue (repro.campaigns.{scheduler,executor}) -----------
-#: Rounds returned to the work queue after a failure (counter).  The
-#: ``supervisor`` in the name is historical; dashboards key on it.
-SUPERVISOR_REQUEUED = "pqs_supervisor_requeued_rounds_total"
-#: Rounds quarantined after exhausting the retry threshold (counter).
-SUPERVISOR_QUARANTINED = "pqs_supervisor_quarantined_rounds_total"
-
 # -- journal durability (repro.campaigns.journal) ----------------------------
 #: Corrupt (checksum-mismatched or unparseable) journal lines skipped on
 #: load (counter); a torn final line counts here too.
@@ -141,10 +134,6 @@ HELP = {
         "Queries where two plans returned different row multisets",
     MULTIPLAN_FORCED_FAILURES:
         "Forced-plan executions the target rejected",
-    SUPERVISOR_REQUEUED:
-        "Rounds returned to the work queue after a failure",
-    SUPERVISOR_QUARANTINED:
-        "Rounds quarantined after exhausting the retry threshold",
     JOURNAL_CORRUPT_LINES: "Corrupt journal lines skipped on load",
     JOURNAL_DUPLICATE_ROUNDS:
         "Duplicate round indexes deduplicated on journal load",

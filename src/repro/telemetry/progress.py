@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 from repro.telemetry import names
 
@@ -26,26 +26,20 @@ from repro.telemetry import names
 class ProgressReporter:
     """Background thread printing campaign progress from the registry.
 
-    A round is *done* when it completed **or** was quarantined — a
-    poison round never completes, so counting completions alone stalls
-    the percentage and the ETA on a quarantined tail forever.  The
-    completed count is additionally clamped to the campaign total, so
-    a progress line never reads 103% whatever the counter saw.
-
-    ``counts`` optionally overrides the registry read: a zero-argument
-    callable returning ``(completed, quarantined)`` — the observatory
-    supplies the work queue's exact settled counts this way.
+    Rounds done come from the registry's round counter, clamped to the
+    campaign total so a progress line never reads 103%.  On a resumed
+    hunt that counter includes the rounds loaded from the journal; the
+    rate behind the ETA counts only the rounds this process ran (see
+    :func:`round_counts`).
     """
 
     def __init__(self, registry, total_rounds: int,
                  interval: float = 2.0,
-                 stream: Optional[TextIO] = None,
-                 counts: Optional[Callable[[], tuple[int, int]]] = None):
+                 stream: Optional[TextIO] = None):
         self.registry = registry
         self.total_rounds = max(total_rounds, 0)
         self.interval = max(interval, 0.05)
         self.stream = stream if stream is not None else sys.stderr
-        self.counts = counts
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._start_time = time.monotonic()
@@ -74,25 +68,10 @@ class ProgressReporter:
         return False
 
     # -- rendering ----------------------------------------------------------
-    def _settled(self) -> tuple[int, int]:
-        """(completed, quarantined), clamped so their sum never exceeds
-        the campaign total."""
-        if self.counts is not None:
-            completed, quarantined = self.counts()
-        else:
-            completed = int(self.registry.value(names.ROUNDS))
-            quarantined = int(self.registry.value(
-                names.SUPERVISOR_QUARANTINED))
-        if self.total_rounds:
-            quarantined = min(quarantined, self.total_rounds)
-            completed = min(completed, self.total_rounds - quarantined)
-        return completed, quarantined
-
     def render_line(self) -> str:
         """The current progress line (public so tests need no thread)."""
         elapsed = max(time.monotonic() - self._start_time, 1e-9)
-        completed, quarantined = self._settled()
-        done = completed + quarantined
+        done, ran = round_counts(self.registry, self.total_rounds)
         reports = int(self.registry.value(names.REPORTS))
         statements = int(self.registry.value(names.STATEMENTS))
         queries = int(self.registry.value(names.QUERIES))
@@ -103,22 +82,12 @@ class ProgressReporter:
             pct = min(100.0 * done / self.total_rounds, 100.0)
             parts[0] += f" ({pct:.0f}%)"
         parts.append(f"reports {reports}")
-        if quarantined:
-            parts.append(f"quarantined {quarantined}")
         parts.append(f"{statements} stmts, {queries} queries")
         parts.append(f"{qps:.1f} q/s")
-        eta = self._eta(done, elapsed)
+        eta = eta_seconds(done, ran, self.total_rounds, elapsed)
         if eta is not None:
             parts.append(f"ETA {_fmt_duration(eta)}")
         return "[pqs] " + " | ".join(parts)
-
-    def _eta(self, done: int, elapsed: float) -> Optional[float]:
-        if not self.total_rounds or done <= 0:
-            return None
-        remaining = self.total_rounds - done
-        if remaining <= 0:
-            return 0.0
-        return remaining * (elapsed / done)
 
     # -- plumbing -----------------------------------------------------------
     def _run(self) -> None:
@@ -132,6 +101,35 @@ class ProgressReporter:
         except (ValueError, OSError):
             # Stream closed under us (interpreter teardown) — stop quietly.
             self._stop.set()
+
+
+def round_counts(registry, total: int) -> tuple[int, int]:
+    """(rounds done, rounds this process ran), read from *registry*.
+
+    Done is the round counter, clamped to *total* when there is one.  A
+    resumed hunt adds the rounds it loaded from its journal to that
+    counter, so those are subtracted for the second number: rates and
+    ETAs must count only work done in this process.
+    """
+    done = int(registry.value(names.ROUNDS))
+    if total:
+        done = min(done, total)
+    recovered = int(registry.value(names.JOURNAL_RECOVERED_ROUNDS))
+    return done, max(done - recovered, 0)
+
+
+def eta_seconds(done: int, ran: int, total: int,
+                elapsed: float) -> Optional[float]:
+    """Seconds left at the rate of the *ran* rounds run in *elapsed*;
+    None while that rate is unknown."""
+    if not total:
+        return None
+    remaining = max(total - done, 0)
+    if not remaining:
+        return 0.0
+    if ran <= 0:
+        return None
+    return remaining * elapsed / ran
 
 
 def _fmt_duration(seconds: float) -> str:

@@ -8,7 +8,6 @@ from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.journal import (
     JOURNAL_VERSION,
     CampaignJournal,
-    QuarantineRecord,
     RoundRecord,
     line_checksum,
     round_seed,
@@ -117,6 +116,24 @@ class TestJournaledCampaign:
             runner_mod.PQSRunner.run_database_round = original
         assert executed == [], "complete journal must re-run nothing"
 
+    def test_resume_reruns_old_quarantined_round(self, tmp_path):
+        # A journal from a build that quarantined round 2: the resume
+        # runs that round and ends where an uninterrupted hunt ends.
+        full = tmp_path / "full.jsonl"
+        uninterrupted = Campaign(config(full, databases=5)).run()
+        old = tmp_path / "old.jsonl"
+        lines = full.read_text().splitlines()
+        old.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+        _append_quarantine_line(old, index=2, seed=7)
+        resumed = Campaign(config(old, resume=True, databases=5)).run()
+        assert resumed.recovery.clean
+        assert resumed.stats.statements == uninterrupted.stats.statements
+        assert fingerprint(resumed) == fingerprint(uninterrupted)
+        rounds = [json.loads(line) for line in
+                  old.read_text().splitlines()[1:]]
+        assert [r["index"] for r in rounds
+                if r["kind"] == "round"] == [0, 1, 3, 4, 2]
+
     def test_mismatched_fingerprint_rejected(self, tmp_path):
         path = tmp_path / "hunt.jsonl"
         Campaign(config(path, databases=4)).run()
@@ -170,10 +187,19 @@ def _write_journal(path, fingerprint, records):
     with CampaignJournal(str(path)) as journal:
         journal.start(fingerprint, fresh=True)
         for record in records:
-            if isinstance(record, QuarantineRecord):
-                journal.append_quarantine(record)
-            else:
-                journal.append_round(record)
+            journal.append_round(record)
+
+
+def _append_quarantine_line(path, index, seed=1):
+    """Append a checksummed ``quarantine`` record, as builds that
+    retried and quarantined failing rounds wrote them."""
+    data = {"kind": "quarantine", "index": index,
+            "seed": round_seed(seed, index), "attempts": 3,
+            "error": "HarnessError: boom"}
+    data["crc"] = line_checksum(data)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(data, sort_keys=True,
+                                separators=(",", ":")) + "\n")
 
 
 def _records(n):
@@ -225,21 +251,16 @@ class TestJournalV2:
         assert state.rounds[1].statements == 5
         assert state.recovery.duplicate_rounds == 1
 
-    def test_quarantine_records_loaded(self, tmp_path):
+    def test_old_quarantine_line_skipped_not_corrupt(self, tmp_path):
+        # Older builds journaled a retired round as a ``quarantine``
+        # line.  It still loads: the line is skipped, not counted as
+        # corrupt, and its round is simply missing.
         path = tmp_path / "j.jsonl"
-        quarantine = QuarantineRecord(index=2, seed=round_seed(1, 2),
-                                      attempts=3, error="HarnessError: x")
-        _write_journal(path, self.FP, [_records(1)[0], quarantine])
+        _write_journal(path, self.FP, _records(2))
+        _append_quarantine_line(path, index=2)
         state = CampaignJournal(str(path)).load_state(self.FP)
-        assert state.quarantined[2].attempts == 3
-        assert "round 2" in state.quarantined[2].harness_report()
-
-    def test_quarantine_roundtrip(self):
-        record = QuarantineRecord(index=7, seed=99, attempts=3,
-                                  error="boom")
-        clone = QuarantineRecord.from_json(
-            json.loads(json.dumps(record.to_json())))
-        assert clone == record
+        assert sorted(state.rounds) == [0, 1]
+        assert state.recovery.clean
 
     def test_v1_journal_still_loads(self, tmp_path):
         # A pre-checksum journal: version-1 header, no crc anywhere.

@@ -1,18 +1,15 @@
 """Multi-stream campaign tests (paper §3.4: thread per database).
 
-``threads > 1`` runs the round queue: every round derives a
+``threads > 1`` runs the round loop: every round derives a
 campaign-global seed, so these tests assert that the thread count
 changes nothing — totals, merged triage, and journal recovery.
 """
-
-import pytest
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import round_seed
 from repro.campaigns.replay import DifferentialReplayer
 from repro.core.reports import Oracle
-from repro.errors import PQSError
 
 
 class TestParallelCampaign:
@@ -89,15 +86,6 @@ class TestParallelCampaign:
         assert raw, "the hunt must find something to drop"
         assert result.reports == []
         assert result.unattributed == result.stats.reports
-
-    def test_chaos_requires_threads(self, tmp_path):
-        from repro.campaigns.chaos import ChaosPolicy
-
-        with pytest.raises(PQSError):
-            CampaignConfig(threads=1, chaos=ChaosPolicy(seed=1))
-        # A journal selects the round-queue path too, so chaos is valid.
-        CampaignConfig(threads=1, journal=str(tmp_path / "j.jsonl"),
-                       chaos=ChaosPolicy(seed=1))
 
 
 class TestParallelJournal:

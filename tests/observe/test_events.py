@@ -1,16 +1,12 @@
-"""The unified event log: emission, merge algebra, determinism."""
+"""The unified event log: emission and reading it back."""
 
 import json
 
 from repro.observe.events import (
-    DETERMINISTIC_KINDS,
-    KIND_RANK,
     NULL_EVENTS,
     EventLog,
     campaign_id,
-    deterministic_view,
     load_events,
-    merge_events,
 )
 from repro.telemetry import ListSink
 
@@ -37,7 +33,7 @@ class TestEventLog:
 
     def test_none_attrs_are_dropped(self):
         log = EventLog()
-        event = log.emit("worker_start", worker=0, error=None)
+        event = log.emit("round_leased", worker=0, error=None)
         assert "attrs" not in event
 
     def test_ring_buffer_bounds_memory(self):
@@ -57,10 +53,10 @@ class TestEventLog:
     def test_sink_receives_every_event(self):
         sink = ListSink()
         log = EventLog("c", sink=sink)
-        log.emit("worker_start", worker=0)
-        log.emit("worker_death", worker=0)
+        log.emit("campaign_start")
+        log.emit("campaign_end")
         assert [e["kind"] for e in sink.events] == \
-            ["worker_start", "worker_death"]
+            ["campaign_start", "campaign_end"]
 
     def test_close_detaches_sink(self):
         sink = ListSink()
@@ -90,81 +86,10 @@ class TestLoadEvents:
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "worker_start"}\n'
+        path.write_text('{"kind": "campaign_start"}\n'
                         'not json at all\n'
                         '{"no_kind": 1}\n'
                         '\n'
                         '{"kind": "campaign_end"}')
         kinds = [e["kind"] for e in load_events(str(path))]
-        assert kinds == ["worker_start", "campaign_end"]
-
-
-class TestMerge:
-    def test_merge_orders_by_round_then_kind_rank(self):
-        worker_a = [
-            {"kind": "round_completed", "round": 2, "seq": 5},
-            {"kind": "round_leased", "round": 2, "seq": 4},
-        ]
-        worker_b = [
-            {"kind": "round_completed", "round": 0, "seq": 9},
-            {"kind": "bug_found", "round": 0, "seq": 10,
-             "attrs": {"ordinal": 0}},
-        ]
-        merged = merge_events(worker_a, worker_b)
-        assert [(e["round"], e["kind"]) for e in merged] == [
-            (0, "round_completed"), (0, "bug_found"),
-            (2, "round_leased"), (2, "round_completed")]
-
-    def test_roundless_events_sort_last(self):
-        merged = merge_events([
-            {"kind": "worker_start", "seq": 0},
-            {"kind": "round_completed", "round": 5, "seq": 1},
-        ])
-        assert merged[-1]["kind"] == "worker_start"
-
-    def test_bug_ordinals_keep_discovery_order(self):
-        merged = merge_events([
-            {"kind": "bug_found", "round": 1, "seq": 3,
-             "attrs": {"ordinal": 1}},
-            {"kind": "bug_found", "round": 1, "seq": 2,
-             "attrs": {"ordinal": 0}},
-        ])
-        assert [e["attrs"]["ordinal"] for e in merged] == [0, 1]
-
-    def test_every_kind_has_a_rank(self):
-        for kind in DETERMINISTIC_KINDS:
-            assert kind in KIND_RANK
-
-
-class TestDeterministicView:
-    def test_projects_away_schedule_fields(self):
-        view = deterministic_view([
-            {"kind": "round_completed", "campaign": "c", "round": 0,
-             "round_seed": 7, "worker": 2, "seq": 19, "t": 1.5,
-             "wall": 100.0, "attrs": {"statements": 8, "queries": 4}},
-        ])
-        assert view == [{"kind": "round_completed", "campaign": "c",
-                         "round": 0, "round_seed": 7,
-                         "attrs": {"statements": 8, "queries": 4}}]
-
-    def test_filters_to_deterministic_kinds(self):
-        view = deterministic_view([
-            {"kind": "round_leased", "round": 0},
-            {"kind": "worker_death", "worker": 1},
-            {"kind": "round_quarantined", "round": 0,
-             "attrs": {"error": "boom", "attempt": 3}},
-        ])
-        assert [e["kind"] for e in view] == ["round_quarantined"]
-        assert view[0]["attrs"] == {"error": "boom"}, \
-            "attempt count is schedule-dependent and must be dropped"
-
-    def test_duplicate_completions_deduplicated(self):
-        # A stolen lease's late finish journals twice across two
-        # worker streams; the view, like the journal, keeps one.
-        event = {"kind": "round_completed", "campaign": "c", "round": 4,
-                 "attrs": {"statements": 10}}
-        view = deterministic_view([
-            {**event, "worker": 0, "seq": 8},
-            {**event, "worker": 3, "seq": 2},
-        ])
-        assert len(view) == 1
+        assert kinds == ["campaign_start", "campaign_end"]

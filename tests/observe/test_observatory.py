@@ -1,10 +1,9 @@
-"""The observatory hub: live views over queue, registry, coverage."""
+"""The observatory hub: live views over rounds, registry, coverage."""
 
 import time
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.journal import RoundRecord
-from repro.campaigns.scheduler import RoundQueue
 from repro.core.reports import BugReport, Oracle, TestCase
 from repro.core.runner import RunnerConfig
 from repro.observe import NULL_OBSERVATORY, EventLog, Observatory
@@ -16,43 +15,25 @@ def record(index, reports=()):
                        queries=5, reports=list(reports))
 
 
-def settled_queue(total=4, completed=2, quarantined=1):
-    queue = RoundQueue(range(total), campaign_seed=0,
-                       quarantine_threshold=1)
-    for i in range(completed):
-        queue.lease()
-        queue.complete(i, record(i))
-    for i in range(completed, completed + quarantined):
-        queue.lease()
-        queue.fail(i, "poison")
-    # One round left in flight so leased/pending are distinguishable.
-    if completed + quarantined < total:
-        queue.lease()
-    return queue
-
-
-class TestCounts:
-    def test_counts_from_queue(self):
-        observatory = Observatory(total_rounds=4)
-        observatory.attach_queue(settled_queue())
-        assert observatory.counts() == (2, 1)
-
-    def test_counts_without_queue(self):
-        assert Observatory().counts() == (0, 0)
-
-
 class TestStatus:
-    def test_status_with_queue(self):
+    def test_status_rates_count_only_rounds_run_here(self):
+        # A resumed hunt: 300 of 400 rounds came from the journal and 3
+        # ran in this process.  Rate and ETA follow the 3, not the 303.
+        registry = MetricsRegistry()
+        registry.counter(names.ROUNDS).inc(303)
+        registry.counter(names.JOURNAL_RECOVERED_ROUNDS).inc(300)
         observatory = Observatory(campaign="sqlite-s3", dialect="sqlite",
-                                  seed=3, total_rounds=4)
-        observatory.attach_queue(settled_queue())
+                                  seed=3, total_rounds=400,
+                                  registry=registry)
+        time.sleep(0.05)
         status = observatory.status()
         assert status["campaign"] == "sqlite-s3"
-        assert status["rounds"] == {"total": 4, "completed": 2,
-                                    "quarantined": 1, "leased": 1,
-                                    "pending": 0}
-        assert status["elapsed_seconds"] >= 0
-        assert "eta_seconds" in status
+        assert status["rounds"] == {"total": 400, "completed": 303,
+                                    "pending": 97}
+        elapsed = status["elapsed_seconds"]
+        rate = status["throughput"]["rounds_per_second"]
+        assert 0.9 < rate * elapsed / 3 < 1.1
+        assert 0.9 < status["eta_seconds"] / (97 * elapsed / 3) < 1.1
         assert not status["finished"]
 
     def test_status_falls_back_to_registry(self):
@@ -80,18 +61,16 @@ class TestBugs:
             test_case=TestCase(statements=["CREATE TABLE t0(c0 INT)",
                                            "VACUUM"]),
             message="boom", seed=99)
-        queue = RoundQueue(range(1), campaign_seed=0)
-        queue.lease()
-        queue.complete(0, record(0, reports=[report]))
         observatory = Observatory()
-        observatory.attach_queue(queue)
+        observatory.add_round(record(1))
+        observatory.add_round(record(0, reports=[report]))
         bugs = observatory.bugs()
         assert len(bugs) == 1
         assert bugs[0]["round"] == 0
         assert bugs[0]["fingerprint"] == report.fingerprint()
         assert bugs[0]["oracle"] == "error"
 
-    def test_no_queue_no_bugs(self):
+    def test_plain_hunt_no_bugs(self):
         assert Observatory().bugs() == []
 
 
@@ -128,11 +107,10 @@ class TestMultiplan:
 
 class TestNullObservatory:
     def test_inert_and_shared(self):
-        NULL_OBSERVATORY.attach_queue(object())
+        NULL_OBSERVATORY.add_round(object())
         NULL_OBSERVATORY.attach_coverage(object())
         NULL_OBSERVATORY.mark_finished()
         assert NULL_OBSERVATORY.status() == {}
-        assert NULL_OBSERVATORY.counts() == (0, 0)
         assert NULL_OBSERVATORY.bugs() == []
         assert not NULL_OBSERVATORY.enabled
         assert not NULL_OBSERVATORY.events.enabled

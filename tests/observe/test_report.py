@@ -7,8 +7,8 @@ import pytest
 from repro.campaigns.journal import (
     JOURNAL_VERSION,
     CampaignJournal,
-    QuarantineRecord,
     RoundRecord,
+    line_checksum,
 )
 from repro.core.reports import BugReport, Oracle, TestCase
 from repro.observe import (
@@ -28,19 +28,27 @@ def bug(statements, oracle=Oracle.ERROR, message="boom", seed=1):
                      message=message, seed=seed)
 
 
-def write_journal(path, rounds, quarantined=(), seed=9, databases=None):
+def write_journal(path, rounds, seed=9, databases=None):
     fingerprint = {"version": JOURNAL_VERSION, "dialect": "sqlite",
                    "seed": seed,
                    "databases": databases if databases is not None
-                   else len(rounds) + len(quarantined),
+                   else len(rounds),
                    "bug_ids": []}
     with CampaignJournal(str(path)) as journal:
         journal.start(fingerprint, fresh=True)
         for record in rounds:
             journal.append_round(record)
-        for record in quarantined:
-            journal.append_quarantine(record)
     return str(path)
+
+
+def append_quarantine_line(path, index, seed):
+    """A checksummed ``quarantine`` line, as builds that quarantined
+    failing rounds wrote them."""
+    data = {"kind": "quarantine", "index": index, "seed": seed,
+            "attempts": 3, "error": "HarnessError: harness died"}
+    data["crc"] = line_checksum(data)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 class TestStatementKind:
@@ -63,14 +71,12 @@ class TestBuildReport:
                                      oracle=Oracle.CONTAINMENT,
                                      message="missing pivot")]),
         ]
-        quarantined = [QuarantineRecord(index=2, seed=13, attempts=3,
-                                        error="harness died")]
-        path = write_journal(tmp_path / "j.jsonl", rounds, quarantined)
+        path = write_journal(tmp_path / "j.jsonl", rounds, databases=3)
         report = build_report(path)
 
         assert report["campaign"] == "sqlite-s9"
         assert report["rounds"] == {
-            "configured": 3, "completed": 2, "quarantined": 1,
+            "configured": 3, "completed": 2,
             "corrupt_journal_lines": 0, "duplicate_journal_rounds": 0}
         assert report["totals"]["statements"] == 18
         assert report["totals"]["raw_findings"] == 3
@@ -84,9 +90,22 @@ class TestBuildReport:
         assert error_bug["statement_kind"] == "VACUUM"
         assert report["by_oracle"] == {"contains": 1, "error": 1}
         assert report["by_error_kind"] == {"VACUUM": 1}
-        assert report["quarantine"] == [
-            {"round": 2, "seed": 13, "attempts": 3,
-             "error": "harness died"}]
+
+    def test_old_quarantine_line_is_skipped(self, tmp_path):
+        # A journal from a build that quarantined round 1 still reads:
+        # the line is neither a round nor a corrupt line.
+        path = write_journal(tmp_path / "j.jsonl",
+                             [RoundRecord(index=0, seed=11, statements=10,
+                                          reports=[bug(["VACUUM"])])],
+                             databases=2)
+        append_quarantine_line(path, index=1, seed=12)
+        report = build_report(path)
+        assert report["rounds"] == {
+            "configured": 2, "completed": 1,
+            "corrupt_journal_lines": 0, "duplicate_journal_rounds": 0}
+        assert report["totals"]["statements"] == 10
+        assert len(report["bugs"]) == 1
+        assert "rounds: 1/2 completed" in render_report(report)
 
     def test_reduce_fn_merges_findings(self, tmp_path):
         # Distinct raw statements that reduce to the same core become
@@ -124,19 +143,6 @@ class TestBuildReport:
         counts = [g["distinct_plans"] for g in growth]
         assert counts == sorted(counts), "growth is monotone"
 
-    def test_events_fold_into_health(self, tmp_path):
-        path = write_journal(tmp_path / "j.jsonl",
-                             [RoundRecord(index=0, seed=1)])
-        events = tmp_path / "events.jsonl"
-        lines = [{"kind": "worker_start", "worker": 0},
-                 {"kind": "worker_start", "worker": 1},
-                 {"kind": "worker_death", "worker": 1},
-                 {"kind": "round_leased", "round": 0}]
-        events.write_text(
-            "".join(json.dumps(e) + "\n" for e in lines))
-        report = build_report(path, events_path=str(events))
-        assert report["health"] == {"worker_start": 2, "worker_death": 1}
-
     def test_metrics_fold_into_phase_table(self, tmp_path):
         from repro.telemetry import MetricsRegistry, names
 
@@ -166,13 +172,11 @@ class TestRendering:
     def test_render_smoke(self, tmp_path):
         rounds = [RoundRecord(index=0, seed=1, statements=5, queries=2,
                               reports=[bug(["VACUUM"])])]
-        path = write_journal(
-            tmp_path / "j.jsonl", rounds,
-            [QuarantineRecord(index=1, seed=2, attempts=1, error="x")])
+        path = write_journal(tmp_path / "j.jsonl", rounds, databases=2)
         text = render_report(build_report(path))
         assert "campaign sqlite-s9" in text
+        assert "rounds: 1/2 completed" in text
         assert "distinct bugs: 1" in text
-        assert "quarantined rounds: 1" in text
 
 
 class TestHistory:

@@ -10,7 +10,7 @@ from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.core.runner import RunnerConfig
 from repro.errors import PQSError
 from repro.observe import EventLog, Observatory, StatusServer, parse_address
-from repro.telemetry import MetricsRegistry, names
+from repro.telemetry import MetricsRegistry, NullTracer, Telemetry, names
 
 
 def get(url, timeout=5.0):
@@ -135,14 +135,17 @@ class TestEndpoints:
 
 class TestLiveCampaign:
     def test_endpoints_valid_mid_campaign(self):
-        """Poll a running round-queue hunt: every endpoint must answer
-        validly while the round queue changes underneath."""
+        """Poll a running ``threads > 1`` hunt: every endpoint must
+        answer validly while rounds complete underneath."""
         events = EventLog("sqlite-s5")
+        telemetry = Telemetry(registry=MetricsRegistry(),
+                              tracer=NullTracer())
         observatory = Observatory(campaign="sqlite-s5", dialect="sqlite",
-                                  seed=5, total_rounds=8, events=events)
+                                  seed=5, total_rounds=8, events=events,
+                                  registry=telemetry.registry)
         config = CampaignConfig(
             dialect="sqlite", seed=5, threads=2, databases=8,
-            reduce=False, observe=observatory,
+            reduce=False, observe=observatory, telemetry=telemetry,
             runner=RunnerConfig(multiplan=True))
         with StatusServer(observatory, port=0) as server:
             campaign = Campaign(config)
@@ -165,7 +168,8 @@ class TestLiveCampaign:
         assert polled, "at least one mid-campaign poll"
         for status in polled:
             rounds = status["rounds"]
-            assert 0 <= rounds["completed"] + rounds["quarantined"] <= 8
+            assert 0 <= rounds["completed"] <= 8
+            assert rounds["completed"] + rounds["pending"] == 8
         # Every mid-mutation /status snapshot is a coherent document,
         # and the cross-checked query count only ever grows.
         checked = [status["multiplan"]["queries"] for status in polled]
@@ -174,3 +178,36 @@ class TestLiveCampaign:
         assert final["finished"]
         assert final["multiplan"]["queries"] > 0
         assert results["result"].stats.databases == 8
+
+    def test_observed_single_thread_journal_is_byte_identical(
+            self, tmp_path):
+        """One round stream, same seed: the journal written with the
+        event log, observatory and live status server attached must
+        equal the journal written without them, bar wall clock."""
+        def hunt(journal, observe=None):
+            Campaign(CampaignConfig(
+                dialect="sqlite", seed=5, databases=12, reduce=False,
+                journal=str(journal), observe=observe)).run()
+
+        def normalized(path):
+            out = []
+            for line in path.read_bytes().splitlines():
+                data = json.loads(line)
+                # Round lines carry wall-clock seconds (and a checksum
+                # over them); everything else must match byte for byte.
+                data.pop("seconds", None)
+                data.pop("crc", None)
+                out.append(json.dumps(data, sort_keys=True))
+            return out
+
+        plain = tmp_path / "plain.jsonl"
+        observed = tmp_path / "observed.jsonl"
+        hunt(plain)
+        events = EventLog("sqlite-s5")
+        observatory = Observatory(
+            campaign="sqlite-s5", dialect="sqlite", seed=5,
+            total_rounds=12, events=events)
+        with StatusServer(observatory, port=0):
+            hunt(observed, observe=observatory)
+        assert len(events) > 0, "the narrative was recorded"
+        assert normalized(plain) == normalized(observed)

@@ -48,18 +48,6 @@ class TestRenderLine:
 
 
 class TestSettledRounds:
-    def test_quarantined_rounds_count_toward_done(self):
-        # A poison round never completes; without counting quarantine
-        # the line would stall at 80% with ETA forever.
-        registry = registry_with(rounds=8)
-        registry.counter(names.SUPERVISOR_QUARANTINED).inc(2)
-        reporter = ProgressReporter(registry, total_rounds=10,
-                                    stream=io.StringIO())
-        line = reporter.render_line()
-        assert "round 10/10 (100%)" in line
-        assert "quarantined 2" in line
-        assert "ETA 0s" in line
-
     def test_duplicate_reruns_never_exceed_total(self):
         # A counter can overshoot the total; the line is clamped.
         registry = registry_with(rounds=12)
@@ -69,22 +57,24 @@ class TestSettledRounds:
         assert "round 10/10 (100%)" in line
         assert "103%" not in line and "120%" not in line
 
-    def test_counts_callable_overrides_registry(self):
-        # Round-queue hunts: the observatory's exact queue counts win
-        # over whatever the registry reads.
-        registry = registry_with(rounds=0, queries=30)
-        reporter = ProgressReporter(registry, total_rounds=10,
-                                    stream=io.StringIO(),
-                                    counts=lambda: (4, 1))
+    def test_resumed_hunt_eta_counts_only_rounds_run_here(self):
+        # 300 rounds came from the journal, 3 ran here in 6 s: 97 left
+        # at 2 s each.  Crediting the 300 would print "ETA 2s".
+        registry = registry_with(rounds=303)
+        registry.counter(names.JOURNAL_RECOVERED_ROUNDS).inc(300)
+        reporter = ProgressReporter(registry, total_rounds=400,
+                                    stream=io.StringIO())
+        reporter._start_time = time.monotonic() - 6.0
         line = reporter.render_line()
-        assert "round 5/10 (50%)" in line
-        assert "quarantined 1" in line
+        assert "round 303/400 (76%)" in line
+        assert "ETA 3m1" in line  # 194 s, give or take the clock
 
-    def test_counts_callable_also_clamped(self):
-        reporter = ProgressReporter(registry_with(), total_rounds=10,
-                                    stream=io.StringIO(),
-                                    counts=lambda: (11, 2))
-        assert "round 10/10 (100%)" in reporter.render_line()
+    def test_fully_recovered_hunt_has_nothing_left(self):
+        registry = registry_with(rounds=10)
+        registry.counter(names.JOURNAL_RECOVERED_ROUNDS).inc(10)
+        reporter = ProgressReporter(registry, total_rounds=10,
+                                    stream=io.StringIO())
+        assert "ETA 0s" in reporter.render_line()
 
 
 class TestReporterThread:

@@ -288,7 +288,6 @@ class TestReport:
         history = tmp_path / "history.jsonl"
         code, output = run_cli(
             "report", str(journal),
-            "--events", str(tmp_path / "events.jsonl"),
             "--metrics", str(tmp_path / "metrics.json"),
             "--history", str(history))
         assert code == 0

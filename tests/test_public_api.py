@@ -28,7 +28,7 @@ class TestPublicSurface:
         assert issubclass(repro.PQSError, Exception)
 
     def test_subpackage_exports(self):
-        from repro.campaigns import Campaign, RoundQueue  # noqa: F401
+        from repro.campaigns import Campaign, RoundExecutor  # noqa: F401
         from repro.core import PQSRunner  # noqa: F401
         from repro.dialects import get_dialect  # noqa: F401
         from repro.interp import make_interpreter  # noqa: F401
