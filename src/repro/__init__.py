@@ -66,8 +66,8 @@ if TYPE_CHECKING:
 __version__ = "1.0.0"
 
 #: Where each public name is defined.  Names resolve on first access
-#: (module ``__getattr__``), so ``import repro`` -- which every isolated
-#: worker pays -- loads no subpackage, MiniDB least of all.
+#: (module ``__getattr__``), so ``import repro`` -- which an exec-started
+#: isolated worker pays -- loads no subpackage, MiniDB least of all.
 _EXPORTS = {
     "repro.adapters": (
         "DBMSConnection", "FaultPlan", "FaultyFactory", "MiniDBConnection",

@@ -30,8 +30,9 @@ if TYPE_CHECKING:
         SubprocessConnection,
     )
 
-#: Where each public name is defined, imported on first access: the
-#: isolated worker imports this package, and must not pay for MiniDB.
+#: Where each public name is defined, imported on first access: an
+#: exec-started isolated worker imports this package, and must not pay
+#: for MiniDB.
 _HOME = {
     "DBMSConnection": "repro.adapters.base",
     "FaultPlan": "repro.adapters.faults",

@@ -17,8 +17,8 @@ from repro.sqlast.indexed_by import force_index, force_no_index
 from repro.values import Value
 
 if TYPE_CHECKING:
-    # The isolated worker imports this module; the guidance and
-    # multiplan packages would load MiniDB into it.
+    # An exec-started isolated worker imports this module; the
+    # guidance and multiplan packages would load MiniDB into it.
     from repro.guidance.fingerprint import PlanStep
     from repro.multiplan.hints import PlannerHints
 

@@ -24,7 +24,13 @@ process boundary in pure stdlib Python:
   parks a healthy worker, the next connection's ``hello`` frame
   re-targets it (a fresh target from that connection's factory), and
   parked workers are closed and reaped at interpreter exit.  Only a
-  crash, a watchdog kill or a failed handshake costs a new process.
+  crash, a watchdog kill or a failed handshake costs a new process;
+* a new worker is **forked** from this process, which already holds
+  every module the worker needs, unless another thread is alive or the
+  platform has no ``fork``: then it is a fresh interpreter running
+  ``python -m repro.adapters.subprocess_worker``.  Either start gives a
+  handle with ``Popen``'s ``pid``, ``stdin``, ``stdout``, ``poll``,
+  ``wait`` and ``kill``, so everything after the start is one code path.
 
 Replay assumes the target executes statements deterministically — true
 for SQLite, MiniDB and every fault-plan wrapper in this repo.  A
@@ -37,6 +43,7 @@ deterministic fault does not re-fire forever.
 from __future__ import annotations
 
 import atexit
+import faulthandler
 import os
 import pickle
 import select
@@ -46,9 +53,10 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import (
     CatalogError,
@@ -100,13 +108,64 @@ def _read_exact(stream, n: int) -> bytes:
     return b"".join(parts)
 
 
+class _ForkedWorker:
+    """A worker started by :func:`_fork_worker`: the part of
+    :class:`subprocess.Popen`'s interface this module uses."""
+
+    def __init__(self, pid: int, stdin, stdout):
+        self.pid = pid
+        self.stdin = stdin
+        self.stdout = stdout
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            self._waitpid(os.WNOHANG)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if timeout is None:
+            if self.returncode is None:
+                self._waitpid(0)
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(f"worker {self.pid}",
+                                                timeout)
+            delay = min(delay * 2, remaining, 0.05)
+            time.sleep(delay)
+        return self.returncode
+
+    def _waitpid(self, options: int) -> None:
+        try:
+            pid, status = os.waitpid(self.pid, options)
+        except ChildProcessError:
+            # Reaped elsewhere (SIGCHLD ignored): the status is lost,
+            # and Popen reports 0 then too.
+            self.returncode = 0
+            return
+        if pid:
+            self.returncode = os.waitstatus_to_exitcode(status)
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
+_Worker = Union[subprocess.Popen, _ForkedWorker]
+
 #: Healthy workers parked by :meth:`SubprocessConnection.close` for the
 #: next connection to re-target; see :func:`_reap_idle`.
-_idle: list[subprocess.Popen] = []
+_idle: list[_Worker] = []
 _idle_lock = threading.Lock()
+#: Every worker whose pipes are open here, parked or in use.
+_live: weakref.WeakSet[_Worker] = weakref.WeakSet()
 
 
-def _take_idle() -> Optional[subprocess.Popen]:
+def _take_idle() -> Optional[_Worker]:
     """A parked worker that is still alive, or None."""
     with _idle_lock:
         while _idle:
@@ -128,7 +187,7 @@ def _reap_idle() -> None:
         try:
             write_frame(proc.stdin, {"op": "close"})
             proc.wait(timeout=5)
-        except Exception:
+        except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()
         finally:
@@ -189,7 +248,7 @@ class SubprocessConnection:
         self.config = config or SubprocessConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
         self.dialect = "sqlite"  # refined by the handshake
-        self._proc: Optional[subprocess.Popen] = None
+        self._proc: Optional[_Worker] = None
         #: A request was sent whose reply has not been read: the pipe is
         #: out of step, so the worker must not be parked.
         self._pending = False
@@ -449,7 +508,19 @@ class SubprocessConnection:
         _close_pipes(proc)
 
 
-def _start_worker() -> subprocess.Popen:
+def _start_worker() -> _Worker:
+    """Start a worker: by fork when this process runs one thread (a
+    fork copies only the forking thread, so a lock another thread held
+    would stay held in the child), by exec otherwise."""
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        worker = _fork_worker()
+    else:
+        worker = _exec_worker()
+    _live.add(worker)
+    return worker
+
+
+def _exec_worker() -> subprocess.Popen:
     src_dir = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
@@ -461,7 +532,53 @@ def _start_worker() -> subprocess.Popen:
         stderr=subprocess.DEVNULL, env=env)
 
 
-def _close_pipes(proc: subprocess.Popen) -> None:
+def _fork_worker() -> _ForkedWorker:
+    """Fork a worker that serves the protocol on a fresh pipe pair.
+
+    The child keeps nothing of the parent's I/O: fds 0-2 point at
+    ``/dev/null`` (the exec start's worker has no stderr either), and it
+    closes its copies of every other worker's pipes, so that only this
+    process holds them and each worker sees EOF the moment it dies.  It
+    leaves only by ``os._exit``, so it never flushes the parent's stdio
+    buffers or runs the parent's ``atexit`` hooks.
+    """
+    from repro.adapters.subprocess_worker import main
+
+    inherited = list(_live)
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (request_r, request_w, reply_r, reply_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # pragma: no cover - runs in the worker child
+        code = 1
+        try:
+            # It may hold a copy of the parent's stderr (pytest's does).
+            faulthandler.disable()
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(null, fd)
+            if null > 2:
+                os.close(null)
+            os.close(request_w)
+            os.close(reply_r)
+            for worker in inherited:
+                _close_pipes(worker)
+            code = main(os.fdopen(request_r, "rb"),
+                        os.fdopen(reply_w, "wb"))
+        finally:
+            os._exit(code)
+    os.close(request_r)
+    os.close(reply_w)
+    return _ForkedWorker(pid, os.fdopen(request_w, "wb"),
+                         os.fdopen(reply_r, "rb"))
+
+
+def _close_pipes(proc: _Worker) -> None:
+    _live.discard(proc)
     for stream in (proc.stdin, proc.stdout):
         if stream is not None:
             try:

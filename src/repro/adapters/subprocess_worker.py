@@ -1,7 +1,10 @@
 """Child-process entrypoint for :class:`SubprocessConnection`.
 
 Serves the pipe protocol, one request and one reply frame per
-statement, for one target connection at a time.  The process outlives
+statement, for one target connection at a time.  :func:`main` serves
+the two streams it is given: a forked worker's fresh pipe pair, or
+stdin and stdout when run as ``python -m
+repro.adapters.subprocess_worker``.  The process outlives
 a :class:`SubprocessConnection`: the parent parks it between
 connections and each new connection re-targets it with ``hello``.
 
@@ -76,9 +79,9 @@ def _close(connection) -> None:
             pass
 
 
-def main() -> int:
-    stdin = sys.stdin.buffer
-    stdout = sys.stdout.buffer
+def main(stdin, stdout) -> int:
+    """Serve requests read from *stdin* with replies written to
+    *stdout* (binary streams); return the exit status."""
     connection = None
     while True:
         try:
@@ -126,4 +129,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.stdin.buffer, sys.stdout.buffer))

@@ -195,7 +195,7 @@ class TestFreshInterpreter:
         # The check is registered before the adapter is imported, so
         # it runs after the adapter's own exit hook (atexit is LIFO).
         out = fresh_interpreter("""
-            import atexit, io, json, os, subprocess, sys
+            import atexit, io, json, os, sys
             from contextlib import redirect_stdout
 
             spawned = []
@@ -211,15 +211,14 @@ class TestFreshInterpreter:
                                   "exit": code}))
 
             atexit.register(check)
-            plain = subprocess.Popen
-
-            class CountingPopen(plain):
-                def __init__(self, *args, **kwargs):
-                    spawned.append(args[0])
-                    super().__init__(*args, **kwargs)
-
             from repro.adapters import subprocess_adapter
-            subprocess_adapter.subprocess.Popen = CountingPopen
+            plain = subprocess_adapter._start_worker
+
+            def counting_start():
+                spawned.append(1)
+                return plain()
+
+            subprocess_adapter._start_worker = counting_start
             from repro import cli
 
             with redirect_stdout(io.StringIO()):
