@@ -232,7 +232,12 @@ class SubprocessConnection:
 
     ``factory`` is any picklable zero-argument callable returning a
     connection (e.g. the :class:`SQLite3Connection` class itself, or a
-    :class:`~repro.adapters.faults.FaultyFactory`).  A factory exposing
+    :class:`~repro.adapters.faults.FaultyFactory`).  The worker must be
+    able to import it, so a factory defined in ``__main__`` is refused
+    with :class:`~repro.errors.HarnessError` before any worker starts:
+    a forked worker would unpickle it, an exec-started one could not,
+    and which start a worker gets depends on the thread count.  A
+    factory exposing
     ``accepts_offset = True`` is instead called with ``offset=<fresh
     statement count>`` so deterministic fault schedules keep their place
     across restarts.
@@ -244,6 +249,14 @@ class SubprocessConnection:
     def __init__(self, factory: Callable[[], Any],
                  config: Optional[SubprocessConfig] = None,
                  telemetry: Optional[Telemetry] = None):
+        if "__main__" in (getattr(factory, "__module__", None),
+                          type(factory).__module__):
+            name = getattr(factory, "__qualname__",
+                           type(factory).__qualname__)
+            raise HarnessError(
+                f"connection factory {name!r} is defined in __main__; "
+                f"it must be importable by the worker (define it in a "
+                f"module)")
         self.factory = factory
         self.config = config or SubprocessConfig()
         self.telemetry = telemetry or NULL_TELEMETRY

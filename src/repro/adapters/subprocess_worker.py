@@ -90,7 +90,7 @@ def main(stdin, stdout) -> int:
             return 0
         except Exception:
             # A request this process cannot unpickle, such as a factory
-            # defined in the parent's __main__: a tool bug.
+            # whose module it cannot import: a tool bug.
             write_frame(stdout, {"fatal": traceback.format_exc()})
             return 1
         op = message.get("op")

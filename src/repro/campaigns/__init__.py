@@ -8,7 +8,7 @@ replay against single-defect engines, and aggregates the statistics that
 regenerate the paper's Tables 2–3 and Figures 2–3.
 
 Journaled campaigns, and campaigns with ``threads > 1``, run their
-rounds in one loop in the calling thread (repro.campaigns.executor):
+rounds in one loop in the calling thread (``Campaign._run_rounds``):
 every round the journal lacks, in index order, each under a
 campaign-global derived seed.  ``threads`` counts round streams, not OS
 threads.  The journal is checksummed and self-healing
@@ -17,7 +17,6 @@ re-runs only the rounds they held.
 """
 
 from repro.campaigns.campaign import Campaign, CampaignConfig, CampaignResult
-from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import (
     CampaignJournal,
     JournalState,
@@ -40,7 +39,6 @@ __all__ = [
     "DifferentialReplayer",
     "JournalState",
     "RecoveryStats",
-    "RoundExecutor",
     "RoundRecord",
     "constraint_statistics",
     "round_seed",

@@ -10,11 +10,13 @@ resolution (fixed / verified / docs / intended / duplicate).
 One engine, two run modes, picked from the config:
 
 * no journal and one thread — the runner's own sequential RNG stream;
-* a journal, or ``threads > 1`` — the round loop: one
-  :class:`~repro.campaigns.executor.RoundExecutor` runs, in this
-  thread and in index order, every round the journal lacks, each under
-  a campaign-global derived seed, so an interrupted hunt resumes where
-  it stopped.
+* a journal, or ``threads > 1`` — the round loop:
+  :meth:`Campaign._run_rounds` runs, in this thread and in index order,
+  every round the journal lacks, each by :func:`run_round` under a
+  campaign-global derived seed, so an interrupted hunt resumes where it
+  stopped.  Any exception a round raises aborts the campaign; a round
+  already journaled stays journaled, so ``--resume`` picks up at the
+  round that failed.
 
 The paper runs one thread per database (§3.4).  Here ``threads`` only
 counts round streams: Python threads do not overlap CPU-bound work (the
@@ -42,13 +44,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.adapters.minidb_adapter import MiniDBConnection
-from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import (
     JOURNAL_VERSION,
     CampaignJournal,
     JournalState,
     RecoveryStats,
     RoundRecord,
+    round_seed,
 )
 from repro.campaigns.pool import TriagePool
 from repro.campaigns.replay import DifferentialReplayer
@@ -237,8 +239,8 @@ class CampaignConfig:
     #: not part of the journal fingerprint: turning telemetry on must
     #: not invalidate a resumable hunt.
     telemetry: Optional["Telemetry"] = None
-    #: Observability hub (repro.observe.Observatory): event log plus
-    #: live status views.  Like telemetry — and unlike guidance — it is
+    #: Observability hub (repro.observe.Observatory): live status
+    #: views.  Like telemetry — and unlike guidance — it is
     #: strictly read-side: never journal-fingerprinted, never feeds
     #: back into generation, so turning it on cannot perturb the
     #: statement stream or invalidate a resumable hunt.
@@ -315,6 +317,23 @@ class CampaignResult:
         for report in self.true_bugs():
             row[report.oracle.value] += 1
         return row
+
+
+def run_round(runner: PQSRunner, campaign_seed: int,
+              index: int) -> RoundRecord:
+    """Run round *index* of a campaign under its campaign-global
+    derived seed."""
+    seed = round_seed(campaign_seed, index)
+    runner.reseed(seed)
+    round_ = runner.run_database_round()
+    return RoundRecord(
+        index=index, seed=seed,
+        statements=round_.statements, queries=round_.queries,
+        pivots=round_.pivots, expected_errors=round_.expected_errors,
+        timeouts=round_.timeouts, seconds=round_.seconds,
+        reports=round_.reports,
+        plans=runner.guidance.take_round_plans(),
+        multiplan=round_.multiplan)
 
 
 class Campaign:
@@ -462,13 +481,15 @@ class Campaign:
 
     def _run_rounds(self, runner: PQSRunner, telemetry: Telemetry,
                     observe) -> CampaignResult:
-        """Run every round the journal lacks, in index order, in this
-        thread.
+        """Run, journal and settle every round the journal lacks, in
+        index order, in this thread.
 
         Every round runs under :func:`~repro.campaigns.journal.round_seed`
         — an independent derivation from (campaign seed, round index) —
         so journal-loaded and freshly-run rounds compose into exactly
-        the statistics an uninterrupted run would produce.
+        the statistics an uninterrupted run would produce.  Each round's
+        spans carry its ``round``/``round_seed``, the journal line's
+        ``index``/``seed``.
         """
         rounds: dict[int, RoundRecord] = {}
 
@@ -489,11 +510,16 @@ class Campaign:
                                                   record.plans)
             for record in loaded:
                 settle(record)
-            RoundExecutor(runner, self.config.seed, journal=journal,
-                          telemetry=telemetry, events=observe.events,
-                          on_complete=settle).run_loop(
-                [index for index in range(self.config.databases)
-                 if index not in rounds])
+            for index in range(self.config.databases):
+                if index in rounds:
+                    continue
+                with telemetry.tracer.context(
+                        round=index,
+                        round_seed=round_seed(self.config.seed, index)):
+                    record = run_round(runner, self.config.seed, index)
+                if journal is not None:
+                    journal.append_round(record)
+                settle(record)
         # Folded in round-index order, so the outcome does not depend on
         # what a resume loaded.
         stats = RunStatistics()

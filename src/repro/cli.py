@@ -93,14 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--serve", default=None, metavar="[HOST:]PORT",
                       help="serve a live status dashboard over HTTP "
                            "while the hunt runs: / (HTML), /status, "
-                           "/metrics (Prometheus), /bugs, /coverage, "
-                           "/events; binds 127.0.0.1 unless HOST is "
+                           "/metrics (Prometheus), /bugs, /coverage; "
+                           "binds 127.0.0.1 unless HOST is "
                            "given, port 0 picks a free port")
-    hunt.add_argument("--events", default=None, metavar="PATH",
-                      help="write the unified campaign event log "
-                           "(typed JSONL: round lifecycle, bugs, plan "
-                           "novelty) as the hunt runs; per-round "
-                           "events need --journal or --threads")
     hunt.set_defaults(handler=cmd_hunt)
 
     report = sub.add_parser(
@@ -188,14 +183,6 @@ def cmd_hunt(args) -> int:
 
         reporter = ProgressReporter(telemetry.registry, total_rounds,
                                     interval=args.progress).start()
-    if getattr(args, "events", None) and not (args.journal
-                                              or args.threads > 1):
-        # The bulk serial path has no per-round boundary (sequential
-        # RNG by design); only the round loop emits round events.
-        print("[pqs] note: --events without --journal/--threads logs "
-              "campaign lifecycle only", file=sys.stderr)
-    observatory.events.emit("campaign_start", databases=total_rounds,
-                            threads=args.threads)
     try:
         config = CampaignConfig(
             dialect=args.dialect, seed=args.seed,
@@ -213,10 +200,8 @@ def cmd_hunt(args) -> int:
     finally:
         if reporter is not None:
             reporter.stop()
-        observatory.events.emit("campaign_end")
         if server is not None:
             server.stop()
-        observatory.events.close()
         if sink is not None:
             sink.close()
     _write_metrics(args, telemetry, result.stats)
@@ -265,42 +250,33 @@ def _build_telemetry(args):
 
 
 def _build_observatory(args, telemetry):
-    """An Observatory (+ started StatusServer) when ``--serve`` or
-    ``--events`` asks for one; the null observatory otherwise.
+    """An Observatory and its started StatusServer when ``--serve``
+    asks for one; the null observatory and None otherwise.
 
-    Returns ``(observatory, server)``; the server (when any) is already
-    listening — its URL goes to *stderr* so stdout stays parseable.
+    The server is already listening — its URL goes to *stderr* so
+    stdout stays parseable.
     """
     from repro.observe import NULL_OBSERVATORY
 
-    serve = getattr(args, "serve", None)
-    events_path = getattr(args, "events", None)
-    if not serve and not events_path:
+    if not getattr(args, "serve", None):
         return NULL_OBSERVATORY, None
     from repro.observe import (
-        EventLog,
         Observatory,
         StatusServer,
         campaign_id,
         parse_address,
     )
-    from repro.telemetry import JsonlSink
 
-    events_sink = JsonlSink(events_path) if events_path else None
-    campaign = campaign_id(args.dialect, args.seed)
-    events = EventLog(campaign, sink=events_sink)
     observatory = Observatory(
-        campaign=campaign, dialect=args.dialect, seed=args.seed,
+        campaign=campaign_id(args.dialect, args.seed),
+        dialect=args.dialect, seed=args.seed,
         total_rounds=args.databases * max(args.threads, 1),
-        events=events,
         registry=(telemetry.registry if telemetry.registry.enabled
                   else None))
-    server = None
-    if serve:
-        host, port = parse_address(serve)
-        server = StatusServer(observatory, host, port).start()
-        print(f"[pqs] status server listening on {server.url}",
-              file=sys.stderr)
+    host, port = parse_address(args.serve)
+    server = StatusServer(observatory, host, port).start()
+    print(f"[pqs] status server listening on {server.url}",
+          file=sys.stderr)
     return observatory, server
 
 

@@ -1,11 +1,7 @@
-"""Campaign observability: event log, status service, triage analytics.
+"""Campaign observability: status service and triage analytics.
 
-The observe package is the read side of a hunt.  Three pieces:
+The observe package is the read side of a hunt.  Two pieces:
 
-* :mod:`repro.observe.events` — the unified structured event log, one
-  seeded JSONL stream of typed events sharing ``campaign``/``round``/
-  ``round_seed``/``worker`` correlation keys with the journal and the
-  span tracer;
 * :mod:`repro.observe.observatory` + :mod:`repro.observe.server` — a
   live aggregation hub and the zero-dependency stdlib HTTP status
   service (``hunt --serve``) over it;
@@ -19,13 +15,6 @@ tests pin that a fully-observed campaign writes the same journal as an
 unobserved one.
 """
 
-from repro.observe.events import (
-    NULL_EVENTS,
-    EventLog,
-    NullEventLog,
-    campaign_id,
-    load_events,
-)
 from repro.observe.observatory import (
     NULL_OBSERVATORY,
     NullObservatory,
@@ -34,6 +23,7 @@ from repro.observe.observatory import (
 from repro.observe.report import (
     append_history,
     build_report,
+    campaign_id,
     history_line,
     load_history,
     render_report,
@@ -42,10 +32,7 @@ from repro.observe.report import (
 from repro.observe.server import StatusServer, parse_address
 
 __all__ = [
-    "NULL_EVENTS",
     "NULL_OBSERVATORY",
-    "EventLog",
-    "NullEventLog",
     "NullObservatory",
     "Observatory",
     "StatusServer",
@@ -53,7 +40,6 @@ __all__ = [
     "build_report",
     "campaign_id",
     "history_line",
-    "load_events",
     "load_history",
     "parse_address",
     "render_report",

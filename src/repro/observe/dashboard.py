@@ -1,9 +1,9 @@
 """The single-file HTML dashboard served at ``/``.
 
 One self-contained page — inline CSS, inline JS, no external assets, no
-build step — that polls ``/status``, ``/bugs`` and ``/events`` every two
-seconds and renders a progress bar with round counts, a bug list, a
-planner line (multi-plan oracle activity), and event tail.  Kept
+build step — that polls ``/status`` and ``/bugs`` every two seconds and
+renders a progress bar with round counts, a bug list and a planner line
+(multi-plan oracle activity).  Kept
 deliberately boring: the dashboard must work from
 ``curl -o - | browser`` on an air-gapped hunt box.
 """
@@ -25,10 +25,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
   table { border-collapse: collapse; margin-top: 0.5rem; }
   td, th { border: 1px solid #2c313a; padding: 2px 10px;
            font-size: 0.85rem; text-align: left; }
-  #events { max-height: 18rem; overflow-y: auto; font-size: 0.8rem;
-            background: #15181d; padding: 0.5rem; max-width: 60rem; }
   .muted { color: #707a86; }
-  .bug { color: #e06c75; }
 </style>
 </head>
 <body>
@@ -39,8 +36,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <table id="bugs"><tbody></tbody></table>
 <h2>planner</h2>
 <p id="planner" class="muted">inactive</p>
-<h2>events</h2>
-<div id="events"></div>
 <script>
 "use strict";
 function cell(text, cls) {
@@ -97,19 +92,6 @@ async function tick() {
         (mp.divergences || 0) + " divergences, " +
         (mp.forced_failures || 0) + " forced failures"
       : "inactive";
-    const events =
-      (await (await fetch("/events?limit=50")).json()).events || [];
-    const pane = document.getElementById("events");
-    pane.replaceChildren();
-    events.slice().reverse().forEach(e => {
-      const line = document.createElement("div");
-      if (e.kind === "bug_found") line.className = "bug";
-      const where = e.round !== undefined ? " r" + e.round : "";
-      const who = e.worker !== undefined ? " w" + e.worker : "";
-      line.textContent = "[" + (e.t ?? 0).toFixed(2) + "] " + e.kind +
-        where + who;
-      pane.appendChild(line);
-    });
   } catch (err) {
     document.getElementById("summary").textContent =
       "poll failed: " + err;

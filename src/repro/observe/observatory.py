@@ -21,7 +21,6 @@ import time
 from typing import Optional
 
 from repro.core.reports import RunStatistics
-from repro.observe.events import NULL_EVENTS, EventLog
 from repro.telemetry import names
 from repro.telemetry.progress import eta_seconds, round_counts
 
@@ -32,13 +31,11 @@ class Observatory:
     enabled = True
 
     def __init__(self, campaign: str = "", dialect: str = "",
-                 seed: int = 0, total_rounds: int = 0,
-                 events: Optional[EventLog] = None, registry=None):
+                 seed: int = 0, total_rounds: int = 0, registry=None):
         self.campaign = campaign
         self.dialect = dialect
         self.seed = seed
         self.total_rounds = total_rounds
-        self.events = events if events is not None else NULL_EVENTS
         self.registry = registry
         #: Completed round records, handed over one by one on the
         #: journaled and ``threads > 1`` path; None on a plain hunt.
@@ -72,7 +69,6 @@ class Observatory:
             "seed": self.seed,
             "elapsed_seconds": round(elapsed, 3),
             "finished": self._finished is not None,
-            "events": len(self.events),
         }
         total = self.total_rounds
         done = ran = 0
@@ -165,7 +161,6 @@ class NullObservatory:
     dialect = ""
     seed = 0
     total_rounds = 0
-    events = NULL_EVENTS
     registry = None
 
     def add_round(self, record) -> None:

@@ -31,9 +31,15 @@ from typing import Optional
 
 from repro.campaigns.journal import CampaignJournal
 from repro.errors import ReductionError
-from repro.observe.events import campaign_id
 from repro.telemetry import names as metric_names
 from repro.telemetry.registry import MetricsRegistry
+
+
+def campaign_id(dialect: str, seed: int) -> str:
+    """The canonical campaign id (``<dialect>-s<seed>``): seeded and
+    human-readable."""
+    return f"{dialect}-s{seed}"
+
 
 def statement_kind(sql: str) -> str:
     """The leading keyword of a statement — the error-grouping axis."""

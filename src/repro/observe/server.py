@@ -14,8 +14,6 @@ endpoint   contents                                             format
                                                                 text
 ``/bugs``  raw findings journaled so far                        JSON
 ``/coverage`` plan-coverage summary                             JSON
-``/events`` bounded tail of the unified event log               JSON
-           (``?limit=N``, default 100, max the ring capacity)
 ========== ==================================================== =========
 
 The server is strictly an *observer*: handlers only call the
@@ -34,7 +32,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from repro.errors import PQSError
 from repro.observe.dashboard import DASHBOARD_HTML
@@ -69,8 +67,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/") or "/"
+        route = urlparse(self.path).path.rstrip("/") or "/"
         observatory: Observatory = self.server.observatory
         try:
             if route == "/":
@@ -88,13 +85,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json({"bugs": observatory.bugs()})
             elif route == "/coverage":
                 self._json(observatory.coverage())
-            elif route == "/events":
-                query = parse_qs(parsed.query)
-                try:
-                    limit = int(query.get("limit", ["100"])[0])
-                except ValueError:
-                    limit = 100
-                self._json({"events": observatory.events.tail(limit)})
             else:
                 self._json({"error": f"no such endpoint: {route}"},
                            status=404)

@@ -251,3 +251,47 @@ def test_worker_stdio_reaches_no_parent_stream(killed_parent):
             assert stdin == stdout == "/dev/null"
         else:  # the exec start's worker serves its stdin and stdout
             assert stdin.startswith("pipe:[") and stdout.startswith("pipe:[")
+
+
+MAIN_FACTORY = """
+from repro.adapters.sqlite3_adapter import SQLite3Connection
+from repro.errors import HarnessError
+
+class Factory:  # defined in __main__, which an exec-started worker lacks
+    def __call__(self):
+        return SQLite3Connection()
+
+calls = []
+plain = adapter._start_worker
+adapter._start_worker = lambda: calls.append(1) or plain()
+try:
+    adapter.SubprocessConnection(Factory())
+    error = None
+except HarnessError as refused:
+    error = str(refused)
+print(json.dumps({"error": error, "start_worker": len(calls),
+                  "starts": starts}))
+"""
+
+
+def test_main_factory_is_refused_before_a_worker_starts():
+    results = [json.loads(run_script(MAIN_FACTORY, mode).stdout)
+               for mode in MODES]
+    assert results[0] == results[1]
+    assert "must be importable by the worker" in results[0]["error"]
+    assert results[0]["start_worker"] == 0
+    assert results[0]["starts"] == {"fork": 0, "exec": 0}
+
+
+def test_main_function_factory_is_refused(monkeypatch):
+    from repro.adapters import subprocess_adapter as adapter
+    from repro.adapters.sqlite3_adapter import SQLite3Connection
+    from repro.errors import HarnessError
+
+    def factory():
+        return SQLite3Connection()
+
+    factory.__module__ = "__main__"
+    monkeypatch.setattr(adapter, "_start_worker", pytest.fail)
+    with pytest.raises(HarnessError, match="importable by the worker"):
+        adapter.SubprocessConnection(factory)

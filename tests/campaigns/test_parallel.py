@@ -5,8 +5,8 @@ campaign-global seed, so these tests assert that the thread count
 changes nothing — totals, merged triage, and journal recovery.
 """
 
+from repro.campaigns import campaign as campaign_module
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import round_seed
 from repro.campaigns.replay import DifferentialReplayer
 from repro.core.reports import Oracle
@@ -137,16 +137,16 @@ class TestParallelJournal:
 
         run()
         executed = []
-        original = RoundExecutor.run_round
+        original = campaign_module.run_round
 
-        def spy(self, index):
+        def spy(runner, campaign_seed, index):
             executed.append(index)
-            return original(self, index)
+            return original(runner, campaign_seed, index)
 
-        RoundExecutor.run_round = spy
+        campaign_module.run_round = spy
         try:
             result = run(resume=True)
         finally:
-            RoundExecutor.run_round = original
+            campaign_module.run_round = original
         assert executed == [], "complete journal must re-run nothing"
         assert result.stats.databases == 6

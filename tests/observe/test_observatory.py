@@ -6,7 +6,7 @@ from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.journal import RoundRecord
 from repro.core.reports import BugReport, Oracle, TestCase
 from repro.core.runner import RunnerConfig
-from repro.observe import NULL_OBSERVATORY, EventLog, Observatory
+from repro.observe import NULL_OBSERVATORY, Observatory
 from repro.telemetry import MetricsRegistry, names
 
 
@@ -113,15 +113,3 @@ class TestNullObservatory:
         assert NULL_OBSERVATORY.status() == {}
         assert NULL_OBSERVATORY.bugs() == []
         assert not NULL_OBSERVATORY.enabled
-        assert not NULL_OBSERVATORY.events.enabled
-
-
-class TestEventsWiring:
-    def test_observatory_default_events_are_null(self):
-        assert not Observatory().events.enabled
-
-    def test_observatory_holds_live_log(self):
-        log = EventLog("c")
-        observatory = Observatory(events=log)
-        observatory.events.emit("campaign_start")
-        assert observatory.status()["events"] == 1

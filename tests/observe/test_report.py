@@ -14,6 +14,7 @@ from repro.core.reports import BugReport, Oracle, TestCase
 from repro.observe import (
     append_history,
     build_report,
+    campaign_id,
     history_line,
     load_history,
     render_report,
@@ -49,6 +50,11 @@ def append_quarantine_line(path, index, seed):
     data["crc"] = line_checksum(data)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(data, sort_keys=True) + "\n")
+
+
+class TestCampaignId:
+    def test_campaign_id_format(self):
+        assert campaign_id("sqlite", 42) == "sqlite-s42"
 
 
 class TestStatementKind:

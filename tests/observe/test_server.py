@@ -9,7 +9,7 @@ import pytest
 from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.core.runner import RunnerConfig
 from repro.errors import PQSError
-from repro.observe import EventLog, Observatory, StatusServer, parse_address
+from repro.observe import Observatory, StatusServer, parse_address
 from repro.telemetry import MetricsRegistry, NullTracer, Telemetry, names
 
 
@@ -23,11 +23,8 @@ def simulated_observatory():
     registry = MetricsRegistry()
     registry.counter(names.ROUNDS).inc(3)
     registry.counter(names.QUERIES).inc(60)
-    events = EventLog("sqlite-s1")
-    events.emit("campaign_start")
-    events.emit("round_completed", round=0, worker=0)
     return Observatory(campaign="sqlite-s1", dialect="sqlite", seed=1,
-                       total_rounds=10, events=events, registry=registry)
+                       total_rounds=10, registry=registry)
 
 
 class TestParseAddress:
@@ -78,11 +75,6 @@ class TestEndpoints:
         _, _, body = get(server.url + "/coverage")
         assert json.loads(body) == {"tracked": False}
 
-    def test_events_endpoint_tails(self, server):
-        _, _, body = get(server.url + "/events?limit=1")
-        events = json.loads(body)["events"]
-        assert [e["kind"] for e in events] == ["round_completed"]
-
     def test_dashboard_served_at_root(self, server):
         status_code, content_type, body = get(server.url + "/")
         assert status_code == 200
@@ -106,24 +98,6 @@ class TestEndpoints:
         assert status_code == 200
         assert json.loads(body)["campaign"] == "sqlite-s1"
 
-    def test_events_malformed_limit_falls_back(self, server):
-        # ?limit=abc is a client bug, not a server error: default 100.
-        status_code, _, body = get(server.url + "/events?limit=abc")
-        assert status_code == 200
-        assert len(json.loads(body)["events"]) == 2
-
-    def test_events_huge_limit_is_bounded(self, server):
-        status_code, _, body = get(server.url
-                                   + "/events?limit=999999999999")
-        assert status_code == 200
-        # Never more than the ring holds, whatever the poller asks for.
-        assert len(json.loads(body)["events"]) == 2
-
-    def test_events_negative_limit_is_empty_not_error(self, server):
-        status_code, _, body = get(server.url + "/events?limit=-5")
-        assert status_code == 200
-        assert json.loads(body)["events"] == []
-
     def test_port_zero_binds_free_port(self, server):
         assert server.port > 0
 
@@ -137,11 +111,10 @@ class TestLiveCampaign:
     def test_endpoints_valid_mid_campaign(self):
         """Poll a running ``threads > 1`` hunt: every endpoint must
         answer validly while rounds complete underneath."""
-        events = EventLog("sqlite-s5")
         telemetry = Telemetry(registry=MetricsRegistry(),
                               tracer=NullTracer())
         observatory = Observatory(campaign="sqlite-s5", dialect="sqlite",
-                                  seed=5, total_rounds=8, events=events,
+                                  seed=5, total_rounds=8,
                                   registry=telemetry.registry)
         config = CampaignConfig(
             dialect="sqlite", seed=5, threads=2, databases=8,
@@ -161,7 +134,6 @@ class TestLiveCampaign:
                 _, _, body = get(server.url + "/status")
                 polled.append(json.loads(body))
                 get(server.url + "/bugs")
-                get(server.url + "/events")
             thread.join()
             _, _, body = get(server.url + "/status")
             final = json.loads(body)
@@ -182,8 +154,8 @@ class TestLiveCampaign:
     def test_observed_single_thread_journal_is_byte_identical(
             self, tmp_path):
         """One round stream, same seed: the journal written with the
-        event log, observatory and live status server attached must
-        equal the journal written without them, bar wall clock."""
+        observatory and live status server attached must equal the
+        journal written without them, bar wall clock."""
         def hunt(journal, observe=None):
             Campaign(CampaignConfig(
                 dialect="sqlite", seed=5, databases=12, reduce=False,
@@ -203,11 +175,9 @@ class TestLiveCampaign:
         plain = tmp_path / "plain.jsonl"
         observed = tmp_path / "observed.jsonl"
         hunt(plain)
-        events = EventLog("sqlite-s5")
         observatory = Observatory(
             campaign="sqlite-s5", dialect="sqlite", seed=5,
-            total_rounds=12, events=events)
+            total_rounds=12)
         with StatusServer(observatory, port=0):
             hunt(observed, observe=observatory)
-        assert len(events) > 0, "the narrative was recorded"
         assert normalized(plain) == normalized(observed)

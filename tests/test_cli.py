@@ -222,23 +222,6 @@ class TestSQLiteCommand:
 
 
 class TestHuntObservability:
-    def test_events_flag_writes_unified_log(self, tmp_path):
-        import json
-
-        path = tmp_path / "events.jsonl"
-        code, _ = run_cli(
-            "hunt", "--dialect", "sqlite", "--databases", "4",
-            "--seed", "2", "--no-reduce", "--journal",
-            str(tmp_path / "j.jsonl"), "--events", str(path))
-        assert code == 0
-        events = [json.loads(line)
-                  for line in path.read_text().splitlines()]
-        kinds = [e["kind"] for e in events]
-        assert kinds[0] == "campaign_start"
-        assert kinds[-1] == "campaign_end"
-        assert kinds.count("round_completed") == 4
-        assert all(e["campaign"] == "sqlite-s2" for e in events)
-
     def test_serve_announces_on_stderr_and_runs_clean(self, capsys,
                                                       tmp_path):
         code, _ = run_cli(
@@ -255,20 +238,6 @@ class TestHuntObservability:
             run_cli("hunt", "--dialect", "sqlite", "--databases", "2",
                     "--seed", "2", "--no-reduce", "--serve", "nope")
 
-    def test_events_without_round_path_notes_on_stderr(self, capsys,
-                                                       tmp_path):
-        import json
-
-        path = tmp_path / "events.jsonl"
-        code, _ = run_cli(
-            "hunt", "--dialect", "sqlite", "--databases", "3",
-            "--seed", "2", "--no-reduce", "--events", str(path))
-        assert code == 0
-        assert "campaign lifecycle only" in capsys.readouterr().err
-        kinds = [json.loads(line)["kind"]
-                 for line in path.read_text().splitlines()]
-        assert kinds == ["campaign_start", "campaign_end"]
-
 
 class TestReport:
     def hunt_with_journal(self, tmp_path, **_):
@@ -276,7 +245,6 @@ class TestReport:
         code, _ = run_cli(
             "hunt", "--dialect", "sqlite", "--databases", "6",
             "--seed", "3", "--no-reduce", "--journal", str(journal),
-            "--events", str(tmp_path / "events.jsonl"),
             "--metrics", str(tmp_path / "metrics.json"))
         assert code == 0
         return journal
