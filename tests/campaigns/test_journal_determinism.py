@@ -46,7 +46,11 @@ class TestJournalDeterminism:
         assert journals[0] == journals[1] == journals[2]
         assert [line["index"] for line in rounds(journals[0])] == \
             list(range(TOTAL))
-        for line in rounds(journals[0]):
+
+    def test_round_seeds_in_journal_match_derivation(self, tmp_path):
+        journaled = rounds(hunt(tmp_path, 2)[1])
+        assert journaled
+        for line in journaled:
             assert line["seed"] == round_seed(SEED, line["index"])
 
     def test_tracked_runs_agree_on_plan_union(self, tmp_path):
