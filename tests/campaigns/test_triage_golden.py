@@ -2,7 +2,9 @@
 
 The fixture pins, per campaign, the hunt's statement and query counts
 and a sha256 over every triaged report's oracle, message, reduced
-statements, triage status and attributed defects.  Any change to the
+statements, triage status and attributed defects.  Multiplan campaigns
+also pin the summed multi-plan counters: queries checked, distinct
+plans run, divergences and forced-plan failures.  Any change to the
 replayers, the reducer, the shrinker or the MiniDB engine that alters
 a single reduced case (or which cases survive the per-defect cap)
 changes a digest.  Regenerate only for an intended behaviour change:
@@ -41,10 +43,16 @@ def digest(dialect: str, seed: int, databases: int,
     body = [[r.oracle.value, r.message, r.test_case.statements, r.triage,
              r.attributed_bugs] for r in result.reports]
     encoded = json.dumps(body, sort_keys=True).encode("utf-8")
-    return {"statements": result.stats.statements,
-            "queries": result.stats.queries,
-            "reports": len(result.reports),
-            "sha256": hashlib.sha256(encoded).hexdigest()}
+    stats = result.stats
+    out = {"statements": stats.statements,
+           "queries": stats.queries,
+           "reports": len(result.reports),
+           "sha256": hashlib.sha256(encoded).hexdigest()}
+    if multiplan:
+        for name in ("multiplan_queries", "multiplan_plans",
+                     "multiplan_divergences", "multiplan_forced_failures"):
+            out[name] = getattr(stats, name)
+    return out
 
 
 @pytest.mark.parametrize("name,dialect,seed,databases,multiplan",
