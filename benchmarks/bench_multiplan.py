@@ -92,7 +92,7 @@ def _run_scenario(bug_id: str, scenario: dict, buggy: bool) -> dict:
     for hints in scenario["hints"]:
         t0 = time.perf_counter()
         for _ in range(REPEATS):
-            rows, _steps = connection.with_plan(scenario["query"], hints)
+            rows = connection.with_plan(scenario["query"], hints)
         elapsed = (time.perf_counter() - t0) / REPEATS
         outcomes.add(_canonical(rows, weak=False))
         timings.append({"hints": hints.describe(),

@@ -26,19 +26,23 @@ class DBMSConnection(Protocol):
     mode when absent — so it is deliberately *not* part of this
     Protocol: an adapter without it is still a complete target.
 
-    Two further optional hooks serve the multi-plan differential oracle
-    (:mod:`repro.multiplan`), and follow the same rules as
+    Three further optional hooks serve the multi-plan differential
+    oracle (:mod:`repro.multiplan`), and follow the same rules as
     ``query_plan`` — probed with ``getattr``, never logged into the
     replay journal, never advancing a fault schedule::
 
+        def forced_plan(self, sql: str, hints: PlannerHints
+                        ) -> list[PlanStep]: ...
         def with_plan(self, sql: str, hints: PlannerHints
-                      ) -> tuple[list[tuple[Value, ...]], list[PlanStep]]: ...
+                      ) -> list[tuple[Value, ...]]: ...
         def index_candidates(self, tables: list[str]) -> list[str]: ...
 
-    ``with_plan`` executes *sql* once under the forced plan described by
-    :class:`repro.multiplan.hints.PlannerHints` and returns the rows
-    plus the plan actually taken; all forcing state is restored before
-    it returns, so the connection's unforced behaviour is untouched.
+    ``forced_plan`` returns the plan *sql* takes under the forced plan
+    described by :class:`repro.multiplan.hints.PlannerHints`, without
+    running it, and refuses (raises) whatever ``with_plan`` would refuse
+    before running.  ``with_plan`` runs *sql* once under the same hints
+    and returns the rows.  Both restore all forcing state before they
+    return, so the connection's unforced behaviour is untouched.
     ``index_candidates`` lists the explicit (non-automatic) index names
     on the given tables — the enumeration axis for forced-index plans.
     """

@@ -133,6 +133,12 @@ class FaultyConnection:
         return self._forward("query_plan", "query_plan introspection",
                              sql)
 
+    def forced_plan(self, sql: str, hints):
+        """Forced-plan planning: introspection like ``query_plan`` —
+        no fault firing, no schedule advance."""
+        return self._forward("forced_plan", "forced-plan planning",
+                             sql, hints)
+
     def with_plan(self, sql: str, hints):
         """Forced-plan execution: introspection like ``query_plan`` —
         no fault firing, no schedule advance."""

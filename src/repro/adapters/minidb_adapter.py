@@ -6,11 +6,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.errors import ParseError
 from repro.guidance.fingerprint import PlanStep, steps_from_minidb
 from repro.minidb.bugs import BugRegistry
 from repro.minidb.engine import Engine
 from repro.minidb.parser import parse_statement
-from repro.minidb.statements import Explain
+from repro.minidb.statements import Explain, Select
 from repro.multiplan.hints import PlannerHints
 from repro.values import Value
 
@@ -36,46 +37,52 @@ class MiniDBConnection:
             parse_statement(f"EXPLAIN QUERY PLAN {sql}"))
         return steps_from_minidb(result.python_rows())
 
-    def with_plan(self, sql: str, hints: PlannerHints,
-                  ) -> tuple[list[tuple[Value, ...]], list[PlanStep]]:
-        """Execute *sql* once under the forced plan *hints* describe.
+    def forced_plan(self, sql: str,
+                    hints: PlannerHints) -> list[PlanStep]:
+        """The plan *sql* takes under *hints*, without running it.
 
-        Like :meth:`query_plan`, a forced execution is *not* part of the
-        tested statement stream: it does not count toward
+        Like :meth:`query_plan`, planning under hints is *not* part of
+        the tested statement stream: it does not count toward
         ``statements_executed``, and every piece of forcing state is
-        restored before returning (see :meth:`_forcing`), so the
-        unforced stream stays bit-identical whether or not forced runs
-        happened in between.
+        restored before returning (see :meth:`_forcing`).  It refuses
+        exactly what :meth:`with_plan` refuses before it runs: the
+        executor chooses every access path, where a forced plan can be
+        refused, before anything that EXPLAIN skips can fail.
         """
-        with self._forcing(sql, hints) as explain:
-            steps = steps_from_minidb(
-                self.engine.execute_statement(explain).python_rows())
-            return self.engine.execute_statement(explain.select).rows, steps
+        with self._forcing(sql, hints) as select:
+            return steps_from_minidb(self.engine.execute_statement(
+                Explain(select, query_plan=True)).python_rows())
 
-    def forced_rows(self, sql: str,
-                    hints: PlannerHints) -> list[tuple[Value, ...]]:
-        """The rows of :meth:`with_plan` without its plan steps.
+    def with_plan(self, sql: str,
+                  hints: PlannerHints) -> list[tuple[Value, ...]]:
+        """The rows of *sql* run once under the forced plan *hints*
+        describe; outside the tested stream like :meth:`forced_plan`.
 
-        It raises whenever :meth:`with_plan` raises: both reject the
-        same hints and SQL before executing, and the executor chooses
-        every access path, where a forced plan can be refused, before
-        anything that EXPLAIN skips can fail.
+        Baseline hints plan exactly like no hints at all, so when the
+        unforced stream has just run the same SELECT its cached rows
+        are the answer (a fresh list: the caller may mutate it).
         """
-        with self._forcing(sql, hints) as explain:
-            return self.engine.execute_statement(explain.select).rows
+        if hints.is_baseline:
+            rows = self.engine.cached_select_rows(sql)
+            if rows is not None:
+                return rows
+        with self._forcing(sql, hints) as select:
+            return self.engine.execute_statement(select).rows
 
     @contextmanager
-    def _forcing(self, sql: str, hints: PlannerHints) -> Iterator[Explain]:
-        """Run the body under *hints*; yields *sql* parsed as EXPLAIN
-        QUERY PLAN (so only a SELECT can be forced) and then restores
-        ``engine.hints``, ``hint_analyzed`` and every table's
-        ``analyzed`` flag, whichever way the body exits."""
+    def _forcing(self, sql: str, hints: PlannerHints) -> Iterator[Select]:
+        """Run the body under *hints*; yields *sql* parsed (only a
+        SELECT can be forced) and then restores ``engine.hints``,
+        ``hint_analyzed`` and every table's ``analyzed`` flag, whichever
+        way the body exits."""
         hints.validate()
         engine = self.engine
         if hints.force_index is not None:
             # CatalogError("no such index: ...") for unknown names.
             engine.catalog.index(hints.force_index)
-        explain = parse_statement(f"EXPLAIN QUERY PLAN {sql}")
+        select = parse_statement(sql)
+        if type(select) is not Select:
+            raise ParseError("only a SELECT can run under a forced plan")
         saved_analyzed = {name: table.analyzed
                           for name, table in engine.catalog.tables.items()}
         try:
@@ -85,7 +92,7 @@ class MiniDBConnection:
                         engine.hint_analyzed = True
                     table.analyzed = hints.analyze
             engine.hints = hints
-            yield explain
+            yield select
         finally:
             engine.hints = None
             engine.hint_analyzed = False

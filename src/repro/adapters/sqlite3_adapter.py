@@ -10,7 +10,8 @@ to validate the oracle interpreter.
 from __future__ import annotations
 
 import sqlite3
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import DBError, IntegrityError
 from repro.sqlast.indexed_by import force_index, force_no_index
@@ -64,16 +65,35 @@ class SQLite3Connection:
         # EQP rows are (id, parent, notused, detail); detail is last.
         return steps_from_sqlite_eqp(str(row[-1]) for row in rows)
 
-    def with_plan(self, sql: str, hints: PlannerHints,
-                  ) -> tuple[list[tuple[Value, ...]], list[PlanStep]]:
-        """Execute *sql* under the forced plan *hints* describe.
+    def forced_plan(self, sql: str, hints: PlannerHints,
+                    ) -> list[PlanStep]:
+        """The plan *sql* takes under *hints* (``EXPLAIN QUERY PLAN`` of
+        the forced text, see :meth:`_forced`), without running it."""
+        with self._forced(sql, hints) as forced_sql:
+            return self.query_plan(forced_sql)
+
+    def with_plan(self, sql: str,
+                  hints: PlannerHints) -> list[tuple[Value, ...]]:
+        """The rows of *sql* run under the forced plan *hints* describe
+        (see :meth:`_forced`)."""
+        with self._forced(sql, hints) as forced_sql:
+            try:
+                rows = self._conn.execute(forced_sql).fetchall()
+            except sqlite3.Error as exc:
+                raise DBError(str(exc)) from exc
+            return [tuple(_lift(v) for v in row) for row in rows]
+
+    @contextmanager
+    def _forced(self, sql: str, hints: PlannerHints) -> Iterator[str]:
+        """Yield *sql* rewritten to force *hints*, with the statistics
+        they ask for in place.
 
         Mapping onto sqlite's native knobs:
 
         * ``force_full_scan`` → ``NOT INDEXED`` on every table ref;
         * ``force_index``     → ``INDEXED BY`` on the owning table;
         * ``analyze=True``    → a transient ``ANALYZE`` inside a
-          SAVEPOINT, rolled back after the query so the connection's
+          SAVEPOINT, rolled back when the body exits so the connection's
           statistics state is untouched (``analyze=False`` is a no-op:
           sqlite has no way to hide existing stats);
         * ``no_like_opt``     → documented no-op (sqlite's only LIKE
@@ -107,14 +127,7 @@ class SQLite3Connection:
                     self._conn.execute("ANALYZE")
                 except sqlite3.Error as exc:
                     raise DBError(str(exc)) from exc
-            try:
-                steps = self.query_plan(forced_sql)
-                cursor = self._conn.execute(forced_sql)
-                rows = cursor.fetchall()
-            except sqlite3.Error as exc:
-                raise DBError(str(exc)) from exc
-            return ([tuple(_lift(v) for v in row) for row in rows],
-                    steps)
+            yield forced_sql
         finally:
             if in_savepoint:
                 try:

@@ -298,20 +298,28 @@ class SubprocessConnection:
         return self._call({"op": "query_plan", "sql": sql},
                           "plan introspection", sql)
 
+    def forced_plan(self, sql: str, hints) -> list:
+        """Forward forced-plan planning to the worker's target.
+
+        Follows the ``query_plan`` rules: planning under hints is
+        introspection, so it is *not* appended to the replay log and
+        does not advance the fault-schedule offset.
+        """
+        return self._call({"op": "forced_plan", "sql": sql,
+                           "hints": hints}, "forced-plan planning", sql)
+
     def with_plan(self, sql: str, hints) -> Any:
         """Forward a forced-plan execution to the worker's target.
 
-        Follows the ``query_plan`` rules: the forced run is
-        introspection, so it is *not* appended to the replay log and
-        does not advance the fault-schedule offset — a restart replays
-        exactly the statements the unforced stream executed.
+        The same rules as :meth:`forced_plan`: a restart replays exactly
+        the statements the unforced stream executed.
         """
         return self._call({"op": "with_plan", "sql": sql, "hints": hints},
                           "forced-plan execution", sql)
 
     def index_candidates(self, tables: list) -> Any:
         """Forward index enumeration to the worker's target (same
-        non-logging rules as ``query_plan``/``with_plan``)."""
+        non-logging rules as ``query_plan``/``forced_plan``)."""
         return self._call({"op": "index_candidates", "tables": list(tables)},
                           "index enumeration", repr(tables))
 

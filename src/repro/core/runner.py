@@ -75,9 +75,9 @@ class RunnerConfig:
     #: test cases small).
     max_reports_per_database: int = 3
     #: Cross-check every synthesized query across all distinct feasible
-    #: plans (repro.multiplan).  Forced executions go through the
-    #: adapters' non-logged ``with_plan`` hook, so the tested statement
-    #: stream is bit-identical with this on or off.
+    #: plans (repro.multiplan).  Forced runs go through the adapters'
+    #: non-logged ``forced_plan``/``with_plan`` hooks, so the tested
+    #: statement stream is bit-identical with this on or off.
     multiplan: bool = False
 
 

@@ -100,8 +100,9 @@ class Engine:
         self.statements_executed = 0
         self._snapshot = None
         #: sql -> (columns, rows) for top-level SELECTs; invalidated
-        #: wholesale by any non-SELECT statement and bypassed entirely
-        #: while plan forcing is active.
+        #: wholesale by any non-SELECT statement.  Only unforced runs
+        #: fill it; a baseline forced run reads it (see
+        #: cached_select_rows).
         self._select_cache: dict[str, tuple[list, list]] = {}
         #: (table name, visible name) -> full-scan SourceRow list.
         #: Distinct queries between writes re-scan the same relations;
@@ -121,8 +122,15 @@ class Engine:
         #: execute_statement): CREATE VIEW validation binds while the
         #: write runs.
         self._bound_selects: dict[int, tuple[st.Select, st.Select]] = {}
+        #: Planning work derived from bound Selects, dropped with them:
+        #: ("where", id(bound WHERE), no_like_opt, index forced) ->
+        #: (WHERE, rewritten WHERE), and ("aggregate", id(bound
+        #: Select)) -> (Select, has an aggregate item).  Every forced
+        #: run of a query then reuses one rewritten tree, and with it
+        #: one compiled predicate.
+        self._plan_memo: dict[tuple, tuple] = {}
         #: Multi-plan forcing (repro.multiplan.hints.PlannerHints): set
-        #: transiently by MiniDBConnection.with_plan around one query.
+        #: transiently by MiniDBConnection._forcing around one query.
         #: None means "plan normally" — the permanent state of every
         #: engine outside a forced execution.
         self.hints = None
@@ -149,8 +157,8 @@ class Engine:
             # The pivot probes re-read identical SELECTs between DML-free
             # pivot rounds; cache hits must hand out fresh containers
             # because fault injection mutates returned row lists.  Forced
-            # executions (multiplan) never come through here —
-            # with_plan calls execute_statement directly.
+            # runs (multiplan) call execute_statement directly, so they
+            # never fill this cache.
             cached = self._select_cache.get(sql)
             if cached is not None:
                 columns, rows = cached
@@ -167,6 +175,13 @@ class Engine:
             self._select_cache.clear()
         return self.execute_statement(stmt)
 
+    def cached_select_rows(self, sql: str) -> Optional[list]:
+        """A fresh copy of the rows :meth:`execute` last returned for the
+        SELECT *sql*, or None when there are none (any write drops
+        them all)."""
+        cached = self._select_cache.get(sql)
+        return None if cached is None else list(cached[1])
+
     def execute_statement(self, stmt: st.Statement) -> ResultSet:
         if isinstance(stmt, st.Select):
             return SelectExecutor(self).execute(stmt)
@@ -180,13 +195,18 @@ class Engine:
         # bound-SELECT cache is dropped on both sides for the same
         # reason (a failed ALTER or a ROLLBACK swaps the catalog back).
         self._scan_cache.clear()
-        self._bound_selects.clear()
+        self.drop_bound_selects()
         self._scan_caching = False
         try:
             return self._execute_mutating(stmt)
         finally:
             self._scan_caching = True
-            self._bound_selects.clear()
+            self.drop_bound_selects()
+
+    def drop_bound_selects(self) -> None:
+        """Forget every bound Select and the planning memo built on them."""
+        self._bound_selects.clear()
+        self._plan_memo.clear()
 
     def _execute_mutating(self, stmt: st.Statement) -> ResultSet:
         if isinstance(stmt, st.CreateTable):

@@ -93,8 +93,7 @@ class SelectExecutor:
         where = None
         rewrite_tags: list[str] = []
         if bound.where is not None:
-            where = rewrite(bound.where, self.dialect, self.bugs, scope,
-                            self.engine.hints)
+            where = self._rewritten(bound.where, scope)
             rewrite_tags = self._rewrite_tags(bound.where, where)
         for visible, table in scope_tables[:len(bound.tables)]:
             steps.append(self._plan_step(
@@ -175,8 +174,7 @@ class SelectExecutor:
 
         where = None
         if bound.where is not None:
-            where = rewrite(bound.where, self.dialect, self.bugs, scope,
-                            self.engine.hints)
+            where = self._rewritten(bound.where, scope)
         # Paths are chosen before the planning-time defect checks, in
         # EXPLAIN's order, so a forced plan the planner rejects ("no
         # query solution") raises the same error whether or not an
@@ -234,9 +232,25 @@ class SelectExecutor:
         entry = cache.get(id(select))
         if entry is None:
             if len(cache) >= 256:
-                cache.clear()
+                self.engine.drop_bound_selects()
             entry = (select, self._bind_select(select, scope))
             cache[id(select)] = entry
+        return entry[1]
+
+    def _rewritten(self, where: Expr, scope: Scope) -> Expr:
+        """The optimizer rewrite of the bound *where*, memoized per
+        engine (see ``Engine._plan_memo``).  Hints reach the rewrites
+        only through ``no_like_opt`` and whether an index is forced."""
+        hints = self.engine.hints
+        key = ("where", id(where),
+               hints is not None and hints.no_like_opt,
+               hints is not None and bool(hints.force_index))
+        memo = self.engine._plan_memo
+        entry = memo.get(key)
+        if entry is None:
+            entry = (where, rewrite(where, self.dialect, self.bugs, scope,
+                                    hints))
+            memo[key] = entry
         return entry[1]
 
     def _bind_select(self, select: st.Select, scope: Scope) -> st.Select:
@@ -469,11 +483,16 @@ class SelectExecutor:
     # -- projection -------------------------------------------------------------
     def _project(self, select: st.Select, rows: list[SourceRow],
                  ) -> tuple[list[str], list[tuple]]:
-        has_aggregate = any(
-            item.expr is not None and any(is_aggregate_call(n)
-                                          for n in walk(item.expr))
-            for item in select.items)
-        if select.group_by or has_aggregate:
+        memo = self.engine._plan_memo
+        key = ("aggregate", id(select))
+        entry = memo.get(key)
+        if entry is None:
+            entry = (select, any(
+                item.expr is not None and any(is_aggregate_call(n)
+                                              for n in walk(item.expr))
+                for item in select.items))
+            memo[key] = entry
+        if select.group_by or entry[1]:
             return self._project_grouped(select, rows)
         columns = self._output_columns(select, rows)
         # Compile each select item once; rows then evaluate closures

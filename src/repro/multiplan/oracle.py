@@ -6,25 +6,28 @@ pivot row is in the result.  A planner defect that corrupts the result
 same wrong rows, pivot included — slips through.  This oracle closes
 that gap by making the plan a controlled variable: for each synthesized
 query it enumerates the feasible plans the target can be forced into
-(:class:`~repro.multiplan.hints.PlannerHints` via the adapters'
-``with_plan`` hook), executes each one, and demands that every plan
-agree on the full row multiset.
+(:class:`~repro.multiplan.hints.PlannerHints`), plans each one with the
+adapters' ``forced_plan`` hook, runs each distinct plan once with
+``with_plan``, and demands that every plan agree on the full row
+multiset.
 
 Three properties keep it sound and cheap:
 
-* **fingerprint dedup** — forced candidates that land on a plan already
-  executed (by :func:`repro.guidance.fingerprint.fingerprint`) are
-  dropped, so the cross-check only pays for *distinct* plans;
+* **fingerprint dedup** — a candidate whose plan (by
+  :func:`repro.guidance.fingerprint.fingerprint`) has already run is
+  dropped before it runs, so the cross-check only pays for *distinct*
+  plans; a candidate refused while planning or running counts as a
+  forced-plan failure;
 * **interpreter arbitration** — when plans disagree, the AST
   interpreter's verdict (the pivot row, computed without any planner)
   singles out which side is wrong: a plan that loses or invents the
   pivot row is deviant; when the pivot cannot arbitrate, the baseline
   (unforced) plan is presumed correct and differing plans are flagged;
 * **determinism** — candidate enumeration is RNG-free and sorted, and
-  forced executions go through ``with_plan``/``index_candidates`` only,
-  which are never logged into replay journals and never advance fault
-  schedules, so enabling the oracle leaves the tested statement stream
-  bit-identical.
+  forced runs go through ``forced_plan``/``with_plan``/
+  ``index_candidates`` only, which are never logged into replay
+  journals and never advance fault schedules, so enabling the oracle
+  leaves the tested statement stream bit-identical.
 
 DISTINCT and aggregate queries compare under a *weakened* multiset
 (case-folded text): their surviving representative row legitimately
@@ -127,33 +130,31 @@ class MultiPlanOracle:
         Returns a :class:`Divergence` when two plans disagree, ``None``
         when all plans agree or the target offers no plan forcing.
         """
+        forced_plan = getattr(connection, "forced_plan", None)
         with_plan = getattr(connection, "with_plan", None)
-        if with_plan is None:
+        if forced_plan is None or with_plan is None:
             return None
         weak = query.distinct or query.uses_aggregates
         runs: list[PlanRun] = []
         seen: set[tuple] = set()
         for hints in self._candidates(connection, query):
             try:
-                rows, steps = with_plan(query.sql, hints)
-            except DBError:
-                self._round_failures += 1
-                self._m_failures.inc()
-                continue
-            except DBCrash:
+                fp = fingerprint(forced_plan(query.sql, hints))
+                # Dedup by fingerprint *within one statistics state*:
+                # the fingerprint captures plan shape, and ANALYZE
+                # changes the planner's input rather than the shape, so
+                # a pre- and a post-ANALYZE run of the same shape are
+                # distinct plans.
+                key = (fp, hints.analyze)
+                if key in seen:
+                    continue
+                rows = with_plan(query.sql, hints)
+            except (DBError, DBCrash):
                 # A forced run is introspection; a crash during one is
                 # the harness's problem (restart), not a finding the
                 # unforced stream could replay.
                 self._round_failures += 1
                 self._m_failures.inc()
-                continue
-            fp = fingerprint(steps)
-            # Dedup by fingerprint *within one statistics state*: the
-            # fingerprint captures plan shape, and ANALYZE changes the
-            # planner's input rather than the shape, so a pre- and a
-            # post-ANALYZE run of the same shape are distinct plans.
-            key = (fp, hints.analyze)
-            if key in seen:
                 continue
             seen.add(key)
             runs.append(PlanRun(hints=hints, fingerprint=fp, rows=rows,

@@ -92,10 +92,12 @@ class MultiPlanReplayer:
                 return False
             except DBError:
                 continue  # prefix statements may legitimately fail
+        # Every hint runs, even two that plan alike: the predicate
+        # compares the rows of all of them.
         outcomes = set()
         for hints in hints_list:
             try:
-                rows = connection.forced_rows(final, hints)
+                rows = connection.with_plan(final, hints)
             except DBCrash:
                 return False
             except DBError:

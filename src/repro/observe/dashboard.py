@@ -21,7 +21,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
   .bar { background: #22262c; border-radius: 4px; height: 14px;
          overflow: hidden; max-width: 40rem; }
   .bar > div { background: #7fd1b9; height: 100%; width: 0; }
-  .bar > div.q { background: #e0a458; }
   table { border-collapse: collapse; margin-top: 0.5rem; }
   td, th { border: 1px solid #2c313a; padding: 2px 10px;
            font-size: 0.85rem; text-align: left; }
@@ -38,10 +37,9 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <p id="planner" class="muted">inactive</p>
 <script>
 "use strict";
-function cell(text, cls) {
+function cell(text) {
   const td = document.createElement("td");
   td.textContent = text;
-  if (cls) td.className = cls;
   return td;
 }
 function fill(tableId, header, rows) {

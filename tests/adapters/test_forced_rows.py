@@ -1,10 +1,15 @@
-"""``MiniDBConnection.forced_rows``: the rows of ``with_plan`` without
-its EXPLAIN, raising exactly when ``with_plan`` raises.
+"""``MiniDBConnection.forced_plan`` and ``with_plan``: the plan of a
+forced run, and its rows.
 
-The multi-plan replayer runs every forced plan of every reduction
-candidate through ``forced_rows``; a case where only one of the two
-raised (or raised a crash where the other raised an error) would change
-which candidates the reducer keeps.
+The multi-plan oracle plans every candidate with ``forced_plan`` and
+runs only a plan it has not run yet with ``with_plan``; the replayer
+runs every forced plan of every reduction candidate through
+``with_plan`` alone.  So ``forced_plan`` must refuse exactly what
+``with_plan`` refuses before it runs, and planning first must not
+change what ``with_plan`` returns or raises: a case where the two
+paths differ (or one raised a crash where the other raised an error)
+would change which candidates the oracle counts as failures and which
+the reducer keeps.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import pytest
 from repro.adapters.minidb_adapter import MiniDBConnection
 from repro.errors import DBCrash, DBError
 from repro.minidb.bugs import BugRegistry
-from repro.multiplan import PlannerHints
+from repro.multiplan import BASELINE, PlannerHints
 
 HINTS = [PlannerHints(), PlannerHints(force_full_scan=True),
          PlannerHints(force_index="i0"), PlannerHints(force_index="i1"),
@@ -51,10 +56,16 @@ def connection(bugs=()):
 def outcome(call):
     try:
         return ("rows", sorted(map(repr, call())))
-    except DBError:
-        return ("error",)
+    except DBError as error:
+        return ("error", type(error).__name__, error.message)
     except DBCrash:
         return ("crash",)
+
+
+def plan_then_rows(conn, query, hints):
+    """The oracle's path: a refusal while planning is what it sees."""
+    conn.forced_plan(query, hints)
+    return conn.with_plan(query, hints)
 
 
 @pytest.mark.parametrize("bugs", [(), ("sqlite-forced-index-fencepost",
@@ -65,9 +76,20 @@ def test_forced_rows_matches_with_plan(bugs, query):
     for hints in HINTS:
         planned = connection(bugs)
         rows_only = connection(bugs)
-        expected = outcome(lambda: planned.with_plan(query, hints)[0])
-        assert outcome(lambda: rows_only.forced_rows(query, hints)) \
+        expected = outcome(lambda: plan_then_rows(planned, query, hints))
+        assert outcome(lambda: rows_only.with_plan(query, hints)) \
             == expected, hints
+
+
+def test_baseline_reuses_the_unforced_rows():
+    query = "SELECT c0 FROM t0 WHERE c0 > 'a'"
+    conn = connection()
+    unforced = conn.execute(query)
+    first = conn.with_plan(query, BASELINE)
+    assert first == unforced and first is not unforced
+    first.pop()
+    assert conn.with_plan(query, BASELINE) == unforced
+    assert connection().with_plan(query, BASELINE) == unforced
 
 
 def test_forced_partial_index_has_no_query_solution():
@@ -75,9 +97,9 @@ def test_forced_partial_index_has_no_query_solution():
     hints = PlannerHints(force_index="i1")
     query = "SELECT c0 FROM t0 WHERE c0 < 1"
     with pytest.raises(DBError, match="no query solution"):
-        conn.with_plan(query, hints)
+        conn.forced_plan(query, hints)
     with pytest.raises(DBError, match="no query solution"):
-        conn.forced_rows(query, hints)
+        conn.with_plan(query, hints)
 
 
 def test_refused_plan_wins_over_a_planning_time_crash():
@@ -95,20 +117,23 @@ def test_refused_plan_wins_over_a_planning_time_crash():
              "IS TRUE")
     hints = PlannerHints(force_index="i0")
     with pytest.raises(DBError, match="no query solution"):
-        conn.with_plan(query, hints)
+        conn.forced_plan(query, hints)
     with pytest.raises(DBError, match="no query solution"):
-        conn.forced_rows(query, hints)
+        conn.with_plan(query, hints)
     with pytest.raises(DBCrash):
         conn.execute(query)
 
 
 def test_forcing_state_is_restored_after_a_refusal():
     conn = connection()
-    conn.forced_rows("SELECT c0 FROM t0",
+    conn.forced_plan("SELECT c0 FROM t0",
                      PlannerHints(force_index="i0", analyze=True))
-    with pytest.raises(DBError):
-        conn.forced_rows("SELECT c0 FROM t0 WHERE c0 < 1",
-                         PlannerHints(force_index="i1", analyze=True))
+    conn.with_plan("SELECT c0 FROM t0",
+                   PlannerHints(force_index="i0", analyze=True))
+    for hook in (conn.forced_plan, conn.with_plan):
+        with pytest.raises(DBError):
+            hook("SELECT c0 FROM t0 WHERE c0 < 1",
+                 PlannerHints(force_index="i1", analyze=True))
     engine = conn.engine
     assert engine.hints is None and engine.hint_analyzed is False
     assert not any(t.analyzed for t in engine.catalog.tables.values())

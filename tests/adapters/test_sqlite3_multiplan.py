@@ -1,9 +1,9 @@
-"""Plan forcing on the real SQLite build: ``with_plan`` rewrites the
-statement text (INDEXED BY / NOT INDEXED), brackets synthesized
-ANALYZE in a savepoint, and — regression — surfaces *every* sqlite
-failure as a typed :class:`DBError`, including schemas sqlite itself
-refuses to reparse (the multiplan oracle counts those as forced-plan
-failures instead of crashing the round)."""
+"""Plan forcing on the real SQLite build: ``forced_plan`` and
+``with_plan`` rewrite the statement text (INDEXED BY / NOT INDEXED),
+bracket synthesized ANALYZE in a savepoint, and — regression — surface
+*every* sqlite failure as a typed :class:`DBError`, including schemas
+sqlite itself refuses to reparse (the multiplan oracle counts those as
+forced-plan failures instead of crashing the round)."""
 
 import sqlite3
 
@@ -33,20 +33,25 @@ def conn():
 
 class TestForcing:
     def test_forced_index_is_honored(self, conn):
-        rows, steps = conn.with_plan("SELECT c0 FROM t0 WHERE c0 > 'a'",
-                                     PlannerHints(force_index="i0"))
+        query = "SELECT c0 FROM t0 WHERE c0 > 'a'"
+        hints = PlannerHints(force_index="i0")
+        steps = conn.forced_plan(query, hints)
+        rows = conn.with_plan(query, hints)
         assert sorted(v.v for (v,) in rows) == ["b", "c"]
         assert any(step.index == "i0" for step in steps)
 
     def test_forced_full_scan_avoids_the_index(self, conn):
-        rows, steps = conn.with_plan("SELECT c0 FROM t0 WHERE c0 = 'b'",
-                                     PlannerHints(force_full_scan=True))
+        query = "SELECT c0 FROM t0 WHERE c0 = 'b'"
+        hints = PlannerHints(force_full_scan=True)
+        steps = conn.forced_plan(query, hints)
+        rows = conn.with_plan(query, hints)
         assert [v.v for (v,) in rows] == ["b"]
         assert all(step.index != "i0" for step in steps)
 
     def test_analyze_is_bracketed_in_a_savepoint(self, conn):
-        conn.with_plan("SELECT c0 FROM t0",
-                       PlannerHints(force_full_scan=True, analyze=True))
+        hints = PlannerHints(force_full_scan=True, analyze=True)
+        conn.forced_plan("SELECT c0 FROM t0", hints)
+        conn.with_plan("SELECT c0 FROM t0", hints)
         # The synthesized ANALYZE was rolled back: no stats leak into
         # the tested stream's planner input.
         rows = conn.execute("SELECT name FROM sqlite_master "
@@ -54,9 +59,9 @@ class TestForcing:
         assert rows == []
 
     def test_unknown_index_is_a_typed_error(self, conn):
-        with pytest.raises(DBError):
-            conn.with_plan("SELECT c0 FROM t0",
-                           PlannerHints(force_index="nope"))
+        for hook in (conn.forced_plan, conn.with_plan):
+            with pytest.raises(DBError):
+                hook("SELECT c0 FROM t0", PlannerHints(force_index="nope"))
 
     def test_index_candidates(self, conn):
         assert conn.index_candidates(["t0"]) == ["i0"]
@@ -90,8 +95,9 @@ class TestMalformedSchema:
     def test_with_plan_raises_typed_error(self, malformed):
         for hints in (PlannerHints(force_index="i0"),
                       PlannerHints(force_full_scan=True, analyze=True)):
-            with pytest.raises(DBError):
-                malformed.with_plan("SELECT c0 FROM t0", hints)
+            for hook in (malformed.forced_plan, malformed.with_plan):
+                with pytest.raises(DBError):
+                    hook("SELECT c0 FROM t0", hints)
 
     def test_index_candidates_raises_typed_error(self, malformed):
         with pytest.raises(DBError):
@@ -126,5 +132,5 @@ class TestOracleOnRealSQLite:
                    for plans, count in outcome["plans"].items()) >= 2
 
     def test_baseline_hints_are_a_plain_execution(self, conn):
-        rows, _steps = conn.with_plan("SELECT c0 FROM t0", BASELINE)
+        rows = conn.with_plan("SELECT c0 FROM t0", BASELINE)
         assert sorted(v.v for (v,) in rows) == ["a", "b", "c"]

@@ -1,5 +1,5 @@
-"""The optional ``with_plan`` / ``index_candidates`` hooks across the
-subprocess harness and the fault proxy.
+"""The optional ``forced_plan`` / ``with_plan`` / ``index_candidates``
+hooks across the subprocess harness and the fault proxy.
 
 Forced-plan executions are introspection, exactly like ``query_plan``:
 they must cross the pipe, but never enter the crash-replay log and
@@ -27,8 +27,9 @@ class TestSubprocessForwarding:
         try:
             for sql in STATE:
                 conn.execute(sql)
-            rows, steps = conn.with_plan(
-                "SELECT c0 FROM t0", PlannerHints(force_index="i0"))
+            hints = PlannerHints(force_index="i0")
+            steps = conn.forced_plan("SELECT c0 FROM t0", hints)
+            rows = conn.with_plan("SELECT c0 FROM t0", hints)
             assert [v.v for (v,) in rows] == ["a", "b", "c"]
             assert steps[0].index == "i0"
         finally:
@@ -48,9 +49,10 @@ class TestSubprocessForwarding:
         try:
             for sql in STATE:
                 conn.execute(sql)
-            with pytest.raises(DBError):
-                conn.with_plan("SELECT c0 FROM t0",
-                               PlannerHints(force_index="nope"))
+            for hook in (conn.forced_plan, conn.with_plan):
+                with pytest.raises(DBError):
+                    hook("SELECT c0 FROM t0",
+                         PlannerHints(force_index="nope"))
         finally:
             conn.close()
 
@@ -63,6 +65,7 @@ class TestSubprocessForwarding:
                 conn.execute(sql)
             before = conn.statements_replayed
             for _ in range(5):
+                conn.forced_plan("SELECT c0 FROM t0", BASELINE)
                 conn.with_plan("SELECT c0 FROM t0", BASELINE)
                 conn.with_plan("SELECT c0 FROM t0",
                                PlannerHints(force_full_scan=True))
@@ -82,8 +85,9 @@ class TestSubprocessForwarding:
                 conn.execute("SELECT * FROM t0")
             # The restarted worker replays the three state statements
             # (not the forced runs); the hooks answer again.
-            rows, _steps = conn.with_plan(
-                "SELECT c0 FROM t0", PlannerHints(force_index="i0"))
+            hints = PlannerHints(force_index="i0")
+            assert conn.forced_plan("SELECT c0 FROM t0", hints)
+            rows = conn.with_plan("SELECT c0 FROM t0", hints)
             assert len(rows) == 3
             assert conn.index_candidates(["t0"]) == ["i0"]
             assert conn.statements_replayed == len(STATE)
@@ -97,6 +101,7 @@ class TestFaultProxyForwarding:
         conn = FaultyConnection(MiniDBConnection("sqlite"), plan)
         conn.execute(STATE[0])  # global statement #0
         for _ in range(3):
+            conn.forced_plan("SELECT c0 FROM t0", BASELINE)
             conn.with_plan("SELECT c0 FROM t0", BASELINE)
             conn.index_candidates(["t0"])
         # The next execute is global statement #1 and must still fault.
@@ -114,6 +119,8 @@ class TestFaultProxyForwarding:
                 pass
 
         conn = FaultyConnection(Bare(), FaultPlan())
+        with pytest.raises(UnsupportedError):
+            conn.forced_plan("SELECT 1", BASELINE)
         with pytest.raises(UnsupportedError):
             conn.with_plan("SELECT 1", BASELINE)
         with pytest.raises(UnsupportedError):

@@ -64,10 +64,10 @@ class TestPlannerHints:
     def test_with_plan_is_not_part_of_the_stream(self):
         conn = build()
         before = conn.statements_executed
-        conn.with_plan("SELECT c0 FROM t0",
-                       PlannerHints(force_index="i0"))
-        conn.with_plan("SELECT c0 FROM t0",
-                       PlannerHints(force_full_scan=True, analyze=True))
+        for hints in (PlannerHints(force_index="i0"),
+                      PlannerHints(force_full_scan=True, analyze=True)):
+            conn.forced_plan("SELECT c0 FROM t0", hints)
+            conn.with_plan("SELECT c0 FROM t0", hints)
         assert conn.statements_executed == before
         # Forcing state (hints, synthesized ANALYZE flags) is restored.
         assert conn.engine.hints is None
@@ -139,6 +139,53 @@ class TestOracle:
         oracle = MultiPlanOracle()
         assert oracle.check(Bare(), query(), SEMANTICS) is None
         assert oracle.take_round_outcome() == {}
+
+    def test_repeated_plan_runs_no_rows(self):
+        # Without an index, no_like_opt plans a LIKE-free query exactly
+        # like the baseline: it is planned, but never run.
+        ran = []
+
+        class Spy(MiniDBConnection):
+            def with_plan(self, sql, hints):
+                ran.append(hints)
+                return super().with_plan(sql, hints)
+
+        conn = Spy("sqlite")
+        for sql in ("CREATE TABLE t0 (c0 TEXT)",
+                    "INSERT INTO t0 VALUES ('a'), ('b'), ('c')"):
+            conn.execute(sql)
+        oracle = MultiPlanOracle()
+        assert oracle.check(conn, query(), SEMANTICS) is None
+        assert ran == [BASELINE, PlannerHints(force_full_scan=True),
+                       PlannerHints(force_full_scan=True, analyze=True)]
+        outcome = oracle.take_round_outcome()
+        assert outcome["plans"] == {"3": 1}
+        assert outcome["forced_failures"] == 0
+
+    def test_baseline_reuses_the_unforced_run(self, monkeypatch):
+        from repro.minidb.executor import SelectExecutor
+
+        executed = []
+        plain = SelectExecutor.execute
+
+        def spy(self, select):
+            executed.append(self.engine.hints)
+            return plain(self, select)
+
+        monkeypatch.setattr(SelectExecutor, "execute", spy)
+        conn = build()
+        conn.execute(query().sql)
+        assert executed == [None]
+        assert MultiPlanOracle().check(conn, query(), SEMANTICS) is None
+        assert BASELINE not in executed
+        assert PlannerHints(force_index="i0") in executed
+
+    def test_infeasible_forced_index_counts_one_failure(self):
+        conn = build()
+        conn.execute("CREATE INDEX i1 ON t0 (c0) WHERE c0 > 'b'")
+        oracle = MultiPlanOracle()
+        assert oracle.check(conn, query(), SEMANTICS) is None
+        assert oracle.take_round_outcome()["forced_failures"] == 1
 
     def test_candidates_are_deterministic(self):
         oracle = MultiPlanOracle()
