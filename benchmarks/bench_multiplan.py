@@ -6,7 +6,8 @@ costs and what it buys:
 
 * **per-plan timings** — wall-clock per forced execution, per hint
   kind, over deterministic demonstration scenarios for each of the
-  three planner defects only this oracle can reach;
+  three planner defects only this oracle can reach (printed only:
+  they vary from machine to machine and run to run);
 * **divergence counts** — each scenario must diverge on the buggy
   engine and agree on a clean engine (plan forcing is
   behavior-preserving when the planner is correct);
@@ -20,7 +21,9 @@ costs and what it buys:
   its reach is demonstrated by the scenario runs above and recorded as
   ``campaign_detected: false`` here).
 
-Results land in ``results/multiplan.json``.
+The deterministic results (rows, outcomes, detection and containment
+blindness) land in ``results/multiplan.json``, so a rerun leaves the
+committed file unchanged.
 """
 
 import json
@@ -82,12 +85,13 @@ CAMPAIGN_SEEDS = {
 
 
 def _run_scenario(bug_id: str, scenario: dict, buggy: bool) -> dict:
-    """Execute the scenario's forced plans; time each, count outcomes."""
+    """Execute the scenario's forced plans; count outcomes and print
+    each plan's mean time."""
     bugs = BugRegistry({bug_id}) if buggy else BugRegistry()
     connection = MiniDBConnection("sqlite", bugs=bugs)
     for sql in scenario["statements"]:
         connection.execute(sql)
-    timings: list[dict] = []
+    plans: list[dict] = []
     outcomes = set()
     for hints in scenario["hints"]:
         t0 = time.perf_counter()
@@ -95,16 +99,17 @@ def _run_scenario(bug_id: str, scenario: dict, buggy: bool) -> dict:
             rows = connection.with_plan(scenario["query"], hints)
         elapsed = (time.perf_counter() - t0) / REPEATS
         outcomes.add(_canonical(rows, weak=False))
-        timings.append({"hints": hints.describe(),
-                        "rows": len(rows),
-                        "mean_us": round(elapsed * 1e6, 2)})
-    return {"plans": timings, "distinct_outcomes": len(outcomes),
+        plans.append({"hints": hints.describe(), "rows": len(rows)})
+        print(f"{bug_id} ({'buggy' if buggy else 'clean'}) "
+              f"{hints.describe()}: {elapsed * 1e6:.2f} us per run, "
+              f"mean of {REPEATS}")
+    return {"plans": plans, "distinct_outcomes": len(outcomes),
             "diverges": len(outcomes) > 1}
 
 
 def test_multiplan_reaches_planner_defects():
     """Emit ``multiplan.json``; assert the oracle's reach claims."""
-    artifact: dict = {"repeats": REPEATS, "bugs": {}}
+    artifact: dict = {"bugs": {}}
 
     for bug_id, scenario in SCENARIOS.items():
         buggy = _run_scenario(bug_id, scenario, buggy=True)

@@ -7,11 +7,11 @@ reduces every finding, attributes it to specific defects by differential
 replay against single-defect engines, and aggregates the statistics that
 regenerate the paper's Tables 2–3 and Figures 2–3.
 
-Journaled campaigns, and campaigns with ``threads > 1``, run their
-rounds in one loop in the calling thread (``Campaign._run_rounds``):
-every round the journal lacks, in index order, each under a
-campaign-global derived seed.  ``threads`` counts round streams, not OS
-threads.  The journal is checksummed and self-healing
+Every campaign runs its rounds in one loop in the calling thread
+(``Campaign._run_rounds``): every round the journal lacks, in index
+order.  Journaled campaigns, and campaigns with ``threads > 1``, run
+each under a campaign-global derived seed.  ``threads`` counts round
+streams, not OS threads.  The journal is checksummed and self-healing
 (repro.campaigns.journal): a resume skips and counts corrupt lines and
 re-runs only the rounds they held.
 """
@@ -21,7 +21,6 @@ from repro.campaigns.journal import (
     CampaignJournal,
     JournalState,
     RecoveryStats,
-    RoundRecord,
     round_seed,
 )
 from repro.campaigns.replay import DifferentialReplayer
@@ -30,6 +29,7 @@ from repro.campaigns.metrics import (
     statement_distribution,
     testcase_loc_cdf,
 )
+from repro.core.reports import RoundRecord
 
 __all__ = [
     "Campaign",

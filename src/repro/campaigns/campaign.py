@@ -7,28 +7,26 @@ from upstream developers, ours comes from differential replay against
 single-defect engines plus the defect catalog's recorded upstream
 resolution (fixed / verified / docs / intended / duplicate).
 
-One engine, two run modes, picked from the config:
-
-* no journal and one thread — the runner's own sequential RNG stream;
-* a journal, or ``threads > 1`` — the round loop:
-  :meth:`Campaign._run_rounds` runs, in this thread and in index order,
-  every round the journal lacks, each by :func:`run_round` under a
-  campaign-global derived seed, so an interrupted hunt resumes where it
-  stopped.  Any exception a round raises aborts the campaign; a round
-  already journaled stays journaled, so ``--resume`` picks up at the
-  round that failed.
+Every campaign runs one round loop: :meth:`Campaign._run_rounds` runs,
+in this thread and in index order, every round the journal lacks (all
+of them without a journal), each by :func:`run_round`.  A journaled or
+``threads > 1`` campaign runs each round under a campaign-global
+derived seed, so an interrupted hunt resumes where it stopped; a plain
+campaign keeps the runner's one random stream.  Any exception a round
+raises aborts the campaign; a round already journaled stays journaled,
+so ``--resume`` picks up at the round that failed.
 
 The paper runs one thread per database (§3.4).  Here ``threads`` only
 counts round streams: Python threads do not overlap CPU-bound work (the
 GIL), and a measured thread fleet was no faster than this one loop, so
 ``threads=N`` runs the same campaign-global rounds inline.
 
-Both modes triage the same way.  Each finding is reduced, shrunk and
-attributed by one task, :func:`triage_finding`, which depends on that
-finding alone.  A :class:`~repro.campaigns.pool.TriagePool` of worker
-processes, one per usable CPU, runs the tasks, and each round's
-findings are submitted as soon as the round completes (journal-loaded
-rounds on ``--resume`` first), so triage overlaps the hunt.  With one
+Each finding is reduced, shrunk and attributed by one task,
+:func:`triage_finding`, which depends on that finding alone.  A
+:class:`~repro.campaigns.pool.TriagePool` of worker processes, one per
+usable CPU, runs the tasks, and each round's findings are submitted as
+soon as the round completes (journal-loaded rounds on ``--resume``
+first), so triage overlaps the hunt.  With one
 usable CPU, or when the pool is lost, the task runs here instead.
 After the hunt, :meth:`Campaign._process` takes each finding's result
 in round order, and ``_triage_all`` folds them into reports: the
@@ -49,13 +47,12 @@ from repro.campaigns.journal import (
     CampaignJournal,
     JournalState,
     RecoveryStats,
-    RoundRecord,
     round_seed,
 )
 from repro.campaigns.pool import TriagePool
 from repro.campaigns.replay import DifferentialReplayer
 from repro.core.reducer import TestCaseReducer
-from repro.core.reports import BugReport, Oracle, RunStatistics
+from repro.core.reports import BugReport, Oracle, RoundRecord, RunStatistics
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import ReductionError
 from repro.guidance import NULL_GUIDANCE, PlanGuidance
@@ -217,9 +214,9 @@ class CampaignConfig:
     seed: int = 0
     #: Database rounds in the whole campaign.
     databases: int = 50
-    #: Round streams (paper §3.4's thread count).  More than 1 selects
-    #: the round loop, which runs every round in this thread under
-    #: campaign-global seeds; the count does not change results.
+    #: Round streams (paper §3.4's thread count).  More than 1 runs
+    #: every round under a campaign-global seed, as a journal does; the
+    #: count does not change results.
     threads: int = 1
     #: Defects to enable; None enables the dialect's full catalog.
     bug_ids: Optional[list[str]] = None
@@ -319,21 +316,19 @@ class CampaignResult:
         return row
 
 
-def run_round(runner: PQSRunner, campaign_seed: int,
+def run_round(runner: PQSRunner, campaign_seed: Optional[int],
               index: int) -> RoundRecord:
-    """Run round *index* of a campaign under its campaign-global
-    derived seed."""
-    seed = round_seed(campaign_seed, index)
-    runner.reseed(seed)
-    round_ = runner.run_database_round()
-    return RoundRecord(
-        index=index, seed=seed,
-        statements=round_.statements, queries=round_.queries,
-        pivots=round_.pivots, expected_errors=round_.expected_errors,
-        timeouts=round_.timeouts, seconds=round_.seconds,
-        reports=round_.reports,
-        plans=runner.guidance.take_round_plans(),
-        multiplan=round_.multiplan)
+    """Run round *index* of a campaign: under its campaign-global
+    derived seed, or, when *campaign_seed* is None, on the runner's own
+    random stream.  The round's spans carry its ``round`` and
+    ``round_seed``, the record's ``index`` and ``seed``."""
+    if campaign_seed is not None:
+        runner.reseed(round_seed(campaign_seed, index))
+    with runner.telemetry.tracer.context(round=index,
+                                         round_seed=runner.config.seed):
+        record = runner.run_database_round()
+    record.index = index
+    return record
 
 
 class Campaign:
@@ -377,9 +372,9 @@ class Campaign:
                          telemetry=telemetry, guidance=guidance)
 
     def run(self) -> CampaignResult:
-        """Hunt in the mode the config picks (see the module docstring),
-        then reduce, attribute, and triage the findings.  The triage
-        workers are joined on every exit path."""
+        """Hunt (see the module docstring), then reduce, attribute, and
+        triage the findings.  The triage workers are joined on every
+        exit path."""
         try:
             return self._run()
         finally:
@@ -387,29 +382,17 @@ class Campaign:
 
     def _run(self) -> CampaignResult:
         config = self.config
-        telemetry = self._telemetry
         observe = config.observe or NULL_OBSERVATORY
         runner = self.build_runner()
-        if config.journal or config.threads > 1:
-            result = self._run_rounds(runner, telemetry, observe)
-        else:
-            result = CampaignResult(
-                config=config,
-                stats=runner.run(config.databases,
-                                 on_round=self._submit_round))
+        result = self._run_rounds(runner, observe)
         if runner.guidance.enabled:
             result.plan_coverage = runner.guidance.coverage
-        if result.plan_coverage is not None:
             observe.attach_coverage(result.plan_coverage)
             if config.plan_coverage:
                 result.plan_coverage.dump(config.plan_coverage)
         observe.mark_finished()
         self._triage_all(result)
         return result
-
-    def _submit_round(self, round_) -> None:
-        """Hand a finished round's findings to the triage pool."""
-        self._pool.submit(round_.reports)
 
     def _triage_all(self, result: CampaignResult) -> None:
         """Fold every raw finding's triage in round order, capping
@@ -430,7 +413,7 @@ class Campaign:
             seen_bugs.add(primary)
             result.reports.append(processed)
 
-    # -- the round loop (journaled or threads > 1) ---------------------------
+    # -- the round loop ------------------------------------------------------
     def _fingerprint(self) -> dict:
         fingerprint = {"version": JOURNAL_VERSION,
                        "dialect": self.config.dialect,
@@ -451,10 +434,11 @@ class Campaign:
         return fingerprint
 
     @contextmanager
-    def _open_journal(self, telemetry: Telemetry):
+    def _open_journal(self):
         """The open journal (None without one) and the state recovered
         from it; the journal is closed on every exit path."""
         config = self.config
+        telemetry = self._telemetry
         if not config.journal:
             yield None, JournalState()
             return
@@ -479,26 +463,30 @@ class Campaign:
             telemetry.counter(metric_names.ROUNDS).inc(len(state.rounds))
             yield journal, state
 
-    def _run_rounds(self, runner: PQSRunner, telemetry: Telemetry,
-                    observe) -> CampaignResult:
+    def _run_rounds(self, runner: PQSRunner, observe) -> CampaignResult:
         """Run, journal and settle every round the journal lacks, in
         index order, in this thread.
 
-        Every round runs under :func:`~repro.campaigns.journal.round_seed`
-        — an independent derivation from (campaign seed, round index) —
-        so journal-loaded and freshly-run rounds compose into exactly
-        the statistics an uninterrupted run would produce.  Each round's
-        spans carry its ``round``/``round_seed``, the journal line's
-        ``index``/``seed``.
+        A journaled or ``threads > 1`` campaign runs every round under
+        :func:`~repro.campaigns.journal.round_seed` — an independent
+        derivation from (campaign seed, round index) — so journal-loaded
+        and freshly-run rounds compose into exactly the statistics an
+        uninterrupted run would produce.
         """
+        config = self.config
+        # A plain campaign (no journal, one stream) keeps the runner's
+        # one random stream: perfbench/expected.json pins its outputs.
+        # ROADMAP item 2 drops this condition and re-pins.
+        campaign_seed = (config.seed if config.journal or config.threads > 1
+                         else None)
         rounds: dict[int, RoundRecord] = {}
 
         def settle(record: RoundRecord) -> None:
             rounds[record.index] = record
             observe.add_round(record)
-            self._submit_round(record)
+            self._pool.submit(record.reports)
 
-        with self._open_journal(telemetry) as (journal, state):
+        with self._open_journal() as (journal, state):
             loaded = [state.rounds[index] for index in sorted(state.rounds)]
             if runner.guidance.enabled:
                 # Guidance replays each journaled round so its seen-set,
@@ -510,13 +498,10 @@ class Campaign:
                                                   record.plans)
             for record in loaded:
                 settle(record)
-            for index in range(self.config.databases):
+            for index in range(config.databases):
                 if index in rounds:
                     continue
-                with telemetry.tracer.context(
-                        round=index,
-                        round_seed=round_seed(self.config.seed, index)):
-                    record = run_round(runner, self.config.seed, index)
+                record = run_round(runner, campaign_seed, index)
                 if journal is not None:
                     journal.append_round(record)
                 settle(record)

@@ -39,7 +39,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
-from repro.core.reports import BugReport
+from repro.core.reports import RoundRecord
 from repro.errors import PQSError
 
 JOURNAL_VERSION = 2
@@ -65,65 +65,6 @@ def line_checksum(data: dict) -> str:
     """CRC32 (hex) of a record's canonical JSON, ``crc`` key excluded."""
     body = {k: v for k, v in data.items() if k != "crc"}
     return format(zlib.crc32(_canonical(body).encode("utf-8")), "08x")
-
-
-@dataclass
-class RoundRecord:
-    """One journaled database round."""
-
-    index: int
-    seed: int
-    statements: int = 0
-    queries: int = 0
-    pivots: int = 0
-    expected_errors: int = 0
-    timeouts: int = 0
-    #: Wall-clock seconds the round took when it actually ran — carried
-    #: in the journal so a --resume continuation reports the same
-    #: throughput an uninterrupted run would have.
-    seconds: float = 0.0
-    reports: list[BugReport] = field(default_factory=list)
-    #: Novel (plan fingerprint, example SQL) pairs the round discovered
-    #: under plan-coverage guidance; empty when guidance is off.  Carried
-    #: in the journal so ``--resume`` reconstructs the guidance seen-set
-    #: and scheduler pool without re-running completed rounds.
-    plans: list[tuple[str, str]] = field(default_factory=list)
-    #: Multi-plan oracle outcome for the round (queries / divergences /
-    #: forced_failures / plans-per-query distribution); empty unless
-    #: ``--multiplan`` is on.  Carried in the journal so a ``--resume``
-    #: continuation reports the same multiplan statistics an
-    #: uninterrupted run would — and omitted from the JSON form when
-    #: empty so multiplan-off journals stay byte-identical.
-    multiplan: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        data = {"kind": "round", "index": self.index, "seed": self.seed,
-                "statements": self.statements, "queries": self.queries,
-                "pivots": self.pivots,
-                "expected_errors": self.expected_errors,
-                "timeouts": self.timeouts, "seconds": self.seconds,
-                "reports": [r.to_json() for r in self.reports]}
-        if self.plans:
-            data["plans"] = [[fp, example] for fp, example in self.plans]
-        if self.multiplan:
-            data["multiplan"] = dict(self.multiplan)
-        return data
-
-    @staticmethod
-    def from_json(data: dict) -> "RoundRecord":
-        return RoundRecord(
-            index=data["index"], seed=data["seed"],
-            statements=data.get("statements", 0),
-            queries=data.get("queries", 0),
-            pivots=data.get("pivots", 0),
-            expected_errors=data.get("expected_errors", 0),
-            timeouts=data.get("timeouts", 0),
-            seconds=data.get("seconds", 0.0),
-            reports=[BugReport.from_json(r)
-                     for r in data.get("reports", [])],
-            plans=[(fp, example)
-                   for fp, example in data.get("plans", [])],
-            multiplan=dict(data.get("multiplan", {})))
 
 
 @dataclass
@@ -156,8 +97,8 @@ class JournalState:
 class CampaignJournal:
     """Append-only checksummed JSONL journal for one campaign.
 
-    Written by the campaign's one round executor.  Usable as a context
-    manager; :meth:`close` is idempotent.
+    Written by the campaign's round loop.  Usable as a context manager;
+    :meth:`close` is idempotent.
     """
 
     def __init__(self, path: str):

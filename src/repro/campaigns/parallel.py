@@ -1,6 +1,7 @@
-"""A ``threads > 1`` campaign is :class:`~repro.campaigns.campaign.Campaign`
-on its round-loop path; this name stays only because the benchmark
-harness (``perfbench/child.py``) imports it to probe the fleet workload.
+"""A ``threads > 1`` campaign is a plain
+:class:`~repro.campaigns.campaign.Campaign`; this name stays only
+because the benchmark harness (``perfbench/child.py``) imports it to
+probe the fleet workload.
 """
 
 from repro.campaigns.campaign import Campaign as ParallelCampaign  # noqa: F401

@@ -317,27 +317,32 @@ def cmd_report(args) -> int:
 
 
 def _report_reducer(args):
-    """A TestCase→TestCase reducer for ``pqs report --reduce``, built
-    from the journal header's own dialect and defect set."""
+    """A BugReport→BugReport reducer for ``pqs report --reduce``: the
+    campaign's own :func:`~repro.campaigns.campaign.triage_finding`,
+    built from the journal header's dialect and defect set."""
+    from dataclasses import replace
+
+    from repro.campaigns.campaign import triage_finding
     from repro.campaigns.journal import CampaignJournal
-    from repro.campaigns.replay import DifferentialReplayer
-    from repro.core.reducer import TestCaseReducer
-    from repro.minidb.bugs import BugRegistry, bugs_for_dialect
+    from repro.errors import ReductionError
 
     header = CampaignJournal(args.journal).read_header()
     dialect = header.get("dialect", "sqlite")
-    bug_ids = header.get("bug_ids") or [
-        b.bug_id for b in bugs_for_dialect(dialect)]
-    replayer = DifferentialReplayer(dialect, BugRegistry(set(bug_ids)))
+    bug_ids = tuple(sorted(header.get("bug_ids") or [
+        b.bug_id for b in bugs_for_dialect(dialect)]))
 
-    def reduce_case(case):
-        # One reducer (and replay memo) per case: each case gets the
-        # whole replay budget.  ReductionError reaches build_report,
-        # which keeps the raw case and counts it as unreduced.
-        replayer.forget()
-        return TestCaseReducer(replayer.manifests).reduce(case)
+    def reduce_report(raw):
+        # triage_finding builds fresh replayers, so each finding gets
+        # the whole replay budget.  ReductionError reaches
+        # build_report, which keeps the raw finding and counts it as
+        # unreduced.
+        report = replace(raw)
+        triage_finding(dialect, bug_ids, True, report)
+        if not report.reduced:
+            raise ReductionError("the finding does not reproduce")
+        return report
 
-    return reduce_case
+    return reduce_report
 
 
 def _write_metrics(args, telemetry, stats) -> None:

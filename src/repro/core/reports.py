@@ -1,4 +1,4 @@
-"""Bug reports, test cases, and run statistics.
+"""Bug reports, test cases, round records, and run statistics.
 
 Reports and test cases serialize to plain JSON (``to_json`` /
 ``from_json``) so a campaign can journal findings as it runs and a
@@ -152,6 +152,68 @@ class BugReport:
 
 
 @dataclass
+class RoundRecord:
+    """One database round: what the runner counted and found, and what
+    the journal writes as one line."""
+
+    #: The round's place in its campaign, and the seed its runner ran
+    #: under (the campaign-global derived seed of a journaled round).
+    index: int = 0
+    seed: int = 0
+    statements: int = 0
+    queries: int = 0
+    pivots: int = 0
+    expected_errors: int = 0
+    timeouts: int = 0
+    #: Wall-clock seconds for the whole round (always measured — two
+    #: monotonic reads per round — so throughput is computable even with
+    #: telemetry off, and journals carry timing across --resume).
+    seconds: float = 0.0
+    reports: list[BugReport] = field(default_factory=list)
+    #: Novel (plan fingerprint, example SQL) pairs the round discovered
+    #: under plan-coverage guidance; empty when guidance is off.  Carried
+    #: in the journal so ``--resume`` reconstructs the guidance seen-set
+    #: and scheduler pool without re-running completed rounds.
+    plans: list[tuple[str, str]] = field(default_factory=list)
+    #: Multi-plan oracle outcome for the round (queries / divergences /
+    #: forced_failures / plans-per-query distribution); empty unless
+    #: ``--multiplan`` is on.  Carried in the journal so a ``--resume``
+    #: continuation reports the same multiplan statistics an
+    #: uninterrupted run would — and omitted from the JSON form when
+    #: empty so multiplan-off journals stay byte-identical.
+    multiplan: dict = field(default_factory=dict)
+
+    def to_json(self) -> dict:
+        data = {"kind": "round", "index": self.index, "seed": self.seed,
+                "statements": self.statements, "queries": self.queries,
+                "pivots": self.pivots,
+                "expected_errors": self.expected_errors,
+                "timeouts": self.timeouts, "seconds": self.seconds,
+                "reports": [r.to_json() for r in self.reports]}
+        if self.plans:
+            data["plans"] = [[fp, example] for fp, example in self.plans]
+        if self.multiplan:
+            data["multiplan"] = dict(self.multiplan)
+        return data
+
+    @staticmethod
+    def from_json(data: dict) -> "RoundRecord":
+        return RoundRecord(
+            index=data["index"], seed=data["seed"],
+            statements=data.get("statements", 0),
+            queries=data.get("queries", 0),
+            pivots=data.get("pivots", 0),
+            expected_errors=data.get("expected_errors", 0),
+            timeouts=data.get("timeouts", 0),
+            seconds=data.get("seconds", 0.0),
+            reports=[BugReport.from_json(r)
+                     for r in data.get("reports", [])],
+            plans=[(fp, example)
+                   for fp, example in data.get("plans", [])],
+            multiplan=dict(data.get("multiplan", {})))
+
+
+@dataclass
 class RunStatistics:
     """Counters for throughput and distribution benchmarks."""
 
@@ -181,30 +243,22 @@ class RunStatistics:
     def statements_per_second(self) -> float:
         return self.statements / self.seconds if self.seconds > 0 else 0.0
 
-    def absorb_round(self, round_) -> None:
-        """Fold one finished round into these counters — a live
-        :class:`~repro.core.runner.DatabaseRound` or a journaled
-        :class:`~repro.campaigns.journal.RoundRecord`, which carry the
-        same fields."""
+    def absorb_round(self, record: RoundRecord) -> None:
+        """Fold one finished round into these counters."""
         self.databases += 1
-        self.statements += round_.statements
-        self.queries += round_.queries
-        self.pivots += round_.pivots
-        self.expected_errors += round_.expected_errors
-        self.timeouts += round_.timeouts
-        self.seconds += round_.seconds
-        self.absorb_multiplan(round_.multiplan)
-        self.reports.extend(round_.reports)
-
-    def absorb_multiplan(self, outcome: dict) -> None:
-        """Fold one round's multi-plan outcome dict (the shape
-        :meth:`repro.multiplan.oracle.MultiPlanOracle.take_round_outcome`
-        produces and journals carry) into these counters."""
-        if not outcome:
-            return
+        self.statements += record.statements
+        self.queries += record.queries
+        self.pivots += record.pivots
+        self.expected_errors += record.expected_errors
+        self.timeouts += record.timeouts
+        self.seconds += record.seconds
+        # The multi-plan outcome dict is the shape
+        # MultiPlanOracle.take_round_outcome produces.
+        outcome = record.multiplan
         self.multiplan_queries += outcome.get("queries", 0)
         self.multiplan_divergences += outcome.get("divergences", 0)
         self.multiplan_forced_failures += outcome.get(
             "forced_failures", 0)
         for plans, count in outcome.get("plans", {}).items():
             self.multiplan_plans += int(plans) * count
+        self.reports.extend(record.reports)

@@ -13,7 +13,7 @@ reducer (and the raw material for the paper's Figures 2 and 3).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.adapters.base import DBMSConnection
@@ -22,7 +22,13 @@ from repro.core.error_oracle import ErrorOracle, statement_kind
 from repro.core.exprgen import ExpressionGenerator
 from repro.core.pivot import PivotRow, PivotSelector
 from repro.core.querygen import QueryGenerator
-from repro.core.reports import BugReport, Oracle, RunStatistics, TestCase
+from repro.core.reports import (
+    BugReport,
+    Oracle,
+    RoundRecord,
+    RunStatistics,
+    TestCase,
+)
 from repro.core.schema import SchemaModel
 from repro.dialects import get_dialect
 from repro.errors import DBCrash, DBError, DBTimeout
@@ -81,26 +87,6 @@ class RunnerConfig:
     multiplan: bool = False
 
 
-@dataclass
-class DatabaseRound:
-    """Outcome of one database (state + queries)."""
-
-    reports: list[BugReport] = field(default_factory=list)
-    statements: int = 0
-    queries: int = 0
-    pivots: int = 0
-    expected_errors: int = 0
-    timeouts: int = 0
-    #: Wall-clock seconds for the whole round (always measured — two
-    #: monotonic reads per round — so throughput is computable even with
-    #: telemetry off, and journals carry timing across --resume).
-    seconds: float = 0.0
-    #: Multi-plan oracle outcome for the round ({} unless enabled):
-    #: queries / divergences / forced_failures counters plus the
-    #: plans-per-query distribution.
-    multiplan: dict = field(default_factory=dict)
-
-
 class PQSRunner:
     """Runs Pivoted Query Synthesis against one connection factory."""
 
@@ -144,16 +130,11 @@ class PQSRunner:
         self._phase_contain = t.phase(metric_names.PHASE_CONTAIN)
 
     # -- public -----------------------------------------------------------
-    def run(self, databases: int = 10,
-            on_round: Optional[Callable[[DatabaseRound], None]] = None,
-            ) -> RunStatistics:
-        """Run *databases* rounds; *on_round* sees each one as it ends."""
+    def run(self, databases: int = 10) -> RunStatistics:
+        """Run *databases* rounds on this runner's one random stream."""
         stats = RunStatistics()
         for _ in range(databases):
-            round_ = self.run_database_round()
-            stats.absorb_round(round_)
-            if on_round is not None:
-                on_round(round_)
+            stats.absorb_round(self.run_database_round())
         return stats
 
     def reseed(self, seed: int) -> None:
@@ -163,12 +144,12 @@ class PQSRunner:
         self.config.seed = seed
         self.rng = RandomSource(seed)
 
-    def run_database_round(self) -> DatabaseRound:
+    def run_database_round(self) -> RoundRecord:
         """One full pass: state generation, pivots, queries, oracles."""
         started = time.monotonic()
         with self._phase_connect:
             connection = self.connection_factory()
-        round_ = DatabaseRound()
+        round_ = RoundRecord(seed=self.config.seed)
         # Fresh database => default run-time options; the oracle's LIKE
         # semantics must track PRAGMA case_sensitive_like (§3.4: the
         # paper's SQLite component models run-time options exactly).
@@ -204,6 +185,7 @@ class PQSRunner:
         finally:
             connection.close()
         self.guidance.end_round()
+        round_.plans = self.guidance.take_round_plans()
         round_.multiplan = self.multiplan.take_round_outcome()
         round_.seconds = time.monotonic() - started
         self._m_round_seconds.observe(round_.seconds)
@@ -213,7 +195,7 @@ class PQSRunner:
     # -- step 1: random state ----------------------------------------------
     def _generate_state(self, connection: DBMSConnection,
                         schema: SchemaModel, actions: ActionGenerator,
-                        log: list[str], round_: DatabaseRound,
+                        log: list[str], round_: RoundRecord,
                         mutators: Optional[list[ActionGenerator]] = None,
                         mutation_statements: int = 0) -> None:
         # Table/row counts come from the state generator's stream —
@@ -261,7 +243,7 @@ class PQSRunner:
 
     def _run_statement(self, connection: DBMSConnection, sql: str,
                        on_success, log: list[str],
-                       round_: DatabaseRound) -> None:
+                       round_: RoundRecord) -> None:
         """Execute one state-generation statement and feed its outcome
         to the oracles."""
         failure = None
@@ -280,7 +262,7 @@ class PQSRunner:
         self._track_option(sql)
 
     def _absorb_failure(self, sql: str, failure: BaseException,
-                        log: list[str], round_: DatabaseRound,
+                        log: list[str], round_: RoundRecord,
                         keep: bool = False) -> None:
         """Classify one failed statement — timeout, expected error,
         error-oracle or crash-oracle finding — the one path every
@@ -329,7 +311,7 @@ class PQSRunner:
     # -- steps 2–7: pivots and queries ----------------------------------------
     def _query_phase(self, connection: DBMSConnection,
                      schema: SchemaModel, log: list[str],
-                     round_: DatabaseRound) -> None:
+                     round_: RoundRecord) -> None:
         selector = PivotSelector(connection, schema, self.rng)
         generator = ExpressionGenerator(
             self.dialect, self.rng,
@@ -366,7 +348,7 @@ class PQSRunner:
 
     def _probe_relations(self, connection: DBMSConnection,
                          schema: SchemaModel, log: list[str],
-                         round_: DatabaseRound) -> list:
+                         round_: RoundRecord) -> list:
         """SELECT * from every relation, feeding errors to the oracles."""
         healthy = []
         for table in schema.relations():
@@ -382,7 +364,7 @@ class PQSRunner:
 
     def _one_query(self, connection: DBMSConnection,
                    querygen: QueryGenerator, pivot: PivotRow,
-                   log: list[str], round_: DatabaseRound,
+                   log: list[str], round_: RoundRecord,
                    chosen=None) -> None:
         negative = (chosen is not None
                     and self.rng.flip(self.config.negative_probability)
@@ -427,7 +409,7 @@ class PQSRunner:
         self._check_multiplan(connection, query, log, round_)
 
     def _check_multiplan(self, connection: DBMSConnection, query,
-                         log: list[str], round_: DatabaseRound) -> None:
+                         log: list[str], round_: RoundRecord) -> None:
         """Cross-check *query* across forced plans (no-op when off)."""
         if not self.multiplan.enabled:
             return

@@ -16,19 +16,6 @@ class PQSError(Exception):
     """Base class for errors raised by the testing tool itself."""
 
 
-class GenerationError(PQSError):
-    """Random generation could not produce a valid artifact.
-
-    Raised, for example, when a dialect offers no operator producing the
-    requested type at the requested depth.  Callers typically retry with a
-    fresh random draw.
-    """
-
-
-class OracleError(PQSError):
-    """The oracle machinery was used incorrectly (a tool bug, not a DBMS bug)."""
-
-
 class ReductionError(PQSError):
     """Test-case reduction failed to preserve the failure it was given."""
 

@@ -593,9 +593,6 @@ class Parser:
             return UnaryNode(UnaryOp.NOT, self._not_expr())
         return self._binary(10)
 
-    def _comparison(self) -> Expr:
-        return self._binary(10)
-
     def _binary(self, min_prec: int) -> Expr:
         """Precedence-climbing loop over the binary-operator levels.
 

@@ -37,9 +37,9 @@ class Observatory:
         self.seed = seed
         self.total_rounds = total_rounds
         self.registry = registry
-        #: Completed round records, handed over one by one on the
-        #: journaled and ``threads > 1`` path; None on a plain hunt.
-        self._rounds: Optional[list] = None
+        #: Completed (and journal-loaded) round records, handed over
+        #: one by one.
+        self._rounds: list = []
         self._rounds_lock = threading.Lock()
         self._coverage = None
         self._start = time.monotonic()
@@ -49,8 +49,6 @@ class Observatory:
     def add_round(self, record) -> None:
         """Take one completed (or journal-loaded) round record."""
         with self._rounds_lock:
-            if self._rounds is None:
-                self._rounds = []
             self._rounds.append(record)
 
     def attach_coverage(self, coverage) -> None:
@@ -99,21 +97,19 @@ class Observatory:
                     queries / elapsed, 2)
         return throughput
 
-    def _records(self) -> Optional[list]:
-        """The handed-over round records sorted by round index; None on
-        a plain hunt."""
+    def _records(self) -> list:
+        """The handed-over round records sorted by round index."""
         with self._rounds_lock:
-            if self._rounds is None:
-                return None
             records = list(self._rounds)
         return sorted(records, key=lambda record: record.index)
 
     def bugs(self) -> list[dict]:
-        """The ``/bugs`` document: raw findings journaled so far, as
+        """The ``/bugs`` document: the raw findings of every round
+        completed so far (journaled or not), as
         :meth:`~repro.core.reports.BugReport.to_json` dicts tagged with
         their round and content fingerprint."""
         found = []
-        for record in self._records() or ():
+        for record in self._records():
             for report in record.reports:
                 entry = report.to_json()
                 entry["round"] = record.index
@@ -130,27 +126,14 @@ class Observatory:
 
     def multiplan(self) -> dict:
         """Live multi-plan oracle activity: an exact fold of the round
-        records when the campaign hands them over (journal-loaded rounds
-        included), shared-registry counters otherwise (plain hunts,
-        where the runner updates them live)."""
-        queries = divergences = failures = 0
-        records = self._records()
-        if records is not None:
-            stats = RunStatistics()
-            for record in records:
-                stats.absorb_multiplan(record.multiplan)
-            queries = stats.multiplan_queries
-            divergences = stats.multiplan_divergences
-            failures = stats.multiplan_forced_failures
-        elif self.registry is not None:
-            queries = int(self.registry.value(names.MULTIPLAN_QUERIES))
-            divergences = int(
-                self.registry.value(names.MULTIPLAN_DIVERGENCES))
-            failures = int(
-                self.registry.value(names.MULTIPLAN_FORCED_FAILURES))
-        return {"active": queries > 0, "queries": queries,
-                "divergences": divergences,
-                "forced_failures": failures}
+        records (journal-loaded rounds included)."""
+        stats = RunStatistics()
+        for record in self._records():
+            stats.absorb_round(record)
+        return {"active": stats.multiplan_queries > 0,
+                "queries": stats.multiplan_queries,
+                "divergences": stats.multiplan_divergences,
+                "forced_failures": stats.multiplan_forced_failures}
 
 
 class NullObservatory:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from typing import Optional
 
 from repro.campaigns.journal import CampaignJournal
+from repro.core.reports import RunStatistics
 from repro.errors import ReductionError
 from repro.telemetry import names as metric_names
 from repro.telemetry.registry import MetricsRegistry
@@ -52,11 +52,11 @@ def build_report(journal_path: str,
                  reduce_fn=None) -> dict:
     """The full campaign digest, as a JSON-safe dict.
 
-    ``reduce_fn`` (TestCase → TestCase), when given, shrinks each
-    finding's test case before fingerprinting — two raw findings that
-    reduce to the same statements then collapse into one bug.  A case
-    it rejects with :class:`~repro.errors.ReductionError` keeps its raw
-    statements and is counted under ``report["reduction"]``.
+    ``reduce_fn`` (BugReport → BugReport), when given, reduces each
+    finding before fingerprinting — two raw findings that reduce to the
+    same statements then collapse into one bug.  A finding it rejects
+    with :class:`~repro.errors.ReductionError` keeps its raw statements
+    and is counted under ``report["reduction"]``.
     """
     header, state = CampaignJournal(journal_path).load_any()
     dialect = header.get("dialect", "?")
@@ -94,19 +94,15 @@ def build_report(journal_path: str,
 
 
 def _totals(records) -> dict:
-    totals = {"statements": 0, "queries": 0, "pivots": 0,
-              "expected_errors": 0, "timeouts": 0, "seconds": 0.0,
-              "raw_findings": 0}
+    stats = RunStatistics()
     for record in records:
-        totals["statements"] += record.statements
-        totals["queries"] += record.queries
-        totals["pivots"] += record.pivots
-        totals["expected_errors"] += record.expected_errors
-        totals["timeouts"] += record.timeouts
-        totals["seconds"] += record.seconds
-        totals["raw_findings"] += len(record.reports)
-    totals["seconds"] = round(totals["seconds"], 3)
-    return totals
+        stats.absorb_round(record)
+    return {"statements": stats.statements, "queries": stats.queries,
+            "pivots": stats.pivots,
+            "expected_errors": stats.expected_errors,
+            "timeouts": stats.timeouts,
+            "seconds": round(stats.seconds, 3),
+            "raw_findings": len(stats.reports)}
 
 
 def _dedupe_bugs(records, reduce_fn=None) -> tuple[list[dict], int]:
@@ -119,8 +115,7 @@ def _dedupe_bugs(records, reduce_fn=None) -> tuple[list[dict], int]:
             report = raw
             if reduce_fn is not None:
                 try:
-                    report = replace(raw,
-                                     test_case=reduce_fn(raw.test_case))
+                    report = reduce_fn(raw)
                 except ReductionError:
                     unreduced += 1
             key = report.fingerprint()

@@ -12,7 +12,7 @@ endpoint   contents                                             format
 ``/status`` rounds completed/pending, throughput and ETA      JSON
 ``/metrics`` the live metrics registry, updated per round       Prometheus
                                                                 text
-``/bugs``  raw findings journaled so far                        JSON
+``/bugs``  raw findings of the rounds completed so far          JSON
 ``/coverage`` plan-coverage summary                             JSON
 ========== ==================================================== =========
 

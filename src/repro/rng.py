@@ -70,12 +70,6 @@ class RandomSource:
             return self.choice(specials)
         return self.int_between(-1000, 1000)
 
-    def small_real(self) -> float:
-        specials = [0.0, -0.0, 0.5, -0.5, 1.5, 1e10, -1e10, 1e-3]
-        if self.flip(0.5):
-            return self.choice(specials)
-        return round(self._rng.uniform(-1000.0, 1000.0), 3)
-
     def short_text(self, max_len: int = 8) -> str:
         n = self.int_between(0, max_len)
         return "".join(self.choice(TEXT_ALPHABET) for _ in range(n))

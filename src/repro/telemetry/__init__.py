@@ -5,8 +5,8 @@ distributions Figures 2–3, error and timeout behaviour); this package
 is how the reproduction measures itself while it runs.  Three pieces:
 
 * :class:`MetricsRegistry` (:mod:`repro.telemetry.registry`) —
-  thread-safe counters/gauges/histograms with JSON snapshots (mergeable
-  across workers) and Prometheus text export;
+  thread-safe counters/gauges/histograms with JSON snapshots (one
+  registry's snapshot merges into another) and Prometheus text export;
 * :class:`Tracer` (:mod:`repro.telemetry.tracer`) — span-based JSONL
   trace events, monotonic-clock timed;
 * :class:`ProgressReporter` (:mod:`repro.telemetry.progress`) — the

@@ -5,7 +5,7 @@ span emits one JSON event to the configured sink.  Timing uses the
 monotonic clock (wall-clock steps must never produce negative phase
 latencies); each event also carries a wall-clock timestamp derived from
 a single anchor taken at tracer construction, so traces from different
-workers line up on one timeline.
+processes line up on one timeline.
 
 Event schema (one JSON object per line in a :class:`JsonlSink` file)::
 
@@ -18,11 +18,10 @@ seconds since the tracer started.
 
 **Context attributes** (:meth:`Tracer.context`) are thread-local
 key/values merged into every event the thread emits while the context
-is open.  The campaign executor binds ``worker``/``round``/
-``round_seed`` around each round, so a shared multi-worker tracer's
-spans join against journal lines and the campaign event log on exactly
-the keys those artifacts carry — explicit per-event attrs win over
-context on collision.
+is open.  The campaign's round loop binds ``round``/``round_seed``
+around each round, so its spans join against journal lines on exactly
+the keys those lines carry (``index``/``seed``) — explicit per-event
+attrs win over context on collision.
 
 The disabled path is :class:`NullTracer`: ``span()`` returns one shared
 no-op context manager, so an instrumented-but-off hot loop costs two

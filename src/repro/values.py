@@ -303,10 +303,6 @@ def format_real(f: float) -> str:
     return out
 
 
-def format_int(i: int) -> str:
-    return str(i)
-
-
 # ---------------------------------------------------------------------------
 # Collating sequences
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ report caps, and per-database round structure."""
 import pytest
 
 from repro.adapters.minidb_adapter import MiniDBConnection
-from repro.core.runner import DatabaseRound, PQSRunner, RunnerConfig
+from repro.core.reports import RoundRecord
+from repro.core.runner import PQSRunner, RunnerConfig
 from repro.minidb.bugs import BugRegistry
 
 
@@ -46,7 +47,7 @@ class TestOptionTracking:
     def test_case_sensitive_like_mirrored_into_oracle(self):
         runner = make_runner()
         connection = MiniDBConnection("sqlite")
-        round_ = DatabaseRound()
+        round_ = RoundRecord()
         log = []
         runner._run_statement(connection,
                               "PRAGMA case_sensitive_like = 1", None,
@@ -82,7 +83,7 @@ class TestOptionTracking:
             def close(self):
                 pass
 
-        round_ = DatabaseRound()
+        round_ = RoundRecord()
         runner._run_statement(FailingConnection(),
                               "PRAGMA case_sensitive_like = 1", None,
                               [], round_)

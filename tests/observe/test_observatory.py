@@ -70,7 +70,7 @@ class TestBugs:
         assert bugs[0]["fingerprint"] == report.fingerprint()
         assert bugs[0]["oracle"] == "error"
 
-    def test_plain_hunt_no_bugs(self):
+    def test_no_rounds_no_bugs(self):
         assert Observatory().bugs() == []
 
 
@@ -103,6 +103,27 @@ class TestMultiplan:
             "queries": stats.multiplan_queries,
             "divergences": stats.multiplan_divergences,
             "forced_failures": stats.multiplan_forced_failures}
+
+    def test_plain_hunt_hands_over_every_round(self):
+        # A plain hunt (one stream, no journal) runs the same round
+        # loop, so an observatory without a registry still sees every
+        # round's multi-plan outcome and raw findings.
+        observatory = Observatory(total_rounds=8)
+        config = CampaignConfig(dialect="sqlite", seed=0, databases=8,
+                                reduce=False, observe=observatory,
+                                runner=RunnerConfig(multiplan=True))
+        stats = Campaign(config).run().stats
+        assert stats.multiplan_queries > 0
+        assert observatory.status()["multiplan"] == {
+            "active": True,
+            "queries": stats.multiplan_queries,
+            "divergences": stats.multiplan_divergences,
+            "forced_failures": stats.multiplan_forced_failures}
+        assert stats.reports
+        assert [(bug["message"], bug["fingerprint"])
+                for bug in observatory.bugs()] == \
+            [(report.message, report.fingerprint())
+             for report in stats.reports]
 
 
 class TestNullObservatory:

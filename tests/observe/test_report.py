@@ -1,6 +1,7 @@
 """The triage analytics layer: journal → campaign digest → history."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -128,10 +129,10 @@ class TestBuildReport:
         raw = build_report(path)
         assert len(raw["bugs"]) == 2
 
-        def reduce_fn(test_case):
-            kept = [s for s in test_case.statements
+        def reduce_fn(report):
+            kept = [s for s in report.test_case.statements
                     if not s.startswith("INSERT")]
-            return TestCase(statements=kept)
+            return replace(report, test_case=TestCase(statements=kept))
 
         reduced = build_report(path, reduce_fn=reduce_fn)
         assert len(reduced["bugs"]) == 1

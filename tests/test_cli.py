@@ -342,6 +342,26 @@ class TestReport:
             == [(4, 80), (2, 1)]
         assert report["reduction"] == {"reduced": 80, "unreduced": 1}
 
+    def test_report_reduce_reduces_multiplan_findings(self, tmp_path):
+        # A multi-plan finding reproduces only under its forcing hints,
+        # which buggy-vs-clean replay cannot see; --reduce triages it
+        # the way the campaign does.
+        import json
+
+        journal = tmp_path / "m.jsonl"
+        code, _ = run_cli(
+            "hunt", "--dialect", "sqlite", "--multiplan", "--no-reduce",
+            "--journal", str(journal), "--databases", "8", "--seed", "0")
+        assert code == 0
+        code, output = run_cli("report", str(journal), "--reduce",
+                               "--json", "--no-history")
+        assert code == 0
+        report = json.loads(output)
+        assert report["by_oracle"].get("multiplan")
+        assert report["reduction"]["unreduced"] == 0
+        assert report["reduction"]["reduced"] == \
+            report["totals"]["raw_findings"]
+
     def test_report_missing_journal_errors(self, tmp_path):
         code, output = run_cli("report", str(tmp_path / "nope.jsonl"),
                                "--no-history")
