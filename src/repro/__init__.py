@@ -40,7 +40,6 @@ if TYPE_CHECKING:
         FaultyFactory,
         MiniDBConnection,
         SQLite3Connection,
-        SubprocessConfig,
         SubprocessConnection,
     )
     from repro.campaigns import Campaign, CampaignConfig, CampaignResult
@@ -71,7 +70,7 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "repro.adapters": (
         "DBMSConnection", "FaultPlan", "FaultyFactory", "MiniDBConnection",
-        "SQLite3Connection", "SubprocessConfig", "SubprocessConnection"),
+        "SQLite3Connection", "SubprocessConnection"),
     "repro.campaigns": ("Campaign", "CampaignConfig", "CampaignResult"),
     "repro.core": ("BugReport", "Oracle", "PQSRunner", "RunnerConfig",
                    "TestCase", "TestCaseReducer"),
@@ -107,7 +106,6 @@ __all__ = [
     "ResultSet",
     "RunnerConfig",
     "SQLite3Connection",
-    "SubprocessConfig",
     "SubprocessConnection",
     "Telemetry",
     "TestCase",

@@ -25,10 +25,7 @@ if TYPE_CHECKING:
     from repro.adapters.faults import FaultPlan, FaultyConnection, FaultyFactory
     from repro.adapters.minidb_adapter import MiniDBConnection
     from repro.adapters.sqlite3_adapter import SQLite3Connection
-    from repro.adapters.subprocess_adapter import (
-        SubprocessConfig,
-        SubprocessConnection,
-    )
+    from repro.adapters.subprocess_adapter import SubprocessConnection
 
 #: Where each public name is defined, imported on first access: an
 #: exec-started isolated worker imports this package, and must not pay
@@ -40,7 +37,6 @@ _HOME = {
     "FaultyFactory": "repro.adapters.faults",
     "MiniDBConnection": "repro.adapters.minidb_adapter",
     "SQLite3Connection": "repro.adapters.sqlite3_adapter",
-    "SubprocessConfig": "repro.adapters.subprocess_adapter",
     "SubprocessConnection": "repro.adapters.subprocess_adapter",
 }
 
@@ -51,7 +47,6 @@ __all__ = [
     "FaultyFactory",
     "MiniDBConnection",
     "SQLite3Connection",
-    "SubprocessConfig",
     "SubprocessConnection",
 ]
 

@@ -15,21 +15,13 @@ class DBMSConnection(Protocol):
     for engine-reported errors and :class:`repro.errors.DBCrash` for hard
     crashes — the two signals the error and crash oracles consume.
 
-    Adapters *may* additionally offer plan introspection::
-
-        def query_plan(self, sql: str) -> list[PlanStep]: ...
-
-    returning :class:`repro.guidance.fingerprint.PlanStep` rows for a
-    SELECT without executing it (MiniDB's ``EXPLAIN``, sqlite3's
-    ``EXPLAIN QUERY PLAN``).  The hook is optional — plan-coverage
-    guidance probes for it with ``getattr`` and degrades to passive
-    mode when absent — so it is deliberately *not* part of this
-    Protocol: an adapter without it is still a complete target.
-
-    Three further optional hooks serve the multi-plan differential
-    oracle (:mod:`repro.multiplan`), and follow the same rules as
-    ``query_plan`` — probed with ``getattr``, never logged into the
-    replay journal, never advancing a fault schedule::
+    Adapters *may* additionally offer three hooks that serve plan
+    introspection: plan-coverage guidance (:mod:`repro.guidance`) and
+    the multi-plan differential oracle (:mod:`repro.multiplan`).  They
+    are deliberately *not* part of this Protocol — callers probe for
+    them with ``getattr``, and an adapter without them is still a
+    complete target.  They are never logged into the replay journal and
+    never advance a fault schedule::
 
         def forced_plan(self, sql: str, hints: PlannerHints
                         ) -> list[PlanStep]: ...
@@ -37,10 +29,13 @@ class DBMSConnection(Protocol):
                       ) -> list[tuple[Value, ...]]: ...
         def index_candidates(self, tables: list[str]) -> list[str]: ...
 
-    ``forced_plan`` returns the plan *sql* takes under the forced plan
-    described by :class:`repro.multiplan.hints.PlannerHints`, without
-    running it, and refuses (raises) whatever ``with_plan`` would refuse
-    before running.  ``with_plan`` runs *sql* once under the same hints
+    ``forced_plan`` returns the
+    :class:`repro.guidance.fingerprint.PlanStep` rows of the plan *sql*
+    takes under the forced plan described by
+    :class:`repro.multiplan.hints.PlannerHints`, without running it
+    (with ``BASELINE`` hints, the plan the unforced stream takes), and
+    refuses (raises) whatever ``with_plan`` would refuse before
+    running.  ``with_plan`` runs *sql* once under the same hints
     and returns the rows.  Both restore all forcing state before they
     return, so the connection's unforced behaviour is untouched.
     ``index_candidates`` lists the explicit (non-automatic) index names

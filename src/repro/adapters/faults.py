@@ -127,20 +127,14 @@ class FaultyConnection:
         """State-restoration path: no faults, no schedule advance."""
         return self.inner.execute(sql)
 
-    def query_plan(self, sql: str):
+    def forced_plan(self, sql: str, hints):
         """Plan introspection: faults target statements, not EXPLAIN,
         and the schedule does not advance."""
-        return self._forward("query_plan", "query_plan introspection",
-                             sql)
-
-    def forced_plan(self, sql: str, hints):
-        """Forced-plan planning: introspection like ``query_plan`` —
-        no fault firing, no schedule advance."""
         return self._forward("forced_plan", "forced-plan planning",
                              sql, hints)
 
     def with_plan(self, sql: str, hints):
-        """Forced-plan execution: introspection like ``query_plan`` —
+        """Forced-plan execution: introspection like ``forced_plan`` —
         no fault firing, no schedule advance."""
         return self._forward("with_plan", "forced-plan execution",
                              sql, hints)

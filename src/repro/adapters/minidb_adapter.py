@@ -27,24 +27,16 @@ class MiniDBConnection:
     def execute(self, sql: str) -> list[tuple[Value, ...]]:
         return self.engine.execute(sql).rows
 
-    def query_plan(self, sql: str) -> list[PlanStep]:
-        """Access-path steps for *sql* via MiniDB's EXPLAIN QUERY PLAN.
-
-        Does not count toward ``statements_executed`` — introspection is
-        not part of the tested statement stream.
-        """
-        result = self.engine.execute_statement(
-            parse_statement(f"EXPLAIN QUERY PLAN {sql}"))
-        return steps_from_minidb(result.python_rows())
-
     def forced_plan(self, sql: str,
                     hints: PlannerHints) -> list[PlanStep]:
-        """The plan *sql* takes under *hints*, without running it.
+        """The access-path steps of *sql* under *hints* (MiniDB's
+        EXPLAIN QUERY PLAN), without running it; ``BASELINE`` hints give
+        the plan the unforced stream takes.
 
-        Like :meth:`query_plan`, planning under hints is *not* part of
-        the tested statement stream: it does not count toward
-        ``statements_executed``, and every piece of forcing state is
-        restored before returning (see :meth:`_forcing`).  It refuses
+        Planning is *not* part of the tested statement stream: it does
+        not count toward ``statements_executed``, and every piece of
+        forcing state is restored before returning (see
+        :meth:`_forcing`).  It refuses
         exactly what :meth:`with_plan` refuses before it runs: the
         executor chooses every access path, where a forced plan can be
         refused, before anything that EXPLAIN skips can fail.

@@ -50,27 +50,27 @@ class SQLite3Connection:
             raise DBError(message) from exc
         return [tuple(_lift(v) for v in row) for row in rows]
 
-    def query_plan(self, sql: str) -> list[PlanStep]:
-        """Plan steps via ``EXPLAIN QUERY PLAN``, tolerant of the detail
-        format drift across SQLite versions (3.24's "SCAN TABLE t0" vs
-        3.36+'s "SCAN t0" — the parsing lives in
-        :func:`repro.guidance.fingerprint.parse_sqlite_eqp_detail`)."""
-        from repro.guidance.fingerprint import steps_from_sqlite_eqp
-
-        try:
-            cursor = self._conn.execute(f"EXPLAIN QUERY PLAN {sql}")
-            rows = cursor.fetchall()
-        except sqlite3.Error as exc:
-            raise DBError(str(exc)) from exc
-        # EQP rows are (id, parent, notused, detail); detail is last.
-        return steps_from_sqlite_eqp(str(row[-1]) for row in rows)
-
     def forced_plan(self, sql: str, hints: PlannerHints,
                     ) -> list[PlanStep]:
         """The plan *sql* takes under *hints* (``EXPLAIN QUERY PLAN`` of
-        the forced text, see :meth:`_forced`), without running it."""
+        the forced text, see :meth:`_forced`), without running it;
+        ``BASELINE`` hints leave the text as it is.
+
+        The steps tolerate the detail format drift across SQLite
+        versions (3.24's "SCAN TABLE t0" vs 3.36+'s "SCAN t0" — the
+        parsing lives in
+        :func:`repro.guidance.fingerprint.parse_sqlite_eqp_detail`)."""
+        from repro.guidance.fingerprint import steps_from_sqlite_eqp
+
         with self._forced(sql, hints) as forced_sql:
-            return self.query_plan(forced_sql)
+            try:
+                cursor = self._conn.execute(
+                    f"EXPLAIN QUERY PLAN {forced_sql}")
+                rows = cursor.fetchall()
+            except sqlite3.Error as exc:
+                raise DBError(str(exc)) from exc
+        # EQP rows are (id, parent, notused, detail); detail is last.
+        return steps_from_sqlite_eqp(str(row[-1]) for row in rows)
 
     def with_plan(self, sql: str,
                   hints: PlannerHints) -> list[tuple[Value, ...]]:
@@ -101,8 +101,8 @@ class SQLite3Connection:
           rather than just the plan, so toggling it would make plans
           legitimately diverge).
 
-        Like :meth:`query_plan`, a forced run is introspection, not part
-        of the tested statement stream.
+        A forced run is introspection, not part of the tested statement
+        stream.
         """
         hints.validate()
         forced_sql = sql

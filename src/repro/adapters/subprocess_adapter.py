@@ -54,7 +54,6 @@ import sys
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -210,21 +209,18 @@ class _WorkerDied(Exception):
         self.message = message
 
 
-@dataclass
-class SubprocessConfig:
-    """Knobs for the fault-isolation harness."""
-
-    #: Watchdog deadline per statement, seconds; None disables it.
-    statement_timeout: Optional[float] = 10.0
-    #: Deadline for worker startup + handshake.
-    startup_timeout: float = 30.0
-    #: Consecutive failed restore attempts tolerated per recovery
-    #: episode before :class:`~repro.errors.HarnessError`.
-    max_restarts: int = 5
-    #: Exponential backoff between failed restore attempts:
-    #: ``backoff_base * backoff_factor ** (failures - 1)`` seconds.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
+#: Watchdog deadline per statement, seconds, when the connection is
+#: given none.
+STATEMENT_TIMEOUT = 10.0
+#: Deadline for worker startup + handshake.
+STARTUP_TIMEOUT = 30.0
+#: Consecutive failed restore attempts tolerated per recovery episode
+#: before :class:`~repro.errors.HarnessError`.
+MAX_RESTARTS = 5
+#: Exponential backoff between failed restore attempts:
+#: ``BACKOFF_BASE * BACKOFF_FACTOR ** (failures - 1)`` seconds.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
 
 
 class SubprocessConnection:
@@ -242,12 +238,15 @@ class SubprocessConnection:
     statement count>`` so deterministic fault schedules keep their place
     across restarts.
 
+    ``statement_timeout`` is the per-statement watchdog deadline in
+    seconds; None means :data:`STATEMENT_TIMEOUT`.
+
     The worker process is borrowed, not owned: a healthy one is parked
     on :meth:`close` and re-targeted by the next connection's handshake.
     """
 
     def __init__(self, factory: Callable[[], Any],
-                 config: Optional[SubprocessConfig] = None,
+                 statement_timeout: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None):
         if "__main__" in (getattr(factory, "__module__", None),
                           type(factory).__module__):
@@ -258,7 +257,9 @@ class SubprocessConnection:
                 f"it must be importable by the worker (define it in a "
                 f"module)")
         self.factory = factory
-        self.config = config or SubprocessConfig()
+        self.statement_timeout = (STATEMENT_TIMEOUT
+                                  if statement_timeout is None
+                                  else statement_timeout)
         self.telemetry = telemetry or NULL_TELEMETRY
         self.dialect = "sqlite"  # refined by the handshake
         self._proc: Optional[_Worker] = None
@@ -287,23 +288,13 @@ class SubprocessConnection:
         self._log.append(sql)
         return rows
 
-    def query_plan(self, sql: str) -> list:
-        """Forward plan introspection to the worker's target connection.
-
-        Lets plan-coverage guidance drive ``--isolate`` runs.  Unlike
-        ``execute``, a successful introspection is *not* appended to the
-        replay log (EXPLAIN mutates nothing) and does not advance the
-        fault-schedule offset.
-        """
-        return self._call({"op": "query_plan", "sql": sql},
-                          "plan introspection", sql)
-
     def forced_plan(self, sql: str, hints) -> list:
         """Forward forced-plan planning to the worker's target.
 
-        Follows the ``query_plan`` rules: planning under hints is
-        introspection, so it is *not* appended to the replay log and
-        does not advance the fault-schedule offset.
+        Lets plan-coverage guidance and the multi-plan oracle drive an
+        isolated target.  Unlike ``execute``, planning is *not* appended to the replay log
+        (EXPLAIN mutates nothing) and does not advance the
+        fault-schedule offset.
         """
         return self._call({"op": "forced_plan", "sql": sql,
                            "hints": hints}, "forced-plan planning", sql)
@@ -319,7 +310,7 @@ class SubprocessConnection:
 
     def index_candidates(self, tables: list) -> Any:
         """Forward index enumeration to the worker's target (same
-        non-logging rules as ``query_plan``/``forced_plan``)."""
+        non-logging rules as ``forced_plan``)."""
         return self._call({"op": "index_candidates", "tables": list(tables)},
                           "index enumeration", repr(tables))
 
@@ -334,14 +325,14 @@ class SubprocessConnection:
             self._fresh += 1
         t0 = time.monotonic() if self._metered else 0.0
         try:
-            reply = self._request(message, self.config.statement_timeout)
+            reply = self._request(message, self.statement_timeout)
         except _WorkerDied as died:
             raise DBCrash(died.message) from None
         except _DeadlineExceeded:
             self._kill()
             self._m_watchdog.inc()
             raise DBTimeout(
-                f"{what} exceeded {self.config.statement_timeout:.3g}s "
+                f"{what} exceeded {self.statement_timeout:.3g}s "
                 f"watchdog deadline: {detail[:120]}") from None
         if fresh and self._metered:
             self._m_roundtrip.observe(time.monotonic() - t0)
@@ -399,12 +390,11 @@ class SubprocessConnection:
                     OSError) as exc:
                 self._kill()
                 failures += 1
-                if failures >= self.config.max_restarts:
+                if failures >= MAX_RESTARTS:
                     raise HarnessError(
                         f"target did not survive {failures} restore "
                         f"attempt(s): {exc!r}") from None
-                time.sleep(self.config.backoff_base *
-                           self.config.backoff_factor ** (failures - 1))
+                time.sleep(BACKOFF_BASE * BACKOFF_FACTOR ** (failures - 1))
             except BaseException:
                 # A worker left mid-recovery is never parked.
                 self._kill()
@@ -416,7 +406,7 @@ class SubprocessConnection:
         self._proc = _take_idle() or _start_worker()
         hello = {"op": "hello", "factory": self.factory,
                  "offset": self._fresh}
-        reply = self._request(hello, self.config.startup_timeout)
+        reply = self._request(hello, STARTUP_TIMEOUT)
         if isinstance(reply, dict) and "fatal" in reply:
             # The factory raised: a tool bug, which no restart mends.
             raise HarnessError(
@@ -431,7 +421,7 @@ class SubprocessConnection:
             self._m_replay.observe(len(self._log))
         for sql in self._log:
             reply = self._request({"op": "replay", "sql": sql},
-                                  self.config.statement_timeout)
+                                  self.statement_timeout)
             if "ok" not in reply:
                 # A statement that succeeded before now errors: the
                 # target diverged — retrying cannot help.
@@ -439,7 +429,7 @@ class SubprocessConnection:
                     f"state replay diverged on {sql[:120]!r}: {reply!r}")
 
     # -- protocol plumbing --------------------------------------------------
-    def _request(self, message: dict, timeout: Optional[float]) -> Any:
+    def _request(self, message: dict, timeout: float) -> Any:
         self._send(message)
         try:
             reply = self._recv(timeout)
@@ -460,16 +450,15 @@ class SubprocessConnection:
         except (BrokenPipeError, OSError):
             raise self._reap("write") from None
 
-    def _recv(self, timeout: Optional[float]) -> Any:
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
+    def _recv(self, timeout: float) -> Any:
+        deadline = time.monotonic() + timeout
         header = self._read_deadline(_HEADER.size, deadline)
         (length,) = _HEADER.unpack(header)
         body = self._read_deadline(length, deadline)
         self._m_bytes_in.inc(_HEADER.size + length)
         return pickle.loads(body)
 
-    def _read_deadline(self, n: int, deadline: Optional[float]) -> bytes:
+    def _read_deadline(self, n: int, deadline: float) -> bytes:
         """Read exactly *n* bytes from the worker's stdout before *deadline*.
 
         Uses the raw file descriptor (never the buffered reader) so
@@ -480,13 +469,12 @@ class SubprocessConnection:
         parts: list[bytes] = []
         got = 0
         while got < n:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise _DeadlineExceeded()
-                ready, _, _ = select.select([fd], [], [], remaining)
-                if not ready:
-                    raise _DeadlineExceeded()
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise _DeadlineExceeded()
+            ready, _, _ = select.select([fd], [], [], remaining)
+            if not ready:
+                raise _DeadlineExceeded()
             chunk = os.read(fd, n - got)
             if not chunk:
                 raise EOFError("worker closed the pipe")

@@ -22,10 +22,9 @@ connections and each new connection re-targets it with ``hello``.
 * ``replay``  — re-run a previously-successful statement during state
   restoration, bypassing fault injection when the target offers
   ``execute_replay``;
-* ``query_plan`` / ``forced_plan`` / ``with_plan`` /
-  ``index_candidates`` — optional introspection hooks, forwarded when
-  the target offers them and answered with an ``UnsupportedError``
-  reply otherwise;
+* ``forced_plan`` / ``with_plan`` / ``index_candidates`` — optional
+  introspection hooks, forwarded when the target offers them and
+  answered with an ``UnsupportedError`` reply otherwise;
 * ``close``   — close the target and exit 0.  EOF on stdin exits 0
   too, so a worker whose parent was killed does not linger.
 
@@ -49,7 +48,6 @@ CRASH_EXIT_CODE = 139
 #: Optional target hooks: op -> (request fields passed as arguments,
 #: what the error reply says the target lacks).
 _HOOKS = {
-    "query_plan": (("sql",), "query_plan introspection"),
     "forced_plan": (("sql", "hints"), "forced-plan planning"),
     "with_plan": (("sql", "hints"), "forced-plan execution"),
     "index_candidates": (("tables",), "index enumeration"),

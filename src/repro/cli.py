@@ -112,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="delta-debug each finding's test case "
                              "before fingerprinting (slower, tighter "
                              "dedup)")
-    report.add_argument("--history", default="results/history.jsonl",
-                        metavar="PATH",
-                        help="append a one-line summary here "
-                             "(default: results/history.jsonl)")
-    report.add_argument("--no-history", action="store_true",
-                        help="skip the history append")
     report.set_defaults(handler=cmd_report)
 
     sqlite_cmd = sub.add_parser("sqlite", help="PQS against the real "
@@ -283,13 +277,7 @@ def _build_observatory(args, telemetry):
 def cmd_report(args) -> int:
     import json
 
-    from repro.observe import (
-        append_history,
-        build_report,
-        load_history,
-        render_report,
-        render_trend,
-    )
+    from repro.observe import build_report, render_report
 
     reduce_fn = _report_reducer(args) if args.reduce else None
     try:
@@ -302,24 +290,18 @@ def cmd_report(args) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_report(report))
-        # Trend over *prior* campaigns only — this report's own line is
-        # appended below, after the comparison it is being compared to.
-        if args.history:
-            trend = render_trend(load_history(args.history))
-            if trend:
-                print()
-                print(trend)
-    if not args.no_history and args.history:
-        line = append_history(args.history, report)
-        print(f"\nappended to {args.history}: "
-              f"{json.dumps(line, sort_keys=True)}")
     return 0
 
 
 def _report_reducer(args):
     """A BugReport→BugReport reducer for ``pqs report --reduce``: the
     campaign's own :func:`~repro.campaigns.campaign.triage_finding`,
-    built from the journal header's dialect and defect set."""
+    built from the journal header's dialect and defect set.
+
+    Each distinct raw finding is triaged once: sightings that differ
+    only in ``seed`` and ``message``, which triage never reads, share
+    that one result."""
+    import json
     from dataclasses import replace
 
     from repro.campaigns.campaign import triage_finding
@@ -330,17 +312,25 @@ def _report_reducer(args):
     dialect = header.get("dialect", "sqlite")
     bug_ids = tuple(sorted(header.get("bug_ids") or [
         b.bug_id for b in bugs_for_dialect(dialect)]))
+    # triage key -> the reduced report, or None when it did not reduce.
+    triaged: dict = {}
 
     def reduce_report(raw):
-        # triage_finding builds fresh replayers, so each finding gets
-        # the whole replay budget.  ReductionError reaches
-        # build_report, which keeps the raw finding and counts it as
-        # unreduced.
-        report = replace(raw)
-        triage_finding(dialect, bug_ids, True, report)
-        if not report.reduced:
+        key = raw.to_json()
+        del key["seed"], key["message"]
+        key = json.dumps(key, sort_keys=True)
+        if key not in triaged:
+            # triage_finding builds fresh replayers, so each distinct
+            # finding gets the whole replay budget.
+            report = replace(raw)
+            triage_finding(dialect, bug_ids, True, report)
+            triaged[key] = report if report.reduced else None
+        reduced = triaged[key]
+        if reduced is None:
+            # build_report keeps the raw finding and counts it as
+            # unreduced.
             raise ReductionError("the finding does not reproduce")
-        return report
+        return replace(reduced, seed=raw.seed, message=raw.message)
 
     return reduce_report
 
@@ -428,17 +418,11 @@ def cmd_sqlite(args) -> int:
 
     factory = SQLite3Connection
     if args.isolate:
-        from repro.adapters.subprocess_adapter import (
-            SubprocessConfig,
-            SubprocessConnection,
-        )
-
-        harness_config = SubprocessConfig(
-            statement_timeout=args.timeout)
+        from repro.adapters.subprocess_adapter import SubprocessConnection
 
         def factory() -> SubprocessConnection:
-            return SubprocessConnection(SQLite3Connection,
-                                        harness_config)
+            # Positional: wrappers of the class forward it by position.
+            return SubprocessConnection(SQLite3Connection, args.timeout)
 
     runner = PQSRunner(factory,
                        RunnerConfig(dialect="sqlite", seed=args.seed,

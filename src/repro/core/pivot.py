@@ -1,9 +1,10 @@
 """Pivot row selection — step 2 of the paper's approach.
 
 "We then select a random row from each of the tables, to which we refer
-as the pivot row."  Rows are fetched from the system under test with
-``SELECT * FROM t`` — the DBMS's own view of its state, exactly like
-SQLancer queries state from the DBMS rather than tracking it (§3.4).
+as the pivot row."  The runner fetches rows from the system under test
+with ``SELECT * FROM t`` — the DBMS's own view of its state, exactly
+like SQLancer queries state from the DBMS rather than tracking it
+(§3.4) — and hands them to :meth:`PivotSelector.select`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.adapters.base import DBMSConnection
 from repro.core.schema import SchemaModel, TableModel
-from repro.errors import DBError
 from repro.rng import RandomSource
 from repro.values import Value
 
@@ -45,20 +45,6 @@ class PivotSelector:
         self.connection = connection
         self.schema = schema
         self.rng = rng
-
-    def tables_with_rows(self, candidates: list[TableModel],
-                         ) -> list[tuple[TableModel, list[tuple]]]:
-        """Fetch all rows of each candidate; drops empty/unreadable ones."""
-        out = []
-        for table in candidates:
-            try:
-                rows = self.connection.execute(
-                    f"SELECT * FROM {table.name}")
-            except DBError:
-                continue
-            if rows and all(len(r) == len(table.columns) for r in rows):
-                out.append((table, rows))
-        return out
 
     def select(self, tables_rows: list[tuple[TableModel, list[tuple]]],
                ) -> PivotRow:

@@ -27,6 +27,14 @@ from repro.values import Value
 #: Aggregates usable on single-row tables (their value equals the
 #: expression's value on the pivot row, or 1 for COUNT).
 _SINGLE_ROW_AGGREGATES = ("MIN", "MAX", "SUM", "COUNT", "AVG")
+#: Share of queries over single-row pivot tables that project
+#: aggregates (§3.2).
+AGGREGATE_PROBABILITY = 0.15
+#: Share of the remaining queries that GROUP BY their projection.
+GROUPBY_PROBABILITY = 0.25
+#: Share of the rest that project expressions on columns (§3.4) rather
+#: than the columns themselves.
+EXPRESSION_TARGETS_PROBABILITY = 0.4
 
 
 @dataclass
@@ -53,16 +61,10 @@ class QueryGenerator:
 
     def __init__(self, generator: ExpressionGenerator,
                  interpreter: Interpreter, rng: RandomSource,
-                 expression_targets_probability: float = 0.4,
-                 aggregate_probability: float = 0.15,
-                 groupby_probability: float = 0.15,
                  rectify: bool = True):
         self.generator = generator
         self.interpreter = interpreter
         self.rng = rng
-        self.expression_targets_probability = expression_targets_probability
-        self.aggregate_probability = aggregate_probability
-        self.groupby_probability = groupby_probability
         #: Rectification can be disabled for the ablation benchmark —
         #: doing so makes the containment oracle unsound (DESIGN.md §4.1).
         self.rectify = rectify
@@ -149,16 +151,16 @@ class QueryGenerator:
             join_conditions.append(on)
 
         use_aggregates = (pivot.all_single_row
-                          and self.rng.flip(self.aggregate_probability))
+                          and self.rng.flip(AGGREGATE_PROBABILITY))
         group_by: list[Expr] = []
         if use_aggregates:
             targets, expected = self._aggregate_targets(pivot)
-        elif self.rng.flip(self.groupby_probability):
+        elif self.rng.flip(GROUPBY_PROBABILITY):
             # GROUP BY over exactly the projected columns: every distinct
             # projected tuple (the pivot's included) must appear once.
             targets, expected = self._groupby_targets(pivot)
             group_by = list(targets)
-        elif self.rng.flip(self.expression_targets_probability):
+        elif self.rng.flip(EXPRESSION_TARGETS_PROBABILITY):
             targets, expected = self._expression_targets(pivot)
         else:
             targets, expected = self._column_targets(pivot)

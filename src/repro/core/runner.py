@@ -42,9 +42,30 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry import names as metric_names
 
 
+#: Additional random statements after the initial state.
+EXTRA_STATEMENTS = 10
+#: Pivot selections per database state.
+PIVOTS_PER_DATABASE = 4
+#: Synthesized queries per pivot row.
+QUERIES_PER_PIVOT = 5
+#: Check containment via INTERSECT (vs client-side) when supported.
+USE_INTERSECT_PROBABILITY = 0.3
+#: Probability of the §7 negative-containment mode (condition FALSE on
+#: the pivot row => the row must NOT be fetched).  Applied only when the
+#: pivot row is value-unique within its (single) table.
+NEGATIVE_PROBABILITY = 0.1
+#: Stop a database round after this many findings (keeps campaign test
+#: cases small).
+MAX_REPORTS_PER_DATABASE = 3
+
+
 @dataclass
 class RunnerConfig:
-    """Knobs for one PQS run; defaults follow the paper's §3.4 choices."""
+    """Knobs for one PQS run; defaults follow the paper's §3.4 choices.
+
+    Only what some caller varies is a field; the paper's fixed
+    generation choices are the module constants above and in
+    :mod:`repro.core.querygen`."""
 
     dialect: str = "sqlite"
     seed: int = 0
@@ -53,33 +74,15 @@ class RunnerConfig:
     #: Rows per table — the paper found most bugs with 10–30 rows.
     min_rows: int = 3
     max_rows: int = 12
-    #: Additional random statements after the initial state.
-    extra_statements: int = 10
-    #: Pivot selections per database state.
-    pivots_per_database: int = 4
-    #: Synthesized queries per pivot row.
-    queries_per_pivot: int = 5
     max_expression_depth: int = 4
-    expression_targets_probability: float = 0.4
-    aggregate_probability: float = 0.15
-    groupby_probability: float = 0.25
-    #: Check containment via INTERSECT (vs client-side) when supported.
-    use_intersect_probability: float = 0.3
     #: Disable rectification (Algorithm 3) — ablation only; makes the
     #: containment oracle unsound.
     rectify: bool = True
-    #: Probability of the §7 negative-containment mode (condition FALSE
-    #: on the pivot row => the row must NOT be fetched).  Applied only
-    #: when the pivot row is value-unique within its (single) table.
-    negative_probability: float = 0.1
     #: Error-message patterns the target's developers have documented as
     #: intended (see ErrorOracle).  Pass
     #: error_oracle.SQLITE3_DOCUMENTED_QUIRKS when driving a modern real
     #: SQLite build.
     documented_quirks: tuple = ()
-    #: Stop a database round after this many findings (keeps campaign
-    #: test cases small).
-    max_reports_per_database: int = 3
     #: Cross-check every synthesized query across all distinct feasible
     #: plans (repro.multiplan).  Forced runs go through the adapters'
     #: non-logged ``forced_plan``/``with_plan`` hooks, so the tested
@@ -180,7 +183,7 @@ class PQSRunner:
                 self._generate_state(connection, schema, actions, log,
                                      round_, mutators,
                                      mutation_statements)
-            if len(round_.reports) < self.config.max_reports_per_database:
+            if len(round_.reports) < MAX_REPORTS_PER_DATABASE:
                 self._query_phase(connection, schema, log, round_)
         finally:
             connection.close()
@@ -209,15 +212,15 @@ class PQSRunner:
         for generated in actions.initial_statements(n_tables, rows):
             self._run_statement(connection, generated.sql,
                                 generated.on_success, log, round_)
-            if len(round_.reports) >= self.config.max_reports_per_database:
+            if len(round_.reports) >= MAX_REPORTS_PER_DATABASE:
                 return
-        for _ in range(self.config.extra_statements):
+        for _ in range(EXTRA_STATEMENTS):
             generated = actions.random_action()
             if generated is None:
                 continue
             self._run_statement(connection, generated.sql,
                                 generated.on_success, log, round_)
-            if len(round_.reports) >= self.config.max_reports_per_database:
+            if len(round_.reports) >= MAX_REPORTS_PER_DATABASE:
                 return
         closing = actions.close_transaction()
         if closing is not None:
@@ -233,8 +236,7 @@ class PQSRunner:
                     continue
                 self._run_statement(connection, generated.sql,
                                     generated.on_success, log, round_)
-                if len(round_.reports) >= \
-                        self.config.max_reports_per_database:
+                if len(round_.reports) >= MAX_REPORTS_PER_DATABASE:
                     return
             closing = mutator.close_transaction()
             if closing is not None:
@@ -316,20 +318,15 @@ class PQSRunner:
         generator = ExpressionGenerator(
             self.dialect, self.rng,
             max_depth=self.config.max_expression_depth)
-        querygen = QueryGenerator(
-            generator, self.interpreter, self.rng,
-            self.config.expression_targets_probability,
-            self.config.aggregate_probability,
-            self.config.groupby_probability,
-            rectify=self.config.rectify)
+        querygen = QueryGenerator(generator, self.interpreter, self.rng,
+                                  rectify=self.config.rectify)
 
-        for _ in range(self.config.pivots_per_database):
+        for _ in range(PIVOTS_PER_DATABASE):
             with self._phase_pivot:
                 tables_rows = self._probe_relations(connection, schema,
                                                     log, round_)
                 if not tables_rows or \
-                        len(round_.reports) >= \
-                        self.config.max_reports_per_database:
+                        len(round_.reports) >= MAX_REPORTS_PER_DATABASE:
                     return
                 # Mostly one table, sometimes two (90% of the paper's
                 # bug reports involved a single table).
@@ -339,11 +336,10 @@ class PQSRunner:
                 pivot = selector.select(chosen)
             round_.pivots += 1
             self._m_pivots.inc()
-            for _ in range(self.config.queries_per_pivot):
+            for _ in range(QUERIES_PER_PIVOT):
                 self._one_query(connection, querygen, pivot, log, round_,
                                 chosen)
-                if len(round_.reports) >= \
-                        self.config.max_reports_per_database:
+                if len(round_.reports) >= MAX_REPORTS_PER_DATABASE:
                     return
 
     def _probe_relations(self, connection: DBMSConnection,
@@ -367,7 +363,7 @@ class PQSRunner:
                    log: list[str], round_: RoundRecord,
                    chosen=None) -> None:
         negative = (chosen is not None
-                    and self.rng.flip(self.config.negative_probability)
+                    and self.rng.flip(NEGATIVE_PROBABILITY)
                     and self._negative_mode_sound(pivot, chosen))
         try:
             with self._phase_synth:
@@ -381,8 +377,7 @@ class PQSRunner:
         round_.queries += 1
         self._m_queries.inc()
         self.guidance.observe_query(connection, query.sql)
-        use_intersect = self.rng.flip(
-            self.config.use_intersect_probability)
+        use_intersect = self.rng.flip(USE_INTERSECT_PROBABILITY)
         try:
             with self._phase_contain:
                 contained = check_containment(
@@ -413,7 +408,7 @@ class PQSRunner:
         """Cross-check *query* across forced plans (no-op when off)."""
         if not self.multiplan.enabled:
             return
-        if len(round_.reports) >= self.config.max_reports_per_database:
+        if len(round_.reports) >= MAX_REPORTS_PER_DATABASE:
             return
         divergence = self.multiplan.check(connection, query,
                                           self.interpreter.semantics)

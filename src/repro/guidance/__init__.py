@@ -1,8 +1,8 @@
 """``repro.guidance`` — query-plan-guided generation.
 
-Plan introspection (adapter ``query_plan`` hooks + MiniDB ``EXPLAIN``),
-schema-shape plan fingerprinting, coverage tracking, and the feedback
-scheduler that biases :class:`~repro.core.runner.PQSRunner` toward
+Plan introspection (the adapters' ``forced_plan`` hook under
+``BASELINE`` hints + MiniDB ``EXPLAIN``), schema-shape plan
+fingerprinting, coverage tracking, and the feedback scheduler that biases :class:`~repro.core.runner.PQSRunner` toward
 mutating states that produced novel plans.  Off by default everywhere:
 :data:`NULL_GUIDANCE` follows the telemetry package's null-object
 pattern, and a hunt without ``--guidance`` is bit-identical to one run

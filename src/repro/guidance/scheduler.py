@@ -12,13 +12,14 @@ than thrown away for a fresh random state.  Concretely:
   partial, expression, COLLATE, DESC — and on maintenance, whose ANALYZE
   unlocks skip-scan paths) — because that enrichment reaches plan shapes
   the plain action mix rarely sets up.  With probability
-  ``reuse_probability`` (and a non-empty pool) the round *extends an
+  :data:`REUSE_PROBABILITY` (and a non-empty pool) the round *extends an
   interesting lineage*: it replays a pooled (state seed, burst chain)
   recipe and stacks one more burst on it; otherwise it explores a fresh
   per-round state seed with a single burst.
 * :meth:`PlanGuidance.observe_query` fingerprints the plan of each
-  synthesized query via the connection's ``query_plan`` hook and feeds
-  the coverage set.
+  synthesized query — the connection's ``forced_plan`` hook under
+  ``BASELINE`` hints, i.e. the plan the unforced stream takes — and
+  feeds the coverage set.
 * :meth:`PlanGuidance.end_round` promotes the round's base seed into a
   bounded interesting-seed pool when the round produced novelty.
 
@@ -42,12 +43,23 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import DBCrash, DBError
 from repro.guidance.coverage import PlanCoverage
 from repro.guidance.fingerprint import fingerprint
+from repro.multiplan.hints import BASELINE
 from repro.rng import RandomSource
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry import names as metric_names
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.stategen.actions import ActionWeights
+
+#: Interesting (state seed, burst chain) recipes kept for reuse.
+POOL_SIZE = 16
+#: Probability that a guided round extends a pooled lineage instead of
+#: exploring a fresh state.
+REUSE_PROBABILITY = 0.3
+#: Extra statements per mutation burst.
+MUTATION_STATEMENTS = 16
+#: Longest burst chain a lineage grows to.
+MAX_MUTATIONS = 5
 
 _MUTATION_WEIGHTS = None
 
@@ -146,19 +158,11 @@ class PlanGuidance:
 
     enabled = True
 
-    def __init__(self, seed: int = 0, pool_size: int = 16,
-                 reuse_probability: float = 0.3,
-                 mutation_statements: int = 16,
-                 max_mutations: int = 5,
-                 feedback: bool = True,
+    def __init__(self, seed: int = 0, feedback: bool = True,
                  telemetry: Optional[Telemetry] = None):
         self.coverage = PlanCoverage()
         #: Interesting states as (state_seed, mutation_chain) recipes.
         self.pool: list[tuple[int, tuple[int, ...]]] = []
-        self.pool_size = pool_size
-        self.reuse_probability = reuse_probability
-        self.mutation_statements = mutation_statements
-        self.max_mutations = max_mutations
         self.feedback = feedback
         # Dedicated stream: scheduling draws must not perturb the
         # runner's generation RNG (the guidance-off bit-identity
@@ -181,14 +185,14 @@ class PlanGuidance:
         if not self.feedback:
             self._round_recipe = None
             return None
-        if self.pool and self.rng.flip(self.reuse_probability):
+        if self.pool and self.rng.flip(REUSE_PROBABILITY):
             # Exploit: extend an interesting lineage by one more burst.
             base, chain = self.rng.choice(self.pool)
             nonce = self.rng.int_between(0, 2**31 - 1)
-            if len(chain) >= self.max_mutations:
+            if len(chain) >= MAX_MUTATIONS:
                 # Fully-grown lineage: replace its newest burst so the
                 # chain (and per-round replay cost) stays bounded.
-                chain = chain[:self.max_mutations - 1]
+                chain = chain[:MAX_MUTATIONS - 1]
             chain = chain + (mix_seed(base, nonce),)
         else:
             # Explore: a fresh state — still with one mutation burst,
@@ -199,23 +203,23 @@ class PlanGuidance:
         profile = RoundProfile(
             state_seed=base,
             mutations=chain,
-            mutation_statements=self.mutation_statements,
+            mutation_statements=MUTATION_STATEMENTS,
             weights=mutation_weights())
         self._round_recipe = (profile.state_seed, profile.mutations)
         return profile
 
     def observe_query(self, connection, sql: str) -> Optional[str]:
-        """Fingerprint *sql*'s plan on *connection*; returns the
+        """Fingerprint *sql*'s unforced plan on *connection*; returns the
         fingerprint, or None when the target cannot explain it.
 
         Introspection failures are swallowed: guidance is advisory and
         must never turn a working hunt into a failing one.
         """
-        plan_fn = getattr(connection, "query_plan", None)
+        plan_fn = getattr(connection, "forced_plan", None)
         if plan_fn is None:
             return None
         try:
-            steps = plan_fn(sql)
+            steps = plan_fn(sql, BASELINE)
         except (DBError, DBCrash):
             return None
         if not steps:
@@ -263,5 +267,5 @@ class PlanGuidance:
         if recipe in self.pool:
             return
         self.pool.append(recipe)
-        if len(self.pool) > self.pool_size:
+        if len(self.pool) > POOL_SIZE:
             self.pool.pop(0)

@@ -216,11 +216,6 @@ class BugRegistry:
         for bug_id in enabled or ():
             self.enable(bug_id)
 
-    @classmethod
-    def all_for(cls, dialect: str) -> "BugRegistry":
-        """Registry with every defect of *dialect* switched on."""
-        return cls({bug.bug_id for bug in bugs_for_dialect(dialect)})
-
     def enable(self, bug_id: str) -> None:
         if bug_id not in BUG_CATALOG:
             raise KeyError(f"unknown bug id: {bug_id}")

@@ -249,8 +249,3 @@ class Catalog:
         for idx in self.indexes.values():
             if idx.table.lower() == old.lower():
                 idx.table = new
-
-    def all_relation_names(self) -> list[str]:
-        """Tables and views, in creation order (for sqlite_master)."""
-        return ([t.name for t in self.tables.values()]
-                + [v.name for v in self.views.values()])

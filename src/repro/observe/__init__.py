@@ -7,7 +7,7 @@ The observe package is the read side of a hunt.  Two pieces:
   service (``hunt --serve``) over it;
 * :mod:`repro.observe.report` — offline triage analytics
   (``pqs report``): journal + metrics snapshot in, a deduplicated bug
-  digest and a ``results/history.jsonl`` line out.
+  digest out.
 
 Everything here is off by default and **observation-only**: no code
 path in this package feeds back into generation, and the durability
@@ -20,15 +20,7 @@ from repro.observe.observatory import (
     NullObservatory,
     Observatory,
 )
-from repro.observe.report import (
-    append_history,
-    build_report,
-    campaign_id,
-    history_line,
-    load_history,
-    render_report,
-    render_trend,
-)
+from repro.observe.report import build_report, campaign_id, render_report
 from repro.observe.server import StatusServer, parse_address
 
 __all__ = [
@@ -36,12 +28,8 @@ __all__ = [
     "NullObservatory",
     "Observatory",
     "StatusServer",
-    "append_history",
     "build_report",
     "campaign_id",
-    "history_line",
-    "load_history",
     "parse_address",
     "render_report",
-    "render_trend",
 ]

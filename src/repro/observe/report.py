@@ -17,9 +17,7 @@ checksummed journal (authoritative results) and the metrics snapshot
 Everything is computed offline from files: the journal is loaded
 fingerprint-free (:meth:`~repro.campaigns.journal.CampaignJournal
 .load_any`), so a report can be cut for any journal without knowing how
-the campaign was configured.  :func:`append_history` adds one summary
-line per report to ``results/history.jsonl`` — the long-memory file
-that lets hunt N be compared against hunts 1..N-1.
+the campaign was configured.
 """
 
 from __future__ import annotations
@@ -300,80 +298,3 @@ def render_report(report: dict) -> str:
 
 def _fmt_counts(counts: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in counts.items())
-
-
-def history_line(report: dict) -> dict:
-    """The one-line summary appended to ``results/history.jsonl``."""
-    seconds = report["totals"]["seconds"]
-    queries = report["totals"]["queries"]
-    return {
-        "campaign": report["campaign"],
-        "dialect": report["dialect"],
-        "seed": report["seed"],
-        "rounds_completed": report["rounds"]["completed"],
-        "statements": report["totals"]["statements"],
-        "queries": queries,
-        "raw_findings": report["totals"]["raw_findings"],
-        "distinct_bugs": len(report["bugs"]),
-        "by_oracle": report["by_oracle"],
-        "seconds": seconds,
-        "queries_per_second":
-            round(queries / seconds, 2) if seconds > 0 else 0.0,
-    }
-
-
-def append_history(path: str, report: dict) -> dict:
-    """Append this campaign's summary line to the history file."""
-    line = history_line(report)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line, sort_keys=True) + "\n")
-    return line
-
-
-def load_history(path: str) -> list[dict]:
-    """All parseable history lines, oldest first.  Tolerant by design:
-    the history file is long-memory across tool versions, so malformed
-    lines are skipped and missing keys are the reader's problem."""
-    if not os.path.exists(path):
-        return []
-    lines: list[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                parsed = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(parsed, dict):
-                lines.append(parsed)
-    return lines
-
-
-def render_trend(lines: list[dict], limit: int = 8) -> str:
-    """A short cross-campaign trend over the most recent history lines:
-    distinct bugs and throughput per campaign, oldest of the window
-    first.  Lines predating the throughput stamp render as ``?``."""
-    if not lines:
-        return ""
-    window = lines[-limit:]
-    out = [f"history trend ({len(window)} of {len(lines)} campaign(s)):"]
-    bugs_series = []
-    qps_series = []
-    for line in window:
-        bugs_series.append(str(line.get("distinct_bugs", "?")))
-        qps = line.get("queries_per_second")
-        qps_series.append("?" if qps is None else f"{qps:g}")
-        campaign = line.get("campaign", "?")
-        rounds = line.get("rounds_completed", "?")
-        bugs = line.get("distinct_bugs", "?")
-        qps_text = "?" if qps is None else f"{qps:g} q/s"
-        out.append(f"  {campaign}: {rounds} rounds, {bugs} distinct "
-                   f"bug(s), {qps_text}")
-    out.append("  distinct bugs: " + " -> ".join(bugs_series))
-    out.append("  queries/s:     " + " -> ".join(qps_series))
-    return "\n".join(out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -47,11 +47,6 @@ class RandomSource:
     def sample(self, options: Sequence[T], k: int) -> list[T]:
         return self._rng.sample(options, k)
 
-    def shuffled(self, options: Iterable[T]) -> list[T]:
-        out = list(options)
-        self._rng.shuffle(out)
-        return out
-
     def weighted_choice(self, options: Sequence[T], weights: Sequence[float]) -> T:
         return self._rng.choices(options, weights=weights, k=1)[0]
 
@@ -62,21 +57,9 @@ class RandomSource:
         return self._rng.gauss(mu, sigma)
 
     # -- SQL-flavoured draws --------------------------------------------------
-    def small_int(self) -> int:
-        """An integer biased toward boundary values, per fuzzing practice."""
-        specials = [0, 1, -1, 2, -2, 127, -128, 255, 256, 2**31 - 1,
-                    -(2**31), 2**63 - 1, -(2**63), 10, -10]
-        if self.flip(0.5):
-            return self.choice(specials)
-        return self.int_between(-1000, 1000)
-
     def short_text(self, max_len: int = 8) -> str:
         n = self.int_between(0, max_len)
         return "".join(self.choice(TEXT_ALPHABET) for _ in range(n))
-
-    def short_blob(self, max_len: int = 8) -> bytes:
-        n = self.int_between(0, max_len)
-        return bytes(self.int_between(0, 255) for _ in range(n))
 
     def identifier(self, prefix: str, index: int) -> str:
         return f"{prefix}{index}"

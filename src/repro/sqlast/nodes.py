@@ -257,9 +257,4 @@ def count_nodes(expr: Expr) -> int:
     return sum(1 for _ in walk(expr))
 
 
-def referenced_columns(expr: Expr) -> list[ColumnNode]:
-    """All column references in *expr*, in preorder."""
-    return [node for node in walk(expr) if isinstance(node, ColumnNode)]
-
-
 ExprOrValue = Union[Expr, Value]

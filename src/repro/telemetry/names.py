@@ -64,7 +64,8 @@ TRIAGE_WORKER_FAILURES = "pqs_triage_worker_failures_total"
 GUIDANCE_PLANS_DISTINCT = "pqs_guidance_plans_distinct"
 #: Rounds that produced at least one novel plan (counter).
 GUIDANCE_NOVEL_ROUNDS = "pqs_guidance_novel_rounds_total"
-#: Successful query_plan introspections (counter).
+#: Successful baseline-plan lookups, ``forced_plan(sql, BASELINE)``
+#: (counter).
 GUIDANCE_PLAN_LOOKUPS = "pqs_guidance_plan_lookups_total"
 
 # -- multi-plan differential oracle (repro.multiplan) -----------------------
@@ -127,7 +128,7 @@ HELP = {
         "Triage process pools given up for in-process triage",
     GUIDANCE_PLANS_DISTINCT: "Distinct plan fingerprints seen so far",
     GUIDANCE_NOVEL_ROUNDS: "Rounds that produced at least one novel plan",
-    GUIDANCE_PLAN_LOOKUPS: "Successful query_plan introspections",
+    GUIDANCE_PLAN_LOOKUPS: "Successful baseline-plan lookups for guidance",
     MULTIPLAN_QUERIES: "Queries cross-checked by the multi-plan oracle",
     MULTIPLAN_PLANS_PER_QUERY: "Distinct feasible plans executed per query",
     MULTIPLAN_DIVERGENCES:

@@ -10,21 +10,25 @@ import pytest
 from repro.adapters.base import DBMSConnection
 from repro.adapters.faults import FaultPlan, FaultyFactory
 from repro.adapters.sqlite3_adapter import SQLite3Connection
-from repro.adapters.subprocess_adapter import (
-    SubprocessConfig,
-    SubprocessConnection,
-)
+from repro.adapters import subprocess_adapter
+from repro.adapters.subprocess_adapter import SubprocessConnection
 from repro.core.error_oracle import SQLITE3_DOCUMENTED_QUIRKS
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import DBCrash, DBError, DBTimeout, HarnessError
 
-FAST = SubprocessConfig(statement_timeout=5.0, backoff_base=0.01)
+#: Statement deadline, seconds, for targets that should not hang.
+FAST = 5.0
 
 
-def isolated(plan=None, config=FAST):
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(subprocess_adapter, "BACKOFF_BASE", 0.01)
+
+
+def isolated(plan=None, statement_timeout=FAST):
     factory = (SQLite3Connection if plan is None
                else FaultyFactory(SQLite3Connection, plan))
-    return SubprocessConnection(factory, config)
+    return SubprocessConnection(factory, statement_timeout)
 
 
 class TestProtocol:
@@ -139,8 +143,7 @@ class TestCrashRecovery:
 class TestWatchdog:
     def test_timeout_fires_on_hung_statement(self):
         plan = FaultPlan(hang_at=(1,), hang_seconds=60)
-        conn = isolated(plan, SubprocessConfig(statement_timeout=0.3,
-                                               backoff_base=0.01))
+        conn = isolated(plan, 0.3)
         try:
             conn.execute("CREATE TABLE t(a)")
             with pytest.raises(DBTimeout) as exc:
@@ -151,8 +154,7 @@ class TestWatchdog:
 
     def test_state_survives_a_timeout(self):
         plan = FaultPlan(hang_at=(2,), hang_seconds=60)
-        conn = isolated(plan, SubprocessConfig(statement_timeout=0.3,
-                                               backoff_base=0.01))
+        conn = isolated(plan, 0.3)
         try:
             conn.execute("CREATE TABLE t(a)")
             conn.execute("INSERT INTO t VALUES (7)")
@@ -173,14 +175,13 @@ class UnbuildableTarget:
 
 
 class TestRetryBudget:
-    def test_budget_exhaustion_raises_harness_error(self):
+    def test_budget_exhaustion_raises_harness_error(self, monkeypatch):
         # Every spawn attempt fails at the handshake, so restore burns
         # through its retry budget and gives up loudly.
+        monkeypatch.setattr(subprocess_adapter, "MAX_RESTARTS", 2)
+        monkeypatch.setattr(subprocess_adapter, "BACKOFF_BASE", 0.0)
         with pytest.raises(HarnessError):
-            SubprocessConnection(
-                UnbuildableTarget(),
-                SubprocessConfig(statement_timeout=1.0, max_restarts=2,
-                                 backoff_base=0.0))
+            SubprocessConnection(UnbuildableTarget(), 1.0)
 
 
 class TestRunnerIntegration:
@@ -190,12 +191,9 @@ class TestRunnerIntegration:
 
     def test_crash_and_hang_mid_campaign(self):
         plan = FaultPlan(crash_at=(12,), hang_at=(25,), hang_seconds=60)
-        harness = SubprocessConfig(statement_timeout=0.4,
-                                   backoff_base=0.01)
-
         def factory():
             return SubprocessConnection(
-                FaultyFactory(SQLite3Connection, plan), harness)
+                FaultyFactory(SQLite3Connection, plan), 0.4)
 
         runner = PQSRunner(
             factory,

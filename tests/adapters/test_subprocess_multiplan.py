@@ -1,7 +1,7 @@
 """The optional ``forced_plan`` / ``with_plan`` / ``index_candidates``
 hooks across the subprocess harness and the fault proxy.
 
-Forced-plan executions are introspection, exactly like ``query_plan``:
+Forced-plan executions are introspection, exactly like planning:
 they must cross the pipe, but never enter the crash-replay log and
 never advance a fault schedule — otherwise enabling the multiplan
 oracle would change what a restarted worker replays and which

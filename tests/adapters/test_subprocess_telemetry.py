@@ -4,20 +4,25 @@ import pytest
 
 from repro.adapters.faults import FaultPlan, FaultyFactory
 from repro.adapters.sqlite3_adapter import SQLite3Connection
-from repro.adapters.subprocess_adapter import (
-    SubprocessConfig,
-    SubprocessConnection,
-)
+from repro.adapters import subprocess_adapter
+from repro.adapters.subprocess_adapter import SubprocessConnection
 from repro.errors import DBCrash, DBTimeout
 from repro.telemetry import Telemetry, names
 
-FAST = SubprocessConfig(statement_timeout=5.0, backoff_base=0.01)
+#: Statement deadline, seconds, for targets that should not hang.
+FAST = 5.0
 
 
-def isolated(telemetry, plan=None, config=FAST):
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(subprocess_adapter, "BACKOFF_BASE", 0.01)
+
+
+def isolated(telemetry, plan=None, statement_timeout=FAST):
     factory = (SQLite3Connection if plan is None
                else FaultyFactory(SQLite3Connection, plan))
-    return SubprocessConnection(factory, config, telemetry=telemetry)
+    return SubprocessConnection(factory, statement_timeout,
+                                telemetry=telemetry)
 
 
 class TestHarnessMetrics:
@@ -56,10 +61,8 @@ class TestHarnessMetrics:
 
     def test_watchdog_kill_counted(self):
         telemetry = Telemetry()
-        config = SubprocessConfig(statement_timeout=0.3,
-                                  backoff_base=0.01)
         conn = isolated(telemetry, FaultPlan(hang_at=(1,)),
-                        config=config)
+                        statement_timeout=0.3)
         try:
             conn.execute("CREATE TABLE t(a)")
             with pytest.raises(DBTimeout):

@@ -13,23 +13,27 @@ import pytest
 
 from repro.adapters.faults import FaultPlan, FaultyFactory
 from repro.adapters.sqlite3_adapter import SQLite3Connection
-from repro.adapters.subprocess_adapter import (
-    SubprocessConfig,
-    SubprocessConnection,
-)
+from repro.adapters import subprocess_adapter
+from repro.adapters.subprocess_adapter import SubprocessConnection
 from repro.core.error_oracle import SQLITE3_DOCUMENTED_QUIRKS
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import DBCrash, DBError, DBTimeout, HarnessError
 from repro.telemetry import Telemetry, names
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-FAST = SubprocessConfig(statement_timeout=5.0, backoff_base=0.01)
+#: Statement deadline, seconds, for targets that should not hang.
+FAST = 5.0
 
 
-def isolated(plan=None, config=FAST, telemetry=None):
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(subprocess_adapter, "BACKOFF_BASE", 0.01)
+
+
+def isolated(plan=None, statement_timeout=FAST, telemetry=None):
     factory = (SQLite3Connection if plan is None
                else FaultyFactory(SQLite3Connection, plan))
-    return SubprocessConnection(factory, config, telemetry)
+    return SubprocessConnection(factory, statement_timeout, telemetry)
 
 
 def fresh_interpreter(script: str) -> str:
@@ -96,9 +100,7 @@ class TestReuse:
             after.close()
 
     def test_timed_out_worker_is_never_reused(self):
-        conn = isolated(FaultPlan(hang_at=(1,), hang_seconds=60),
-                        SubprocessConfig(statement_timeout=0.3,
-                                         backoff_base=0.01))
+        conn = isolated(FaultPlan(hang_at=(1,), hang_seconds=60), 0.3)
         hung = conn.worker_pid
         try:
             conn.execute("CREATE TABLE t(a)")
@@ -179,11 +181,11 @@ class TestFactoryFailure:
             return plain_spawn(self)
 
         monkeypatch.setattr(SubprocessConnection, "_spawn", counting_spawn)
+        monkeypatch.setattr(subprocess_adapter, "MAX_RESTARTS", 3)
+        monkeypatch.setattr(subprocess_adapter, "BACKOFF_BASE", 0.0)
         telemetry = Telemetry()
         with pytest.raises(HarnessError) as exc:
-            SubprocessConnection(
-                factory, SubprocessConfig(max_restarts=3, backoff_base=0.0),
-                telemetry)
+            SubprocessConnection(factory, None, telemetry)
         assert "did not survive" not in str(exc.value)
         assert "RuntimeError: cannot build target" in str(exc.value)
         assert len(spawns) == 1

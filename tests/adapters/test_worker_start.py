@@ -95,12 +95,12 @@ from repro.core.runner import PQSRunner, RunnerConfig
 from repro.telemetry import Telemetry, names
 
 plan = FaultPlan(crash_at=(12,), hang_at=(25,), hang_seconds=60)
-harness = adapter.SubprocessConfig(statement_timeout=0.4, backoff_base=0.01)
+adapter.BACKOFF_BASE = 0.01
 telemetry = Telemetry()
 
 def factory():
     return adapter.SubprocessConnection(
-        FaultyFactory(SQLite3Connection, plan), harness, telemetry)
+        FaultyFactory(SQLite3Connection, plan), 0.4, telemetry)
 
 runner = PQSRunner(factory,
                    RunnerConfig(dialect="sqlite", seed=3,
@@ -143,8 +143,8 @@ from repro.errors import DBCrash
 faulthandler.enable(os.fdopen(os.dup(2), "w"))
 # Still in this process's stdout buffer when the workers are forked.
 sys.stdout.write("written once\\n")
-conn = adapter.SubprocessConnection(
-    SQLite3Connection, adapter.SubprocessConfig(backoff_base=0.01))
+adapter.BACKOFF_BASE = 0.01
+conn = adapter.SubprocessConnection(SQLite3Connection)
 conn.execute("CREATE TABLE t(a)")
 os.kill(conn.worker_pid, signal.SIGSEGV)
 crashed = ""

@@ -71,7 +71,7 @@ class TestPlanTimingJournals:
     def test_report_ignores_plantime_outcomes(self, tmp_path):
         journal = tmp_path / "hunt.jsonl"
         assert run_cli(*HUNT, "--journal", str(journal))[0] == 0
-        report = ("report", str(journal), "--no-history")
+        report = ("report", str(journal))
         plain = run_cli(*report)
         plain_json = run_cli(*report, "--json")
         rewrite(journal, timed_rounds)

@@ -8,6 +8,7 @@ from repro.core.containment import check_containment
 from repro.core.exprgen import ExpressionGenerator
 from repro.core.pivot import PivotSelector
 from repro.core.querygen import QueryGenerator
+from repro.core import runner as runner_module
 from repro.core.rectify import rectify_condition_to_false
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.core.schema import ColumnModel, SchemaModel, TableModel
@@ -54,7 +55,8 @@ class TestNegativeSynthesis:
                                         max_depth=3)
         querygen = QueryGenerator(generator, INTERP, rng)
         for _ in range(120):
-            pivot = selector.select(selector.tables_with_rows([model]))
+            rows = conn.execute("SELECT * FROM t0")
+            pivot = selector.select([(model, rows)])
             query = querygen.synthesize_negative(pivot)
             assert query.negative
             assert not check_containment(conn, query, INTERP.semantics), \
@@ -106,10 +108,10 @@ class TestNegativeSynthesis:
 
 
 class TestRunnerIntegration:
-    def test_negative_mode_sound_on_clean_engines(self):
+    def test_negative_mode_sound_on_clean_engines(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "NEGATIVE_PROBABILITY", 0.5)
         for dialect in ("sqlite", "mysql", "postgres"):
-            config = RunnerConfig(dialect=dialect, seed=33,
-                                  negative_probability=0.5)
+            config = RunnerConfig(dialect=dialect, seed=33)
             runner = PQSRunner(lambda d=dialect: MiniDBConnection(d),
                                config)
             stats = runner.run(10)

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.adapters.minidb_adapter import MiniDBConnection
+from repro.core import querygen as querygen_module
 from repro.core.containment import check_containment, containment_query
 from repro.core.exprgen import ExpressionGenerator
 from repro.core.pivot import PivotRow, PivotSelector
 from repro.core.querygen import QueryGenerator
+from repro.core.reports import RoundRecord
+from repro.core.runner import PQSRunner, RunnerConfig
 from repro.core.schema import ColumnModel, SchemaModel, TableModel
 from repro.dialects import get_dialect
 from repro.interp import make_interpreter
@@ -26,11 +29,26 @@ def setup_connection(dialect="sqlite"):
     return conn, schema, model
 
 
+def rows_of(conn, *models):
+    """(table, rows) pairs for :meth:`PivotSelector.select`."""
+    return [(model, conn.execute(f"SELECT * FROM {model.name}"))
+            for model in models]
+
+
+def probe(conn, schema):
+    """The runner's relation probe, which feeds the selector: the
+    healthy (table, rows) pairs and the round it counted into."""
+    runner = PQSRunner(lambda: conn, RunnerConfig(dialect=schema.dialect))
+    round_ = RoundRecord()
+    log = []
+    return runner._probe_relations(conn, schema, log, round_), round_
+
+
 class TestPivotSelector:
     def test_selects_existing_row(self):
         conn, schema, model = setup_connection()
         selector = PivotSelector(conn, schema, RandomSource(1))
-        tables_rows = selector.tables_with_rows([model])
+        tables_rows, _ = probe(conn, schema)
         assert len(tables_rows) == 1
         pivot = selector.select(tables_rows)
         assert pivot.row_counts["t0"] == 3
@@ -39,15 +57,19 @@ class TestPivotSelector:
     def test_empty_tables_dropped(self):
         conn, schema, model = setup_connection()
         conn.execute("DELETE FROM t0")
-        selector = PivotSelector(conn, schema, RandomSource(1))
-        assert selector.tables_with_rows([model]) == []
+        tables_rows, round_ = probe(conn, schema)
+        assert tables_rows == []
+        assert round_.expected_errors == 0 and not round_.reports
 
     def test_unreadable_relation_dropped(self):
+        # The probe's error goes to the oracles: "no such table" is an
+        # expected error, counted as one; the healthy table is kept.
         conn, schema, model = setup_connection()
-        ghost = TableModel(name="ghost",
-                           columns=[ColumnModel(name="x")])
-        selector = PivotSelector(conn, schema, RandomSource(1))
-        assert selector.tables_with_rows([ghost]) == []
+        schema.tables.append(TableModel(name="ghost",
+                                        columns=[ColumnModel(name="x")]))
+        tables_rows, round_ = probe(conn, schema)
+        assert [table.name for table, _ in tables_rows] == ["t0"]
+        assert round_.expected_errors == 1 and not round_.reports
 
     def test_all_single_row_flag(self):
         pivot = PivotRow(tables=[], row_counts={"a": 1, "b": 1})
@@ -56,11 +78,11 @@ class TestPivotSelector:
         assert not pivot.all_single_row
 
 
-def make_querygen(dialect="sqlite", seed=5, **kwargs):
+def make_querygen(dialect="sqlite", seed=5):
     rng = RandomSource(seed)
     generator = ExpressionGenerator(get_dialect(dialect), rng, max_depth=3)
     interp = make_interpreter(dialect)
-    return QueryGenerator(generator, interp, rng, **kwargs), interp
+    return QueryGenerator(generator, interp, rng), interp
 
 
 class TestQuerySynthesis:
@@ -69,7 +91,7 @@ class TestQuerySynthesis:
         selector = PivotSelector(conn, schema, RandomSource(7))
         querygen, interp = make_querygen()
         for _ in range(150):
-            pivot = selector.select(selector.tables_with_rows([model]))
+            pivot = selector.select(rows_of(conn, model))
             query = querygen.synthesize(pivot)
             assert check_containment(conn, query, interp.semantics), \
                 query.sql
@@ -79,7 +101,7 @@ class TestQuerySynthesis:
         selector = PivotSelector(conn, schema, RandomSource(8))
         querygen, interp = make_querygen(seed=8)
         for _ in range(80):
-            pivot = selector.select(selector.tables_with_rows([model]))
+            pivot = selector.select(rows_of(conn, model))
             query = querygen.synthesize(pivot)
             client = check_containment(conn, query, interp.semantics,
                                        use_intersect=False)
@@ -92,7 +114,7 @@ class TestQuerySynthesis:
         conn, schema, model = setup_connection()
         selector = PivotSelector(conn, schema, RandomSource(9))
         querygen, _ = make_querygen(seed=9)
-        pivot = selector.select(selector.tables_with_rows([model]))
+        pivot = selector.select(rows_of(conn, model))
         query = querygen.synthesize(pivot)
         sql = containment_query(query, "sqlite")
         assert sql.startswith("SELECT ") and " INTERSECT " in sql
@@ -108,13 +130,13 @@ class TestQuerySynthesis:
         selector = PivotSelector(conn, schema, RandomSource(10))
         querygen, interp = make_querygen(seed=10)
         for _ in range(60):
-            pivot = selector.select(
-                selector.tables_with_rows([model, other]))
+            pivot = selector.select(rows_of(conn, model, other))
             query = querygen.synthesize(pivot)
             assert check_containment(conn, query, interp.semantics), \
                 query.sql
 
-    def test_aggregate_mode_single_row(self):
+    def test_aggregate_mode_single_row(self, monkeypatch):
+        monkeypatch.setattr(querygen_module, "AGGREGATE_PROBABILITY", 1.0)
         conn = MiniDBConnection("sqlite")
         conn.execute("CREATE TABLE t0(c0 INT)")
         conn.execute("INSERT INTO t0(c0) VALUES (5)")
@@ -123,26 +145,25 @@ class TestQuerySynthesis:
                                                 type_name="INT")])
         schema = SchemaModel(dialect="sqlite", tables=[model])
         selector = PivotSelector(conn, schema, RandomSource(11))
-        querygen, interp = make_querygen(seed=11,
-                                         aggregate_probability=1.0)
+        querygen, interp = make_querygen(seed=11)
         saw_aggregate = False
         for _ in range(60):
-            pivot = selector.select(selector.tables_with_rows([model]))
+            pivot = selector.select(rows_of(conn, model))
             query = querygen.synthesize(pivot)
             saw_aggregate = saw_aggregate or query.uses_aggregates
             assert check_containment(conn, query, interp.semantics), \
                 query.sql
         assert saw_aggregate
 
-    def test_groupby_mode(self):
+    def test_groupby_mode(self, monkeypatch):
+        monkeypatch.setattr(querygen_module, "GROUPBY_PROBABILITY", 1.0)
+        monkeypatch.setattr(querygen_module, "AGGREGATE_PROBABILITY", 0.0)
         conn, schema, model = setup_connection()
         selector = PivotSelector(conn, schema, RandomSource(12))
-        querygen, interp = make_querygen(seed=12,
-                                         groupby_probability=1.0,
-                                         aggregate_probability=0.0)
+        querygen, interp = make_querygen(seed=12)
         saw_groupby = False
         for _ in range(60):
-            pivot = selector.select(selector.tables_with_rows([model]))
+            pivot = selector.select(rows_of(conn, model))
             query = querygen.synthesize(pivot)
             saw_groupby = saw_groupby or "GROUP BY" in query.sql
             assert check_containment(conn, query, interp.semantics), \
@@ -160,7 +181,7 @@ class TestQuerySynthesis:
         selector = PivotSelector(conn, schema, RandomSource(13))
         querygen, interp = make_querygen("postgres", seed=13)
         for _ in range(80):
-            pivot = selector.select(selector.tables_with_rows([model]))
+            pivot = selector.select(rows_of(conn, model))
             query = querygen.synthesize(pivot)
             try:
                 contained = check_containment(conn, query,

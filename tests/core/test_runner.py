@@ -4,6 +4,7 @@ report caps, and per-database round structure."""
 import pytest
 
 from repro.adapters.minidb_adapter import MiniDBConnection
+from repro.core import runner as runner_module
 from repro.core.reports import RoundRecord
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.minidb.bugs import BugRegistry
@@ -34,10 +35,9 @@ class TestRunStatistics:
 
 
 class TestReportCap:
-    def test_max_reports_per_database(self):
-        runner = make_runner(
-            bugs=["sqlite-rename-expr-index"], seed=3,
-            max_reports_per_database=2)
+    def test_max_reports_per_database(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "MAX_REPORTS_PER_DATABASE", 2)
+        runner = make_runner(bugs=["sqlite-rename-expr-index"], seed=3)
         for _ in range(30):
             round_ = runner.run_database_round()
             assert len(round_.reports) <= 2
@@ -58,14 +58,15 @@ class TestOptionTracking:
                               log, round_)
         assert runner.interpreter.semantics.like_case_sensitive is False
 
-    def test_reset_each_database(self):
+    def test_reset_each_database(self, monkeypatch):
         runner = make_runner()
         runner.interpreter.semantics.like_case_sensitive = True
         runner.run_database_round()
         # A fresh database starts with the default PRAGMA value; the
         # round may have toggled it, but the *start* of the round reset
         # it, so a round generating no PRAGMA leaves it False.
-        runner2 = make_runner(extra_statements=0)
+        monkeypatch.setattr(runner_module, "EXTRA_STATEMENTS", 0)
+        runner2 = make_runner()
         runner2.interpreter.semantics.like_case_sensitive = True
         runner2.run_database_round()
         assert runner2.interpreter.semantics.like_case_sensitive is False

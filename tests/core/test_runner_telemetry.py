@@ -64,7 +64,7 @@ class TestSynthesisFailures:
         failures = telemetry.registry.value(names.SYNTHESIS_FAILURES)
         assert stats.queries == 0
         assert stats.pivots > 0
-        assert failures == stats.pivots * RunnerConfig().queries_per_pivot
+        assert failures == stats.pivots * runner_module.QUERIES_PER_PIVOT
         assert names.SYNTHESIS_FAILURES in names.HELP
 
 

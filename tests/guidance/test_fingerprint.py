@@ -15,10 +15,11 @@ from repro.guidance import (
     steps_from_sqlite_eqp,
 )
 from repro.minidb.bugs import BugRegistry
+from repro.multiplan.hints import BASELINE
 
 
 def plan(conn, sql):
-    return conn.query_plan(sql)
+    return conn.forced_plan(sql, BASELINE)
 
 
 def connection(*bugs):

@@ -9,16 +9,19 @@ from repro.guidance import (
     PlanStep,
     mix_seed,
     mutation_weights,
+    scheduler,
 )
+from repro.multiplan.hints import BASELINE
 
 
 class FakeConnection:
-    """Returns a scripted plan per SQL string."""
+    """Returns a scripted baseline plan per SQL string."""
 
     def __init__(self, plans):
         self.plans = plans
 
-    def query_plan(self, sql):
+    def forced_plan(self, sql, hints):
+        assert hints == BASELINE
         value = self.plans[sql]
         if isinstance(value, Exception):
             raise value
@@ -81,8 +84,9 @@ def test_observe_and_round_plans():
     assert guidance.take_round_plans() == []
 
 
-def test_novel_rounds_feed_the_pool_and_pool_is_bounded():
-    guidance = PlanGuidance(seed=5, pool_size=3)
+def test_novel_rounds_feed_the_pool_and_pool_is_bounded(monkeypatch):
+    monkeypatch.setattr(scheduler, "POOL_SIZE", 3)
+    guidance = PlanGuidance(seed=5)
     conn = FakeConnection({})
     for i in range(8):
         guidance.begin_round(i)

@@ -49,8 +49,6 @@ class TestCatalogIntegrity:
         assert registry.on("mysql-double-negation")
         registry.disable("mysql-double-negation")
         assert not registry.on("mysql-double-negation")
-        assert len(BugRegistry.all_for("sqlite")) == \
-            len(bugs_for_dialect("sqlite"))
 
     def test_paper_refs_present(self):
         assert all(b.paper_ref for b in BUG_CATALOG.values())

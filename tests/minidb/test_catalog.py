@@ -131,10 +131,3 @@ class TestCatalog:
         catalog.add_index(make_index("i1"))
         catalog.add_index(make_index("i2"))
         assert len(catalog.indexes_on("T")) == 2
-
-    def test_all_relation_names(self):
-        catalog = Catalog()
-        catalog.add_table(make_table("t"))
-        catalog.add_view(View(name="v", select=Select(items=[
-            SelectItem(expr=None)])))
-        assert catalog.all_relation_names() == ["t", "v"]

@@ -1,4 +1,4 @@
-"""The triage analytics layer: journal → campaign digest → history."""
+"""The triage analytics layer: journal → campaign digest."""
 
 import json
 from dataclasses import replace
@@ -12,15 +12,7 @@ from repro.campaigns.journal import (
     line_checksum,
 )
 from repro.core.reports import BugReport, Oracle, TestCase
-from repro.observe import (
-    append_history,
-    build_report,
-    campaign_id,
-    history_line,
-    load_history,
-    render_report,
-    render_trend,
-)
+from repro.observe import build_report, campaign_id, render_report
 from repro.observe.report import statement_kind
 
 
@@ -184,103 +176,3 @@ class TestRendering:
         assert "campaign sqlite-s9" in text
         assert "rounds: 1/2 completed" in text
         assert "distinct bugs: 1" in text
-
-
-class TestHistory:
-    def test_append_creates_and_accumulates(self, tmp_path):
-        path = write_journal(tmp_path / "j.jsonl",
-                             [RoundRecord(index=0, seed=1,
-                                          reports=[bug(["VACUUM"])])])
-        report = build_report(path)
-        history = tmp_path / "results" / "history.jsonl"
-        first = append_history(str(history), report)
-        append_history(str(history), report)
-        lines = [json.loads(line) for line in
-                 history.read_text().splitlines()]
-        assert len(lines) == 2
-        assert lines[0] == first
-        assert first["distinct_bugs"] == 1
-        assert first["campaign"] == "sqlite-s9"
-
-    def test_history_line_is_flat_summary(self, tmp_path):
-        path = write_journal(tmp_path / "j.jsonl",
-                             [RoundRecord(index=0, seed=1)])
-        line = history_line(build_report(path))
-        assert line["rounds_completed"] == 1
-        assert line["distinct_bugs"] == 0
-
-    def test_history_line_stamps_throughput(self, tmp_path):
-        rounds = [RoundRecord(index=0, seed=1, statements=10, queries=30,
-                              seconds=1.5),
-                  RoundRecord(index=1, seed=2, statements=10, queries=30,
-                              seconds=0.5)]
-        line = history_line(
-            build_report(write_journal(tmp_path / "j.jsonl", rounds)))
-        assert line["seconds"] == 2.0
-        assert line["queries_per_second"] == 30.0
-
-    def test_zero_duration_does_not_divide(self, tmp_path):
-        path = write_journal(tmp_path / "j.jsonl",
-                             [RoundRecord(index=0, seed=1, queries=5,
-                                          seconds=0.0)])
-        assert history_line(build_report(path))["queries_per_second"] \
-            == 0.0
-
-
-class TestLoadHistory:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_history(str(tmp_path / "nope.jsonl")) == []
-
-    def test_skips_malformed_and_non_dict_lines(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        path.write_text('{"campaign": "sqlite-s1"}\n'
-                        "not json\n"
-                        "\n"
-                        "[1, 2, 3]\n"
-                        '{"campaign": "sqlite-s2"}\n')
-        loaded = load_history(str(path))
-        assert [l["campaign"] for l in loaded] == \
-            ["sqlite-s1", "sqlite-s2"]
-
-    def test_reads_what_append_wrote(self, tmp_path):
-        journal = write_journal(tmp_path / "j.jsonl",
-                                [RoundRecord(index=0, seed=1)])
-        history = tmp_path / "history.jsonl"
-        line = append_history(str(history), build_report(journal))
-        assert load_history(str(history)) == [line]
-
-
-class TestRenderTrend:
-    def line(self, campaign, bugs, qps=None, rounds=5):
-        out = {"campaign": campaign, "rounds_completed": rounds,
-               "distinct_bugs": bugs}
-        if qps is not None:
-            out["queries_per_second"] = qps
-        return out
-
-    def test_empty_history_renders_nothing(self):
-        assert render_trend([]) == ""
-
-    def test_series_over_campaigns(self):
-        text = render_trend([self.line("sqlite-s1", 2, qps=100.0),
-                             self.line("sqlite-s2", 3, qps=120.5)])
-        assert "history trend (2 of 2 campaign(s)):" in text
-        assert "sqlite-s1: 5 rounds, 2 distinct bug(s), 100 q/s" in text
-        assert "distinct bugs: 2 -> 3" in text
-        assert "queries/s:     100 -> 120.5" in text
-
-    def test_pre_throughput_lines_render_as_unknown(self):
-        # History is long memory: lines written before the throughput
-        # stamp existed must still render.
-        text = render_trend([self.line("sqlite-s1", 1),
-                             self.line("sqlite-s2", 1, qps=90.0)])
-        assert "queries/s:     ? -> 90" in text
-        assert "sqlite-s1: 5 rounds, 1 distinct bug(s), ?" in text
-
-    def test_window_keeps_the_most_recent(self):
-        lines = [self.line(f"sqlite-s{i}", i, qps=float(i))
-                 for i in range(12)]
-        text = render_trend(lines, limit=3)
-        assert "history trend (3 of 12 campaign(s)):" in text
-        assert "sqlite-s11" in text and "sqlite-s8" not in text
-        assert "distinct bugs: 9 -> 10 -> 11" in text

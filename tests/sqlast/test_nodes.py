@@ -19,7 +19,6 @@ from repro.sqlast.nodes import (
     UnaryOp,
     count_nodes,
     depth,
-    referenced_columns,
     walk,
 )
 from repro.values import NULL, Value
@@ -83,11 +82,6 @@ class TestTraversal:
     def test_count_nodes(self):
         tree = BinaryNode(BinaryOp.ADD, LIT, LIT)
         assert count_nodes(tree) == 3
-
-    def test_referenced_columns(self):
-        tree = BinaryNode(BinaryOp.EQ, COL, ColumnNode("t1", "c2"))
-        cols = referenced_columns(tree)
-        assert [c.qualified for c in cols] == ["t0.c0", "t1.c2"]
 
 
 class TestIdentity:

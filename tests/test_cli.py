@@ -249,50 +249,22 @@ class TestReport:
         assert code == 0
         return journal
 
-    def test_report_renders_digest_and_appends_history(self, tmp_path):
-        import json
-
+    def test_report_renders_digest(self, tmp_path):
         journal = self.hunt_with_journal(tmp_path)
-        history = tmp_path / "history.jsonl"
         code, output = run_cli(
             "report", str(journal),
-            "--metrics", str(tmp_path / "metrics.json"),
-            "--history", str(history))
+            "--metrics", str(tmp_path / "metrics.json"))
         assert code == 0
         assert "campaign sqlite-s3" in output
         assert "rounds: 6/6 completed" in output
         assert "distinct bugs:" in output
         assert "phase" in output, "metrics fold into the phase table"
-        lines = history.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["campaign"] == "sqlite-s3"
-
-    def test_report_prints_trend_over_prior_campaigns(self, tmp_path):
-        import json
-
-        journal = self.hunt_with_journal(tmp_path)
-        history = tmp_path / "history.jsonl"
-        first_code, first_output = run_cli("report", str(journal),
-                                           "--history", str(history))
-        assert first_code == 0
-        assert "history trend" not in first_output, \
-            "no prior campaigns, nothing to compare to"
-        second_code, second_output = run_cli("report", str(journal),
-                                             "--history", str(history))
-        assert second_code == 0
-        assert "history trend (1 of 1 campaign(s)):" in second_output
-        assert "queries/s:" in second_output
-        lines = [json.loads(line)
-                 for line in history.read_text().splitlines()]
-        assert len(lines) == 2
-        assert all("queries_per_second" in line for line in lines)
 
     def test_report_json_mode(self, tmp_path):
         import json
 
         journal = self.hunt_with_journal(tmp_path)
-        code, output = run_cli("report", str(journal), "--json",
-                               "--no-history")
+        code, output = run_cli("report", str(journal), "--json")
         assert code == 0
         report = json.loads(output)
         assert report["campaign"] == "sqlite-s3"
@@ -335,12 +307,58 @@ class TestReport:
                 writer.append_round(RoundRecord(index=index, seed=index,
                                                 reports=[finding]))
         code, output = run_cli("report", str(journal), "--reduce",
-                               "--json", "--no-history")
+                               "--json")
         assert code == 0
         report = json.loads(output)
         assert [(bug["loc"], bug["sightings"]) for bug in report["bugs"]] \
             == [(4, 80), (2, 1)]
         assert report["reduction"] == {"reduced": 80, "unreduced": 1}
+
+    def test_report_reduce_triages_each_distinct_finding_once(
+            self, tmp_path, monkeypatch):
+        # Three sightings that differ only in seed and message, which
+        # triage never reads, share one triage; a fourth finding with
+        # other statements gets its own.
+        import json
+
+        from repro.campaigns import campaign
+        from repro.campaigns.journal import (
+            JOURNAL_VERSION,
+            CampaignJournal,
+            RoundRecord,
+        )
+        from repro.core.reports import BugReport, Oracle, TestCase
+
+        calls = []
+        plain = campaign.triage_finding
+
+        def counted(dialect, bug_ids, reduce, report):
+            calls.append(list(report.test_case.statements))
+            return plain(dialect, bug_ids, reduce, report)
+
+        monkeypatch.setattr(campaign, "triage_finding", counted)
+        case = ["CREATE TABLE t0(c0)", "SELECT c0 FROM t0"]
+        other = ["CREATE TABLE t1(c0)", "SELECT c0 FROM t1"]
+        journal = tmp_path / "j.jsonl"
+        with CampaignJournal(str(journal)) as writer:
+            writer.start({"version": JOURNAL_VERSION, "dialect": "sqlite",
+                          "seed": 0, "databases": 4, "bug_ids": []},
+                         fresh=True)
+            for index, statements in enumerate([case, case, case, other]):
+                finding = BugReport(oracle=Oracle.CONTAINMENT,
+                                    dialect="sqlite", seed=index,
+                                    message=f"sighting {index}",
+                                    test_case=TestCase(
+                                        statements=statements))
+                writer.append_round(RoundRecord(index=index, seed=index,
+                                                reports=[finding]))
+        code, output = run_cli("report", str(journal), "--reduce",
+                               "--json")
+        assert code == 0
+        assert calls == [case, other]
+        report = json.loads(output)
+        assert report["reduction"] == {"reduced": 0, "unreduced": 4}
+        assert [bug["sightings"] for bug in report["bugs"]] == [3, 1]
 
     def test_report_reduce_reduces_multiplan_findings(self, tmp_path):
         # A multi-plan finding reproduces only under its forcing hints,
@@ -354,7 +372,7 @@ class TestReport:
             "--journal", str(journal), "--databases", "8", "--seed", "0")
         assert code == 0
         code, output = run_cli("report", str(journal), "--reduce",
-                               "--json", "--no-history")
+                               "--json")
         assert code == 0
         report = json.loads(output)
         assert report["by_oracle"].get("multiplan")
@@ -363,7 +381,6 @@ class TestReport:
             report["totals"]["raw_findings"]
 
     def test_report_missing_journal_errors(self, tmp_path):
-        code, output = run_cli("report", str(tmp_path / "nope.jsonl"),
-                               "--no-history")
+        code, output = run_cli("report", str(tmp_path / "nope.jsonl"))
         assert code == 2
         assert "error:" in output

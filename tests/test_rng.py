@@ -50,24 +50,9 @@ class TestDraws:
                  for _ in range(50)}
         assert picks == {"a"}
 
-    def test_small_int_hits_boundaries(self):
-        rng = RandomSource(5)
-        values = {rng.small_int() for _ in range(500)}
-        assert 0 in values and (2**63 - 1) in values
-
     def test_short_text_length_bound(self):
         rng = RandomSource(6)
         assert all(len(rng.short_text(5)) <= 5 for _ in range(100))
 
-    def test_short_blob_bytes(self):
-        rng = RandomSource(7)
-        blob = rng.short_blob(4)
-        assert isinstance(blob, bytes) and len(blob) <= 4
-
     def test_identifier(self):
         assert RandomSource(1).identifier("t", 3) == "t3"
-
-    def test_shuffled_preserves_elements(self):
-        rng = RandomSource(8)
-        out = rng.shuffled([1, 2, 3])
-        assert sorted(out) == [1, 2, 3]
