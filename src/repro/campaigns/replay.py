@@ -39,12 +39,9 @@ class DifferentialReplayer:
         self.dialect = dialect
         self.bugs = bugs
         self.semantics = get_semantics(dialect)
-        #: (defects, statements) -> outcome; see forget().
+        #: (defects, statements) -> outcome, for this replayer's one
+        #: finding (each triage builds fresh replayers).
         self._memo: dict[tuple, StatementOutcome] = {}
-
-    def forget(self) -> None:
-        """Drop memoized replays (the campaign does so per finding)."""
-        self._memo.clear()
 
     # -- predicates -----------------------------------------------------------
     def manifests(self, test_case: TestCase) -> bool:

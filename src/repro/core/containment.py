@@ -100,14 +100,18 @@ def _row_matches(row: tuple, expected: list[Value], semantics: Semantics,
                  collations: list[str | None]) -> bool:
     if len(row) != len(expected):
         return False
-    for got, want, collation in zip(row, expected, collations):
-        if collation not in (None, "BINARY") and \
-                got.t is SQLType.TEXT and want.t is SQLType.TEXT:
-            from repro.interp.sqlite_sem import storage_compare
+    return all(values_match(got, want, semantics, collation)
+               for got, want, collation in zip(row, expected, collations))
 
-            if storage_compare(got, want, collation) != 0:
-                return False
-            continue
-        if not semantics.values_equal(got, want):
-            return False
-    return True
+
+def values_match(got: Value, want: Value, semantics: Semantics,
+                 collation: str | None) -> bool:
+    """Collation-aware value equality: TEXT compares under *collation*
+    (only SQLite declares collations), everything else under the
+    dialect's row equality."""
+    if collation not in (None, "BINARY") and \
+            got.t is SQLType.TEXT and want.t is SQLType.TEXT:
+        from repro.interp.sqlite_sem import storage_compare
+
+        return storage_compare(got, want, collation) == 0
+    return semantics.values_equal(got, want)

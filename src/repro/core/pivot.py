@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adapters.base import DBMSConnection
-from repro.core.schema import SchemaModel, TableModel
+from repro.core.schema import TableModel
 from repro.rng import RandomSource
 from repro.values import Value
 
@@ -38,12 +37,9 @@ class PivotRow:
 
 
 class PivotSelector:
-    """Selects pivot rows through the target connection."""
+    """Selects pivot rows from the rows the runner fetched."""
 
-    def __init__(self, connection: DBMSConnection, schema: SchemaModel,
-                 rng: RandomSource):
-        self.connection = connection
-        self.schema = schema
+    def __init__(self, rng: RandomSource):
         self.rng = rng
 
     def select(self, tables_rows: list[tuple[TableModel, list[tuple]]],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.adapters.base import DBMSConnection
-from repro.core.containment import check_containment
+from repro.core.containment import check_containment, values_match
 from repro.core.error_oracle import ErrorOracle, statement_kind
 from repro.core.exprgen import ExpressionGenerator
 from repro.core.pivot import PivotRow, PivotSelector
@@ -32,7 +32,7 @@ from repro.core.reports import (
 from repro.core.schema import SchemaModel
 from repro.dialects import get_dialect
 from repro.errors import DBCrash, DBError, DBTimeout
-from repro.guidance.scheduler import NULL_GUIDANCE
+from repro.guidance.scheduler import MUTATION_STATEMENTS, NULL_GUIDANCE
 from repro.interp import make_interpreter
 from repro.multiplan.oracle import MultiPlanOracle, NULL_MULTIPLAN
 from repro.interp.base import EvalError
@@ -166,13 +166,11 @@ class PQSRunner:
         # generation draws from self.rng exactly as it always has.
         profile = self.guidance.begin_round(self.config.seed)
         mutators: list[ActionGenerator] = []
-        mutation_statements = 0
         if profile is None:
             actions = ActionGenerator(self.dialect, schema, self.rng)
         else:
             actions = ActionGenerator(self.dialect, schema,
                                       RandomSource(profile.state_seed))
-            mutation_statements = profile.mutation_statements
             mutators = [
                 ActionGenerator(self.dialect, schema,
                                 RandomSource(mutation_seed),
@@ -181,8 +179,7 @@ class PQSRunner:
         try:
             with self._phase_stategen:
                 self._generate_state(connection, schema, actions, log,
-                                     round_, mutators,
-                                     mutation_statements)
+                                     round_, mutators)
             if len(round_.reports) < MAX_REPORTS_PER_DATABASE:
                 self._query_phase(connection, schema, log, round_)
         finally:
@@ -200,7 +197,7 @@ class PQSRunner:
                         schema: SchemaModel, actions: ActionGenerator,
                         log: list[str], round_: RoundRecord,
                         mutators: Optional[list[ActionGenerator]] = None,
-                        mutation_statements: int = 0) -> None:
+                        ) -> None:
         # Table/row counts come from the state generator's stream —
         # unguided that stream *is* self.rng (identical draws to before
         # guidance existed); guided it is the scheduler's state seed, so
@@ -230,7 +227,7 @@ class PQSRunner:
         # stacked on the replayed base state, each burst from its own
         # independent stream so replaying the chain reproduces the state.
         for mutator in mutators or ():
-            for _ in range(mutation_statements):
+            for _ in range(MUTATION_STATEMENTS):
                 generated = mutator.random_action()
                 if generated is None:
                     continue
@@ -314,7 +311,7 @@ class PQSRunner:
     def _query_phase(self, connection: DBMSConnection,
                      schema: SchemaModel, log: list[str],
                      round_: RoundRecord) -> None:
-        selector = PivotSelector(connection, schema, self.rng)
+        selector = PivotSelector(self.rng)
         generator = ExpressionGenerator(
             self.dialect, self.rng,
             max_depth=self.config.max_expression_depth)
@@ -422,35 +419,25 @@ class PQSRunner:
 
     def _negative_mode_sound(self, pivot: PivotRow, chosen) -> bool:
         """Negative containment is sound only for a single-table pivot
-        whose row is value-unique in that table — under the *same*
-        collation-aware equality the containment check uses, since an
-        equal-valued sibling would legitimately appear in the result."""
+        whose row is value-unique in that table — under the containment
+        check's own :func:`values_match`, since an equal-valued sibling
+        would legitimately appear in the result."""
         if len(pivot.tables) != 1:
             return False
         table = pivot.tables[0]
         pivot_row = pivot.row_by_table[table.name]
         collations = [c.collation for c in table.columns]
+        semantics = self.interpreter.semantics
         equal_count = 0
         for model, rows in chosen:
             if model.name != table.name:
                 continue
             for row in rows:
                 if len(row) == len(pivot_row) and all(
-                        self._values_match(a, b, coll)
+                        values_match(a, b, semantics, coll)
                         for a, b, coll in zip(row, pivot_row, collations)):
                     equal_count += 1
         return equal_count == 1
-
-    def _values_match(self, a, b, collation) -> bool:
-        from repro.values import SQLType
-
-        if self.config.dialect == "sqlite" and \
-                collation not in (None, "BINARY") and \
-                a.t is SQLType.TEXT and b.t is SQLType.TEXT:
-            from repro.interp.sqlite_sem import storage_compare
-
-            return storage_compare(a, b, collation) == 0
-        return self.interpreter.semantics.values_equal(a, b)
 
     def _count_expected(self, sql: str) -> None:
         """Expected-error counter, labeled by statement kind (the

@@ -112,13 +112,12 @@ class RoundProfile:
     #: Seed for the round's state-generation RandomSource.
     state_seed: int
     #: Mutation bursts stacked on the base state, oldest first: for each
-    #: seed, ``mutation_statements`` extra actions are drawn from a
+    #: seed, ``MUTATION_STATEMENTS`` extra actions are drawn from a
     #: RandomSource(seed) with ``weights``.  Replaying the same chain
     #: reproduces the same enriched state; each scheduler reuse extends
     #: the chain by one burst, so interesting states grow progressively
     #: richer instead of being re-derived from the original base.
     mutations: tuple[int, ...] = ()
-    mutation_statements: int = 0
     #: Statement mix for the mutation bursts; None for non-mutating
     #: profiles (filled with :func:`mutation_weights` by the scheduler).
     weights: Optional["ActionWeights"] = None
@@ -203,7 +202,6 @@ class PlanGuidance:
         profile = RoundProfile(
             state_seed=base,
             mutations=chain,
-            mutation_statements=MUTATION_STATEMENTS,
             weights=mutation_weights())
         self._round_recipe = (profile.state_seed, profile.mutations)
         return profile

@@ -151,6 +151,8 @@ class Semantics:
 
     Subclasses implement every hook; the base class only fixes the
     interface.  All hooks receive and return :class:`Value` objects.
+    A dialect states its comparison rules once, in
+    :meth:`compile_compare`.
     """
 
     name = "abstract"
@@ -160,10 +162,6 @@ class Semantics:
 
     def bool_value(self, b: Ternary) -> Value:
         """Materialize a ternary logical result as a dialect value."""
-        raise NotImplementedError
-
-    def compare(self, op: BinaryOp, left: Expr, lv: Value,
-                right: Expr, rv: Value) -> Ternary:
         raise NotImplementedError
 
     def arithmetic(self, op: BinaryOp, a: Value, b: Value) -> Value:
@@ -207,25 +205,27 @@ class Semantics:
     def compile_compare(self, op: BinaryOp, left: Expr,
                         right: Optional[Expr],
                         ) -> Callable[[Value, Value], Ternary]:
-        """Specialize :meth:`compare` for a fixed comparison site.
+        """The comparison *op* at a fixed site, as a closure over the two
+        evaluated operand values.
 
-        The returned closure receives the two evaluated operand values and
-        must behave exactly like ``compare(op, left, lv, right, rv)``.
-        ``right is None`` marks an IN-list item, which :meth:`compare` sees
-        as a bare literal of the evaluated value (SQLite's rule that IN
-        ignores the items' own affinities).  Dialects may override this to
-        hoist per-site static analysis out of the per-row path; the default
-        simply defers to :meth:`compare`.
+        Per-site static analysis (affinity, collation) depends only on
+        the operand *expressions*, so it runs here, once.  ``right is
+        None`` marks an IN-list item, which compares as a bare literal of
+        the evaluated value (SQLite's rule that IN ignores the items' own
+        affinities).
         """
-        if right is None:
-            def compare_literal(lv: Value, rv: Value) -> Ternary:
-                return self.compare(op, left, lv, LiteralNode(rv), rv)
-            return compare_literal
+        raise NotImplementedError
 
-        def compare(lv: Value, rv: Value) -> Ternary:
-            return self.compare(op, left, lv, right, rv)
-        return compare
 
+#: Ordering comparison -> predicate over a three-way comparison result.
+CMP_FUNCS: dict[BinaryOp, Callable[[int], bool]] = {
+    BinaryOp.EQ: lambda cmp: cmp == 0,
+    BinaryOp.NE: lambda cmp: cmp != 0,
+    BinaryOp.LT: lambda cmp: cmp < 0,
+    BinaryOp.LE: lambda cmp: cmp <= 0,
+    BinaryOp.GT: lambda cmp: cmp > 0,
+    BinaryOp.GE: lambda cmp: cmp >= 0,
+}
 
 #: A compiled expression: evaluate against one row environment.
 CompiledExpr = Callable[[Row], Value]
@@ -261,13 +261,7 @@ class Interpreter:
     # -- public API ----------------------------------------------------------
     def evaluate(self, expr: Expr, row: Row) -> Value:
         """Evaluate *expr* with column references bound from *row*."""
-        entry = self._compiled.get(id(expr))
-        if entry is None:
-            if len(self._compiled) >= self._CACHE_LIMIT:
-                self._compiled.clear()
-            entry = (expr, self._compile(expr))
-            self._compiled[id(expr)] = entry
-        return entry[1](row)
+        return self.compile(expr)(row)
 
     def evaluate_bool(self, expr: Expr, row: Row) -> Ternary:
         """Evaluate *expr* in a boolean context (for WHERE/JOIN conditions)."""

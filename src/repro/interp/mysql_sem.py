@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from repro.interp.base import EvalError, Semantics, Ternary
+from repro.interp.base import CMP_FUNCS, EvalError, Semantics, Ternary
 from repro.interp.patterns import like_match
 from repro.sqlast.nodes import BinaryOp, Expr
 from repro.values import (
@@ -111,37 +111,11 @@ class MySQLSemantics(Semantics):
         return _INT_ONE if b else _INT_ZERO
 
     # -- comparisons -----------------------------------------------------------
-    def compare(self, op: BinaryOp, left: Expr, lv: Value,
-                right: Expr, rv: Value) -> Ternary:
-        if op in (BinaryOp.NULL_SAFE_EQ, BinaryOp.IS, BinaryOp.IS_NOT):
-            equal = self._null_safe_equal(lv, rv)
-            return not equal if op is BinaryOp.IS_NOT else equal
-        if lv.is_null or rv.is_null:
-            return None
-        cmp = self._cmp(lv, rv)
-        return _cmp_result(op, cmp)
-
-    def _null_safe_equal(self, lv: Value, rv: Value) -> bool:
-        if lv.is_null and rv.is_null:
-            return True
-        if lv.is_null or rv.is_null:
-            return False
-        return self._cmp(lv, rv) == 0
-
     def compile_compare(self, op: BinaryOp, left: Expr,
                         right: Expr | None):
         """MySQL comparisons ignore the operand expressions (no affinity
         or collation resolution), so a site compiles to op dispatch done
-        once plus the per-call null checks and ``_cmp``.
-
-        Subclasses overriding :meth:`compare` (injected defects) fall
-        back to the generic per-call path.
-        """
-        if type(self).compare is not MySQLSemantics.compare:
-            return super().compile_compare(op, left, right)
-        return self._compile_compare_mysql(op)
-
-    def _compile_compare_mysql(self, op: BinaryOp):
+        once plus the per-call null checks and ``_cmp``."""
         cmp = self._cmp
         null_t = SQLType.NULL
         if op in (BinaryOp.NULL_SAFE_EQ, BinaryOp.IS, BinaryOp.IS_NOT):
@@ -153,7 +127,7 @@ class MySQLSemantics(Semantics):
                 equal = (ln and rn) if (ln or rn) else cmp(lv, rv) == 0
                 return not equal if negate else equal
             return null_safe
-        result = _CMP_FUNCS[op]
+        result = CMP_FUNCS[op]
 
         def ordered(lv: Value, rv: Value) -> Ternary:
             if lv.t is null_t or rv.t is null_t:
@@ -413,28 +387,3 @@ def _mysql_round_int(f: float) -> int:
         return math.floor(f + 0.5)
     return math.ceil(f - 0.5)
 
-
-_CMP_FUNCS = {
-    BinaryOp.EQ: lambda cmp: cmp == 0,
-    BinaryOp.NE: lambda cmp: cmp != 0,
-    BinaryOp.LT: lambda cmp: cmp < 0,
-    BinaryOp.LE: lambda cmp: cmp <= 0,
-    BinaryOp.GT: lambda cmp: cmp > 0,
-    BinaryOp.GE: lambda cmp: cmp >= 0,
-}
-
-
-def _cmp_result(op: BinaryOp, cmp: int) -> bool:
-    if op is BinaryOp.EQ:
-        return cmp == 0
-    if op is BinaryOp.NE:
-        return cmp != 0
-    if op is BinaryOp.LT:
-        return cmp < 0
-    if op is BinaryOp.LE:
-        return cmp <= 0
-    if op is BinaryOp.GT:
-        return cmp > 0
-    if op is BinaryOp.GE:
-        return cmp >= 0
-    raise EvalError(f"not an ordering comparison: {op}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from repro.interp.base import EvalError, Semantics, Ternary
+from repro.interp.base import CMP_FUNCS, EvalError, Semantics, Ternary
 from repro.interp.patterns import like_match
 from repro.sqlast.nodes import BinaryOp, Expr
 from repro.values import (
@@ -60,34 +60,11 @@ class PostgresSemantics(Semantics):
         return TRUE if b else FALSE
 
     # -- comparisons -----------------------------------------------------------
-    def compare(self, op: BinaryOp, left: Expr, lv: Value,
-                right: Expr, rv: Value) -> Ternary:
-        if op is BinaryOp.NULL_SAFE_EQ:
-            raise EvalError("operator does not exist: <=>")
-        if op in (BinaryOp.IS, BinaryOp.IS_NOT):
-            # IS DISTINCT FROM semantics (PostgreSQL's null-safe comparison).
-            equal = self._null_safe_equal(lv, rv)
-            return not equal if op is BinaryOp.IS_NOT else equal
-        if lv.is_null or rv.is_null:
-            return None
-        cmp = self._cmp(lv, rv)
-        return _cmp_result(op, cmp)
-
-    def _null_safe_equal(self, lv: Value, rv: Value) -> bool:
-        if lv.is_null and rv.is_null:
-            return True
-        if lv.is_null or rv.is_null:
-            return False
-        return self._cmp(lv, rv) == 0
-
     def compile_compare(self, op: BinaryOp, left: Expr,
                         right: Expr | None):
         """PostgreSQL comparisons ignore the operand expressions, so a
         site compiles to one-time op dispatch plus per-call null checks
-        and ``_cmp``.  Subclasses overriding :meth:`compare` fall back
-        to the generic per-call path."""
-        if type(self).compare is not PostgresSemantics.compare:
-            return super().compile_compare(op, left, right)
+        and ``_cmp``."""
         cmp = self._cmp
         null_t = SQLType.NULL
         if op is BinaryOp.NULL_SAFE_EQ:
@@ -103,7 +80,7 @@ class PostgresSemantics(Semantics):
                 equal = (ln and rn) if (ln or rn) else cmp(lv, rv) == 0
                 return not equal if negate else equal
             return null_safe
-        result = _CMP_FUNCS[op]
+        result = CMP_FUNCS[op]
 
         def ordered(lv: Value, rv: Value) -> Ternary:
             if lv.t is null_t or rv.t is null_t:
@@ -364,28 +341,3 @@ def _is_int_literal(s: str) -> bool:
     body = s[1:] if s[0] in "+-" else s
     return body.isdigit()
 
-
-_CMP_FUNCS = {
-    BinaryOp.EQ: lambda cmp: cmp == 0,
-    BinaryOp.NE: lambda cmp: cmp != 0,
-    BinaryOp.LT: lambda cmp: cmp < 0,
-    BinaryOp.LE: lambda cmp: cmp <= 0,
-    BinaryOp.GT: lambda cmp: cmp > 0,
-    BinaryOp.GE: lambda cmp: cmp >= 0,
-}
-
-
-def _cmp_result(op: BinaryOp, cmp: int) -> bool:
-    if op is BinaryOp.EQ:
-        return cmp == 0
-    if op is BinaryOp.NE:
-        return cmp != 0
-    if op is BinaryOp.LT:
-        return cmp < 0
-    if op is BinaryOp.LE:
-        return cmp <= 0
-    if op is BinaryOp.GT:
-        return cmp > 0
-    if op is BinaryOp.GE:
-        return cmp >= 0
-    raise EvalError(f"not an ordering comparison: {op}")

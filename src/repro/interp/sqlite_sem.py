@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 
 from repro.interp.base import (
+    CMP_FUNCS,
     EvalError,
     Semantics,
     Ternary,
@@ -263,52 +264,10 @@ class SQLiteSemantics(Semantics):
         return _INT_ONE if b else _INT_ZERO
 
     # -- comparisons -----------------------------------------------------------
-    def compare(self, op: BinaryOp, left: Expr, lv: Value,
-                right: Expr, rv: Value) -> Ternary:
-        lv, rv = self._apply_comparison_affinity(left, lv, right, rv)
-        if op in (BinaryOp.IS, BinaryOp.IS_NOT, BinaryOp.NULL_SAFE_EQ):
-            equal = self._null_safe_equal(left, lv, right, rv)
-            if op is BinaryOp.IS_NOT:
-                return not equal
-            return equal
-        if lv.is_null or rv.is_null:
-            return None
-        coll = comparison_collation(left, right)
-        cmp = storage_compare(lv, rv, coll)
-        return _cmp_result(op, cmp)
-
-    def _null_safe_equal(self, left: Expr, lv: Value,
-                         right: Expr, rv: Value) -> bool:
-        if lv.is_null and rv.is_null:
-            return True
-        if lv.is_null or rv.is_null:
-            return False
-        coll = comparison_collation(left, right)
-        return storage_compare(lv, rv, coll) == 0
-
-    @staticmethod
-    def _apply_comparison_affinity(left: Expr, lv: Value, right: Expr,
-                                   rv: Value) -> tuple[Value, Value]:
-        return _comparison_converter(left, right)(lv, rv)
-
     def compile_compare(self, op: BinaryOp, left: Expr,
                         right: Expr | None):
-        """Comparison specialized to a fixed site: the affinity decision
-        and collating sequence depend only on the operand *expressions*,
-        so both are resolved once at compile time.
-
-        Engine-defect subclasses that override :meth:`compare` (injected
-        comparison bugs) automatically fall back to the generic per-call
-        path — the fast path would bypass their override.
-        """
-        if type(self).compare is not SQLiteSemantics.compare:
-            return super().compile_compare(op, left, right)
-        return self._compile_compare_sqlite(op, left, right)
-
-    def _compile_compare_sqlite(self, op: BinaryOp, left: Expr,
-                                right: Expr | None):
-        """The specialized compare body, callable by subclasses that have
-        proven their :meth:`compare` override cannot apply at this site."""
+        """The affinity conversion and collating sequence depend only on
+        the operand *expressions*, so both are resolved once per site."""
         # An IN-list item (right=None) acts as a bare literal: no
         # affinity, no collation — exactly what a LiteralNode supplies.
         right_expr: Expr = LiteralNode(NULL) if right is None else right
@@ -328,7 +287,7 @@ class SQLiteSemantics(Semantics):
                 return not equal if negate else equal
             return null_safe
 
-        result = _CMP_FUNCS[op]
+        result = CMP_FUNCS[op]
         null_t = SQLType.NULL
 
         def ordered(lv: Value, rv: Value) -> Ternary:
@@ -563,32 +522,6 @@ def _comparison_converter(left: Expr, right: Expr):
     if raff == "TEXT" and laff is None:
         return _convert_left_text
     return _convert_none
-
-
-_CMP_FUNCS = {
-    BinaryOp.EQ: lambda cmp: cmp == 0,
-    BinaryOp.NE: lambda cmp: cmp != 0,
-    BinaryOp.LT: lambda cmp: cmp < 0,
-    BinaryOp.LE: lambda cmp: cmp <= 0,
-    BinaryOp.GT: lambda cmp: cmp > 0,
-    BinaryOp.GE: lambda cmp: cmp >= 0,
-}
-
-
-def _cmp_result(op: BinaryOp, cmp: int) -> bool:
-    if op is BinaryOp.EQ:
-        return cmp == 0
-    if op is BinaryOp.NE:
-        return cmp != 0
-    if op is BinaryOp.LT:
-        return cmp < 0
-    if op is BinaryOp.LE:
-        return cmp <= 0
-    if op is BinaryOp.GT:
-        return cmp > 0
-    if op is BinaryOp.GE:
-        return cmp >= 0
-    raise EvalError(f"not an ordering comparison: {op}")
 
 
 def _shift_left(x: int, y: int) -> int:

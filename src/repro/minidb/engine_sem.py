@@ -26,27 +26,28 @@ class EngineSQLiteSemantics(SQLiteSemantics):
     def __init__(self, bugs: BugRegistry):
         self.bugs = bugs
 
-    def compare(self, op: BinaryOp, left: Expr, lv: Value,
-                right: Expr, rv: Value) -> Ternary:
-        if self.bugs.on("sqlite-rtrim-compare"):
-            # Defect: RTRIM collation also strips *leading* spaces.
-            if comparison_collation(left, right) == "RTRIM":
-                lv = _lstrip_text(lv)
-                rv = _lstrip_text(rv)
-        return super().compare(op, left, lv, right, rv)
-
     def compile_compare(self, op: BinaryOp, left: Expr,
                         right: Expr | None):
         # The only comparison defect this class can inject applies solely
         # to RTRIM-collated sites, and the collating sequence is a static
-        # property of the operand expressions.  Non-RTRIM sites therefore
-        # compile to the pristine fast path; RTRIM sites stay on the
-        # generic per-call path, which consults the bug registry on every
-        # evaluation (defects may be toggled after compilation).
+        # property of the operand expressions, so only those sites carry
+        # the defect wrapper.  It consults the bug registry on every
+        # evaluation (defects may be toggled after compilation) and
+        # transforms the operands before the pristine closure applies
+        # affinity.
+        compare = super().compile_compare(op, left, right)
         right_expr: Expr = _NULL_LITERAL if right is None else right
-        if comparison_collation(left, right_expr) == "RTRIM":
-            return Semantics.compile_compare(self, op, left, right)
-        return self._compile_compare_sqlite(op, left, right)
+        if comparison_collation(left, right_expr) != "RTRIM":
+            return compare
+        bugs = self.bugs
+
+        def rtrim_compare(lv: Value, rv: Value) -> Ternary:
+            if bugs.on("sqlite-rtrim-compare"):
+                # Defect: RTRIM collation also strips *leading* spaces.
+                lv = _lstrip_text(lv)
+                rv = _lstrip_text(rv)
+            return compare(lv, rv)
+        return rtrim_compare
 
 
 class EngineMySQLSemantics(MySQLSemantics):
@@ -70,26 +71,27 @@ class EngineMySQLSemantics(MySQLSemantics):
             return int(num) != 0
         return super().to_bool(v)
 
-    def compare(self, op: BinaryOp, left: Expr, lv: Value,
-                right: Expr, rv: Value) -> Ternary:
-        if self.bugs.on("mysql-unsigned-cast-compare"):
-            if _is_unsigned_cast(left):
-                lv = _reinterpret_signed(lv)
-            if _is_unsigned_cast(right):
-                rv = _reinterpret_signed(rv)
-        return super().compare(op, left, lv, right, rv)
-
     def compile_compare(self, op: BinaryOp, left: Expr,
                         right: Expr | None):
         # The unsigned-cast defect can only fire when an operand *is* an
-        # unsigned cast — a static property of the expressions.  Such
-        # sites stay on the generic per-call path (which consults the bug
-        # registry each evaluation); every other site compiles to the
-        # pristine fast path, valid whether or not the defect is on.
-        if _is_unsigned_cast(left) or (right is not None
-                                       and _is_unsigned_cast(right)):
-            return Semantics.compile_compare(self, op, left, right)
-        return self._compile_compare_mysql(op)
+        # unsigned cast — a static property of the expressions — so only
+        # such sites carry the defect wrapper, which consults the bug
+        # registry on every evaluation.
+        compare = super().compile_compare(op, left, right)
+        left_unsigned = _is_unsigned_cast(left)
+        right_unsigned = right is not None and _is_unsigned_cast(right)
+        if not (left_unsigned or right_unsigned):
+            return compare
+        bugs = self.bugs
+
+        def unsigned_compare(lv: Value, rv: Value) -> Ternary:
+            if bugs.on("mysql-unsigned-cast-compare"):
+                if left_unsigned:
+                    lv = _reinterpret_signed(lv)
+                if right_unsigned:
+                    rv = _reinterpret_signed(rv)
+            return compare(lv, rv)
+        return unsigned_compare
 
 
 class EnginePostgresSemantics(PostgresSemantics):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import CatalogError, DBCrash, DBError, IntegrityError, UnsupportedError
 from repro.interp.base import EvalError
@@ -192,7 +192,7 @@ class SelectExecutor:
             source_rows = [SourceRow(env={})]
 
         if where is not None:
-            source_rows = self._filter(where, source_rows)
+            source_rows = list(filter(self._predicate(where), source_rows))
 
         columns, projected = self._project(bound, source_rows)
 
@@ -393,25 +393,12 @@ class SelectExecutor:
         out: list[SourceRow] = []
         null_env = {f"{visible}.{col}": NULL
                     for col in table.column_names()}
-        on = join.on
-        if on is None or self._memory_clamp:
-            test = None
-        else:
-            on_fn = self.interp.compile(on)
-            to_bool = self.semantics.to_bool
-
-            def test(merged: SourceRow) -> bool:
-                try:
-                    return to_bool(on_fn(merged.env)) is True
-                except EvalError as exc:
-                    raise DBError(str(exc)) from exc
+        test = None if join.on is None else self._predicate(join.on)
         for lrow in left:
             matched = False
             for rrow in right:
                 merged = self._merge(lrow, rrow)
-                if on is None or \
-                        (test(merged) if test is not None
-                         else self._eval_bool_where(on, merged) is True):
+                if test is None or test(merged):
                     matched = True
                     out.append(merged)
             if join.kind == "LEFT" and not matched:
@@ -428,39 +415,26 @@ class SelectExecutor:
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
-    def _eval_bool_where(self, expr: Expr, row: SourceRow):
-        env = row.env
-        if self._memory_clamp:
-            env = self._memory_clamped(env, row)
-        try:
-            return self.interp.semantics.to_bool(
-                self.interp.evaluate(expr, env))
-        except EvalError as exc:
-            raise DBError(str(exc)) from exc
-
-    def _filter(self, where: Expr,
-                source_rows: list[SourceRow]) -> list[SourceRow]:
-        """WHERE filter over the joined rows.
-
-        Row-by-row semantics are unchanged — the first erroring row still
-        raises — but the expression compiles once and the per-row path
-        skips re-resolving the defect flag and bound methods.
-        """
-        if self._memory_clamp:
-            return [row for row in source_rows
-                    if self._eval_bool_where(where, row) is True]
-        predicate = self.interp.compile(where)
+    def _predicate(self, expr: Expr) -> Callable[[SourceRow], bool]:
+        """Is *expr* TRUE on a row?  WHERE and JOIN ... ON both test rows
+        through this one compiled predicate; the first row whose
+        evaluation fails raises :class:`DBError`."""
+        compiled = self.interp.compile(expr)
         to_bool = self.semantics.to_bool
-        try:
-            return [row for row in source_rows
-                    if to_bool(predicate(row.env)) is True]
-        except EvalError as exc:
-            raise DBError(str(exc)) from exc
+        clamp = self._memory_clamped if self._memory_clamp else None
 
-    def _memory_clamped(self, env: dict[str, Value],
-                        row: SourceRow) -> dict[str, Value]:
+        def holds(row: SourceRow) -> bool:
+            try:
+                return to_bool(compiled(
+                    row.env if clamp is None else clamp(row))) is True
+            except EvalError as exc:
+                raise DBError(str(exc)) from exc
+        return holds
+
+    def _memory_clamped(self, row: SourceRow) -> dict[str, Value]:
         """Defect: MEMORY-engine scans clamp negative ints to 0 during
         predicate evaluation (paper Listing 11 analogue)."""
+        env = row.env
         memory_tables = {visible for visible in row.tables
                          if self._is_memory(visible)}
         if not memory_tables:

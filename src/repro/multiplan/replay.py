@@ -36,12 +36,9 @@ class MultiPlanReplayer:
     def __init__(self, dialect: str, bugs: BugRegistry):
         self.dialect = dialect
         self.bugs = bugs
-        #: (defects, statements, hints) -> divergence; see forget().
+        #: (defects, statements, hints) -> divergence, for this
+        #: replayer's one finding (each triage builds fresh replayers).
         self._memo: dict[tuple, bool] = {}
-
-    def forget(self) -> None:
-        """Drop memoized replays (the campaign does so per finding)."""
-        self._memo.clear()
 
     # -- predicates ---------------------------------------------------------
     def diverges(self, test_case: TestCase,

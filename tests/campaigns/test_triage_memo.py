@@ -65,20 +65,11 @@ class TestDifferentialMemo:
         replayer.attribute(LISTING1, ["sqlite-partial-index-is-not"])
         assert len(calls) == 3  # only the single-defect engine is new
 
-    def test_forget_drops_every_outcome(self):
-        replayer = DifferentialReplayer("sqlite", all_sqlite_bugs())
-        calls = counting(replayer)
-        replayer.manifests(LISTING1)
-        replayer.forget()
-        replayer.manifests(LISTING1)
-        assert len(calls) == 4
-
     def test_reduction_is_unchanged_by_the_memo(self):
         memoized = DifferentialReplayer("sqlite", all_sqlite_bugs())
-        fresh = DifferentialReplayer("sqlite", all_sqlite_bugs())
 
         def unmemoized(test_case):
-            fresh.forget()
+            fresh = DifferentialReplayer("sqlite", all_sqlite_bugs())
             return fresh.manifests(test_case)
 
         with_memo = TestCaseReducer(memoized.manifests)
@@ -102,10 +93,9 @@ class TestMultiPlanMemo:
 
     def test_reduction_is_unchanged_by_the_memo(self):
         memoized = MultiPlanReplayer("sqlite", all_sqlite_bugs())
-        fresh = MultiPlanReplayer("sqlite", all_sqlite_bugs())
 
         def unmemoized(test_case):
-            fresh.forget()
+            fresh = MultiPlanReplayer("sqlite", all_sqlite_bugs())
             return fresh.diverges(test_case, FENCEPOST_HINTS)
 
         with_memo = TestCaseReducer(

@@ -11,7 +11,7 @@ from repro.core.querygen import QueryGenerator
 from repro.core import runner as runner_module
 from repro.core.rectify import rectify_condition_to_false
 from repro.core.runner import PQSRunner, RunnerConfig
-from repro.core.schema import ColumnModel, SchemaModel, TableModel
+from repro.core.schema import ColumnModel, TableModel
 from repro.dialects import get_dialect
 from repro.interp import make_interpreter
 from repro.minidb.bugs import BugRegistry
@@ -42,15 +42,14 @@ def _fixture(dialect="sqlite"):
     model = TableModel(name="t0", columns=[
         ColumnModel(name="c0", type_name="INT"),
         ColumnModel(name="c1", type_name="TEXT")])
-    schema = SchemaModel(dialect=dialect, tables=[model])
-    return conn, schema, model
+    return conn, model
 
 
 class TestNegativeSynthesis:
     def test_pivot_never_fetched_on_clean_engine(self):
-        conn, schema, model = _fixture()
+        conn, model = _fixture()
         rng = RandomSource(19)
-        selector = PivotSelector(conn, schema, rng)
+        selector = PivotSelector(rng)
         generator = ExpressionGenerator(get_dialect("sqlite"), rng,
                                         max_depth=3)
         querygen = QueryGenerator(generator, INTERP, rng)
@@ -118,13 +117,13 @@ class TestRunnerIntegration:
             assert stats.reports == [], dialect
 
     def test_duplicate_valued_rows_disable_negative_mode(self):
-        conn, schema, model = _fixture()
+        conn, model = _fixture()
         conn.execute("INSERT INTO t0(c0, c1) VALUES (1, 'a')")  # dup row
         config = RunnerConfig(dialect="sqlite", seed=3)
         runner = PQSRunner(lambda: conn, config)
         rows = conn.execute("SELECT * FROM t0")
         pivot_rows = [(model, rows)]
-        selector = PivotSelector(conn, schema, RandomSource(3))
+        selector = PivotSelector(RandomSource(3))
         pivot = selector.select(pivot_rows)
         if all(INTERP.semantics.values_equal(a, b)
                for a, b in zip(pivot.row_by_table["t0"], rows[0])):

@@ -47,7 +47,7 @@ def probe(conn, schema):
 class TestPivotSelector:
     def test_selects_existing_row(self):
         conn, schema, model = setup_connection()
-        selector = PivotSelector(conn, schema, RandomSource(1))
+        selector = PivotSelector(RandomSource(1))
         tables_rows, _ = probe(conn, schema)
         assert len(tables_rows) == 1
         pivot = selector.select(tables_rows)
@@ -88,7 +88,7 @@ def make_querygen(dialect="sqlite", seed=5):
 class TestQuerySynthesis:
     def test_query_always_fetches_pivot(self):
         conn, schema, model = setup_connection()
-        selector = PivotSelector(conn, schema, RandomSource(7))
+        selector = PivotSelector(RandomSource(7))
         querygen, interp = make_querygen()
         for _ in range(150):
             pivot = selector.select(rows_of(conn, model))
@@ -98,7 +98,7 @@ class TestQuerySynthesis:
 
     def test_intersect_mode_agrees(self):
         conn, schema, model = setup_connection()
-        selector = PivotSelector(conn, schema, RandomSource(8))
+        selector = PivotSelector(RandomSource(8))
         querygen, interp = make_querygen(seed=8)
         for _ in range(80):
             pivot = selector.select(rows_of(conn, model))
@@ -112,7 +112,7 @@ class TestQuerySynthesis:
 
     def test_containment_query_shape(self):
         conn, schema, model = setup_connection()
-        selector = PivotSelector(conn, schema, RandomSource(9))
+        selector = PivotSelector(RandomSource(9))
         querygen, _ = make_querygen(seed=9)
         pivot = selector.select(rows_of(conn, model))
         query = querygen.synthesize(pivot)
@@ -127,7 +127,7 @@ class TestQuerySynthesis:
                            columns=[ColumnModel(name="c0",
                                                 type_name="INT")])
         schema.tables.append(other)
-        selector = PivotSelector(conn, schema, RandomSource(10))
+        selector = PivotSelector(RandomSource(10))
         querygen, interp = make_querygen(seed=10)
         for _ in range(60):
             pivot = selector.select(rows_of(conn, model, other))
@@ -144,7 +144,7 @@ class TestQuerySynthesis:
                            columns=[ColumnModel(name="c0",
                                                 type_name="INT")])
         schema = SchemaModel(dialect="sqlite", tables=[model])
-        selector = PivotSelector(conn, schema, RandomSource(11))
+        selector = PivotSelector(RandomSource(11))
         querygen, interp = make_querygen(seed=11)
         saw_aggregate = False
         for _ in range(60):
@@ -159,7 +159,7 @@ class TestQuerySynthesis:
         monkeypatch.setattr(querygen_module, "GROUPBY_PROBABILITY", 1.0)
         monkeypatch.setattr(querygen_module, "AGGREGATE_PROBABILITY", 0.0)
         conn, schema, model = setup_connection()
-        selector = PivotSelector(conn, schema, RandomSource(12))
+        selector = PivotSelector(RandomSource(12))
         querygen, interp = make_querygen(seed=12)
         saw_groupby = False
         for _ in range(60):
@@ -178,7 +178,7 @@ class TestQuerySynthesis:
             ColumnModel(name="c0", type_name="INT"),
             ColumnModel(name="c1", type_name="TEXT")])
         schema = SchemaModel(dialect="postgres", tables=[model])
-        selector = PivotSelector(conn, schema, RandomSource(13))
+        selector = PivotSelector(RandomSource(13))
         querygen, interp = make_querygen("postgres", seed=13)
         for _ in range(80):
             pivot = selector.select(rows_of(conn, model))

@@ -57,7 +57,6 @@ def test_every_guided_round_gets_a_mutation_burst():
     profile = guidance.begin_round(77)
     assert profile is not None
     assert profile.mutations
-    assert profile.mutation_statements > 0
     assert profile.weights is not None
     assert profile.weights.create_index > profile.weights.insert
 

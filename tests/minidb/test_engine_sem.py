@@ -16,6 +16,8 @@ from repro.sqlast.transform import transform
 from repro.sqlast.nodes import ColumnNode
 from repro.values import Value
 
+from ..conftest import make_engine, rows, run
+
 
 def evaluate(semantics, sql, row=None):
     interp = Interpreter(semantics)
@@ -89,3 +91,59 @@ class TestMySQLWrapper:
         buggy = EngineMySQLSemantics(
             BugRegistry({"mysql-unsigned-cast-compare"}))
         assert evaluate(buggy, "18446744073709551615 > 5") == 1
+
+
+def compiled_once(semantics, sql):
+    """*sql* (no column references) compiled once; each call of the
+    returned function evaluates that same compiled closure again."""
+    closure = Interpreter(semantics).compile(parse_expression(sql))
+
+    def evaluate_again():
+        out = closure({})
+        return None if out.is_null else out.v
+    return evaluate_again
+
+
+class TestDefectToggledAfterCompilation:
+    """A comparison defect consults the registry on every evaluation, so
+    toggling it after compilation changes the outcome of the same
+    compiled site."""
+
+    @pytest.mark.parametrize("semantics, bug_id, sql, clean, buggy", [
+        (EngineSQLiteSemantics, "sqlite-rtrim-compare",
+         "('  a' COLLATE RTRIM) = 'a'", 0, 1),
+        (EngineSQLiteSemantics, "sqlite-rtrim-compare",
+         "('  a' COLLATE RTRIM) IN ('b', 'a')", 0, 1),
+        (EngineMySQLSemantics, "mysql-unsigned-cast-compare",
+         "CAST(-1 AS UNSIGNED) > 5", 1, 0),
+    ], ids=["rtrim-compare", "rtrim-in-list", "unsigned-cast-compare"])
+    def test_outcome_follows_the_registry(self, semantics, bug_id, sql,
+                                          clean, buggy):
+        registry = BugRegistry()
+        evaluate_again = compiled_once(semantics(registry), sql)
+        assert evaluate_again() == clean
+        registry.enable(bug_id)
+        assert evaluate_again() == buggy
+        registry.disable(bug_id)
+        assert evaluate_again() == clean
+
+
+class TestMemoryClampOnJoin:
+    def test_memory_engine_join_on(self):
+        # Paper Listing 11, with the condition in JOIN ... ON instead of
+        # WHERE (test_bugs.py pins the WHERE form): the clamp rewrites
+        # the row a JOIN condition sees, too.
+        def scenario(engine, kind):
+            run(engine, "CREATE TABLE t0(c0 INT)",
+                "CREATE TABLE t1(c0 INT) ENGINE = MEMORY",
+                "INSERT INTO t0(c0) VALUES (0)",
+                "INSERT INTO t1(c0) VALUES (-1)")
+            return rows(engine.execute(
+                f"SELECT * FROM t0 {kind} t1 ON (CAST(t1.c0 AS UNSIGNED)) "
+                "> (IFNULL('u', t0.c0))"))
+
+        assert scenario(make_engine("mysql"), "JOIN") == [(0, -1)]
+        assert scenario(make_engine("mysql", "mysql-memory-engine-join"),
+                        "JOIN") == []
+        assert scenario(make_engine("mysql", "mysql-memory-engine-join"),
+                        "LEFT JOIN") == [(0, None)]
