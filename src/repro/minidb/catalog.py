@@ -11,7 +11,7 @@ virtual tables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import CatalogError
 from repro.interp.base import affinity_of_type_name
@@ -178,6 +178,32 @@ class Catalog:
         """Tables that INHERIT from *table* (postgres)."""
         return [t for t in self.tables.values()
                 if t.inherits and t.inherits.lower() == table.lower()]
+
+    # -- undo ----------------------------------------------------------------
+    def snapshot(self) -> Callable[[], None]:
+        """Save the catalog; the returned one-shot ``restore()`` writes it
+        back in place.
+
+        Shallow: the four name dicts, and each table's and index's
+        attributes with every list or dict (rows, columns, entries, ...)
+        copied one level deep.  That is exact under one rule: no
+        statement edits a row dict or a :class:`Column` in place (UPDATE
+        and ALTER TABLE swap in fresh ones).
+        """
+        names = [(d, dict(d)) for d in (self.tables, self.indexes,
+                                        self.views, self.statistics)]
+        attrs = [(obj, {k: v.copy() if isinstance(v, (list, dict)) else v
+                        for k, v in vars(obj).items()})
+                 for obj in (*self.tables.values(), *self.indexes.values())]
+
+        def restore() -> None:
+            for live, saved in names:
+                live.clear()
+                live.update(saved)
+            for obj, saved in attrs:
+                vars(obj).update(saved)
+
+        return restore
 
     # -- mutation ------------------------------------------------------------
     def add_table(self, table: Table) -> None:

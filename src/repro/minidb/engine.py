@@ -17,8 +17,7 @@ Dialect behaviour implemented here (value typing at INSERT time):
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import (
@@ -100,9 +99,9 @@ class Engine:
         self.statements_executed = 0
         self._snapshot = None
         #: sql -> (columns, rows) for top-level SELECTs; invalidated
-        #: wholesale by any non-SELECT statement.  Only unforced runs
-        #: fill it; a baseline forced run reads it (see
-        #: cached_select_rows).
+        #: wholesale by any non-SELECT/EXPLAIN statement (see
+        #: execute_statement).  Only unforced runs fill it; a baseline
+        #: forced run reads it (see cached_select_rows).
         self._select_cache: dict[str, tuple[list, list]] = {}
         #: (table name, visible name) -> full-scan SourceRow list.
         #: Distinct queries between writes re-scan the same relations;
@@ -169,10 +168,6 @@ class Engine:
             self._select_cache[sql] = (list(result.columns),
                                        list(result.rows))
             return result
-        if not isinstance(stmt, (st.Select, st.Explain)):
-            # Invalidate up front: a failing DDL/DML statement may still
-            # have touched state before raising.
-            self._select_cache.clear()
         return self.execute_statement(stmt)
 
     def cached_select_rows(self, sql: str) -> Optional[list]:
@@ -187,13 +182,15 @@ class Engine:
             return SelectExecutor(self).execute(stmt)
         if isinstance(stmt, st.Explain):
             return self._explain(stmt)
-        # Anything below may mutate catalog state.  Drop the scan cache
-        # up front (a failing statement may still have touched state) and
-        # keep it suspended for the duration: a scan performed *by* this
-        # statement (e.g. CREATE VIEW validation, INSERT ... SELECT)
-        # must not be remembered past the writes that follow it.  The
-        # bound-SELECT cache is dropped on both sides for the same
-        # reason (a failed ALTER or a ROLLBACK swaps the catalog back).
+        # Anything below may mutate catalog state.  Drop the SELECT and
+        # scan caches up front (a failing statement may still have
+        # touched state) and keep scan caching suspended for the
+        # duration: a scan performed *by* this statement (e.g. CREATE
+        # VIEW validation, INSERT ... SELECT) must not be remembered past
+        # the writes that follow it.  The bound-SELECT cache is dropped
+        # on both sides for the same reason (a failed write or a
+        # ROLLBACK restores the catalog in place).
+        self._select_cache.clear()
         self._scan_cache.clear()
         self.drop_bound_selects()
         self._scan_caching = False
@@ -246,38 +243,16 @@ class Engine:
                          rows=rows)
 
     def _atomic(self, handler, stmt) -> ResultSet:
-        """Statement atomicity for DML: a failing statement must leave no
-        partial effects (a multi-row INSERT failing on its second row
-        must not keep the first), or replaying the success-only statement
-        log would diverge from the original session.
-
-        INSERT/UPDATE/DELETE never mutate row dicts, Column objects or
-        index key tuples in place (UPDATE swaps in a fresh dict), so a
-        shallow container snapshot suffices; ALTER rewrites rows and
-        columns in place and keeps the deep copy.
-        """
-        if isinstance(stmt, st.AlterTable):
-            backup = copy.deepcopy(self.catalog)
-            try:
-                return handler(stmt)
-            except DBError:
-                self.catalog = backup
-                raise
-        saved_tables = [(t, dict(t.rows), t.next_rowid, dict(t.serials),
-                         dict(t.ever_null))
-                        for t in self.catalog.tables.values()]
-        saved_indexes = [(i, list(i.entries))
-                         for i in self.catalog.indexes.values()]
+        """Statement atomicity for DML and ALTER: a failing statement
+        must leave no partial effects (a multi-row INSERT failing on its
+        second row must not keep the first), or replaying the
+        success-only statement log would diverge from the original
+        session."""
+        restore = self.catalog.snapshot()
         try:
             return handler(stmt)
         except DBError:
-            for t, rows, next_rowid, serials, ever_null in saved_tables:
-                t.rows = rows
-                t.next_rowid = next_rowid
-                t.serials = serials
-                t.ever_null = ever_null
-            for index, entries in saved_indexes:
-                index.entries = entries
+            restore()
             raise
 
     # ------------------------------------------------------------ relations --
@@ -479,7 +454,7 @@ class Engine:
             parent = self.catalog.table(stmt.inherits)
             # PostgreSQL merges same-named columns (parent's first) and
             # rejects children that redeclare a column with another type.
-            merged: list[Column] = [copy.deepcopy(c) for c in parent.columns]
+            merged: list[Column] = [replace(c) for c in parent.columns]
             by_name = {c.name.lower(): c for c in merged}
             for col in columns:
                 existing = by_name.get(col.name.lower())
@@ -559,8 +534,7 @@ class Engine:
         if self.bugs.on("pg-index-null-error"):
             lead = exprs[0].expr
             if isinstance(lead, ColumnNode) and \
-                    getattr(table, "ever_null", {}).get(
-                        lead.column.lower()):
+                    table.ever_null.get(lead.column.lower()):
                 index.null_tainted = True
         # Populate entries from existing rows, enforcing uniqueness.
         for rowid, row in table.rows.items():
@@ -661,12 +635,8 @@ class Engine:
             column.type_name.upper() == "SERIAL"
 
     def _next_serial(self, table: Table, column: Column) -> Value:
-        serials = getattr(table, "serials", None)
-        if serials is None:
-            serials = {}
-            table.serials = serials
-        value = serials.get(column.name, 0) + 1
-        serials[column.name] = value
+        value = table.serials.get(column.name, 0) + 1
+        table.serials[column.name] = value
         return Value.integer(value)
 
     # -- value typing per dialect ---------------------------------------------
@@ -789,13 +759,9 @@ class Engine:
 
     def _track_null_history(self, table: Table,
                             row: dict[str, Value]) -> None:
-        history = getattr(table, "ever_null", None)
-        if history is None:
-            history = {}
-            table.ever_null = history
         for name, value in row.items():
             if value.is_null:
-                history[name.lower()] = True
+                table.ever_null[name.lower()] = True
 
     def _unique_conflicts(self, table: Table, row: dict[str, Value],
                           exclude_rowid: Optional[int]) -> list[int]:
@@ -1035,9 +1001,12 @@ class Engine:
         if table.has_column(stmt.new_name):
             raise CatalogError(f"duplicate column name: {stmt.new_name}")
         old_name = column.name
-        column.name = stmt.new_name
-        for row in table.rows.values():
-            row[stmt.new_name] = row.pop(old_name)
+        table.columns = [replace(c, name=stmt.new_name) if c is column
+                         else c for c in table.columns]
+        # Fresh row dicts (see Catalog.snapshot), renamed key last.
+        table.rows = {rowid: {k: v for k, v in row.items() if k != old_name}
+                      | {stmt.new_name: row[old_name]}
+                      for rowid, row in table.rows.items()}
         if old_name in table.pk_columns:
             table.pk_columns = [stmt.new_name if c == old_name else c
                                 for c in table.pk_columns]
@@ -1093,8 +1062,8 @@ class Engine:
         if col_def.default is not None:
             fill = self._coerce(table, column,
                                 self._eval_const(col_def.default))
-        for row in table.rows.values():
-            row[column.name] = fill
+        table.rows = {rowid: {**row, column.name: fill}
+                      for rowid, row in table.rows.items()}
         return ResultSet()
 
     # -- maintenance -------------------------------------------------------------
@@ -1133,7 +1102,7 @@ class Engine:
                 self.bugs.on("sqlite-case-sensitive-like-index"):
             for index in self.catalog.indexes.values():
                 if self._index_uses_like(index) and \
-                        getattr(index, "created_csl", 0) != \
+                        index.created_csl != \
                         self._option_int("case_sensitive_like"):
                     raise IntegrityError(
                         f"malformed database schema ({index.name}) - "
@@ -1295,8 +1264,7 @@ class Engine:
             if self._snapshot is not None:
                 raise DBError("cannot start a transaction within a "
                               "transaction")
-            self._snapshot = copy.deepcopy(
-                (self.catalog, self.options))
+            self._snapshot = (self.catalog.snapshot(), dict(self.options))
             return ResultSet()
         if self._snapshot is None:
             # COMMIT/ROLLBACK outside a transaction is a no-op error in
@@ -1305,6 +1273,7 @@ class Engine:
                           if stmt.action == "COMMIT"
                           else "cannot rollback - no transaction is active")
         if stmt.action == "ROLLBACK":
-            self.catalog, self.options = self._snapshot
+            restore, self.options = self._snapshot
+            restore()
         self._snapshot = None
         return ResultSet()

@@ -51,6 +51,25 @@ class TestReindex:
         with pytest.raises(DBError, match="UNIQUE"):
             buggy.execute("REINDEX")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "_rebuild_indexes empties the index before its duplicate check "
+        "raises, and maintenance statements are not atomic; running them "
+        "under Catalog.snapshot fixes it but may change pinned outputs, "
+        "so it waits for the next triage-golden re-pin"))
+    def test_failed_reindex_keeps_the_index(self):
+        buggy = make_engine("sqlite", "sqlite-reindex-unique")
+        run(buggy, "CREATE TABLE t(a TEXT, b INT)",
+            "CREATE UNIQUE INDEX u ON t(a COLLATE NOCASE)",
+            "INSERT INTO t(a, b) VALUES ('x', 1)",
+            "INSERT INTO t(a, b) VALUES ('X', 2)")
+        query = "SELECT a FROM t WHERE a = 'x' COLLATE NOCASE"
+        before = rows(buggy.execute(query))
+        assert len(before) == 2
+        with pytest.raises(DBError, match="UNIQUE"):
+            buggy.execute("REINDEX")
+        assert len(buggy.catalog.index("u").entries) == 2
+        assert rows(buggy.execute(query)) == before
+
 
 class TestAnalyzeAndOptions:
     def test_analyze_named_vs_all(self, engine):
