@@ -34,9 +34,9 @@ class MiniDBConnection:
         the plan the unforced stream takes.
 
         Planning is *not* part of the tested statement stream: it does
-        not count toward ``statements_executed``, and every piece of
-        forcing state is restored before returning (see
-        :meth:`_forcing`).  It refuses
+        not count toward ``statements_executed``, and it leaves the
+        catalog untouched: ``engine.hints``, the one thing it sets, is
+        cleared before returning (see :meth:`_forcing`).  It refuses
         exactly what :meth:`with_plan` refuses before it runs: the
         executor chooses every access path, where a forced plan can be
         refused, before anything that EXPLAIN skips can fail.
@@ -64,9 +64,10 @@ class MiniDBConnection:
     @contextmanager
     def _forcing(self, sql: str, hints: PlannerHints) -> Iterator[Select]:
         """Run the body under *hints*; yields *sql* parsed (only a
-        SELECT can be forced) and then restores ``engine.hints``,
-        ``hint_analyzed`` and every table's ``analyzed`` flag, whichever
-        way the body exits."""
+        SELECT can be forced).  The only state it sets is
+        ``engine.hints``, cleared whichever way the body exits: the
+        planner reads the ``analyze`` hint instead of the tables'
+        flags."""
         hints.validate()
         engine = self.engine
         if hints.force_index is not None:
@@ -75,22 +76,11 @@ class MiniDBConnection:
         select = parse_statement(sql)
         if type(select) is not Select:
             raise ParseError("only a SELECT can run under a forced plan")
-        saved_analyzed = {name: table.analyzed
-                          for name, table in engine.catalog.tables.items()}
+        engine.hints = hints
         try:
-            if hints.analyze is not None:
-                for name, table in engine.catalog.tables.items():
-                    if hints.analyze and not saved_analyzed[name]:
-                        engine.hint_analyzed = True
-                    table.analyzed = hints.analyze
-            engine.hints = hints
             yield select
         finally:
             engine.hints = None
-            engine.hint_analyzed = False
-            for name, table in engine.catalog.tables.items():
-                if name in saved_analyzed:
-                    table.analyzed = saved_analyzed[name]
 
     def index_candidates(self, tables: list[str]) -> list[str]:
         """Explicit index names on *tables* (implicit constraint-backing

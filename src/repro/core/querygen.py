@@ -257,22 +257,7 @@ class QueryGenerator:
         if name in ("MIN", "MAX"):
             return value
         # SUM / AVG coerce numerically; reuse the dialect's own rules.
-        dialect = self.generator.dialect.name
-        if dialect == "sqlite":
-            from repro.interp.sqlite_sem import to_numeric
-
-            num = to_numeric(value)
-        elif dialect == "mysql":
-            from repro.interp.mysql_sem import to_number
-
-            num = to_number(value)
-        else:
-            from repro.values import SQLType
-
-            if value.t not in (SQLType.INTEGER, SQLType.REAL):
-                raise EvalError("sum/avg requires numeric input")
-            num = value.v
-        assert num is not None
+        num = self.interpreter.semantics.aggregate_number(value)
         if name == "AVG":
             return Value.real(float(num))
         if isinstance(num, float):

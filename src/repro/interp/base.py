@@ -150,9 +150,9 @@ class Semantics:
     """Dialect-specific value semantics consumed by :class:`Interpreter`.
 
     Subclasses implement every hook; the base class only fixes the
-    interface.  All hooks receive and return :class:`Value` objects.
-    A dialect states its comparison rules once, in
-    :meth:`compile_compare`.
+    interface.  All hooks receive :class:`Value` objects.  A dialect
+    states its comparison rules once, in :meth:`compile_compare`, and
+    its value order once, in :meth:`order`.
     """
 
     name = "abstract"
@@ -200,6 +200,14 @@ class Semantics:
 
     def values_equal(self, a: Value, b: Value) -> bool:
         """Row-membership equality used by the containment check and IN."""
+        raise NotImplementedError
+
+    def order(self, a: Value, b: Value) -> int:
+        """Three-way order of two non-NULL values (ORDER BY, MIN, MAX)."""
+        raise NotImplementedError
+
+    def aggregate_number(self, v: Value) -> int | float:
+        """The number SUM, AVG and TOTAL add for the non-NULL *v*."""
         raise NotImplementedError
 
     def compile_compare(self, op: BinaryOp, left: Expr,

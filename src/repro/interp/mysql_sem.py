@@ -115,8 +115,8 @@ class MySQLSemantics(Semantics):
                         right: Expr | None):
         """MySQL comparisons ignore the operand expressions (no affinity
         or collation resolution), so a site compiles to op dispatch done
-        once plus the per-call null checks and ``_cmp``."""
-        cmp = self._cmp
+        once plus the per-call null checks and ``order``."""
+        cmp = self.order
         null_t = SQLType.NULL
         if op in (BinaryOp.NULL_SAFE_EQ, BinaryOp.IS, BinaryOp.IS_NOT):
             negate = op is BinaryOp.IS_NOT
@@ -136,7 +136,7 @@ class MySQLSemantics(Semantics):
         return ordered
 
     @staticmethod
-    def _cmp(a: Value, b: Value) -> int:
+    def order(a: Value, b: Value) -> int:
         if a.t is SQLType.INTEGER and b.t is SQLType.INTEGER:
             # Dominant case: exact int comparison, no coercion machinery
             # (identical to compare_numbers on two ints).
@@ -156,6 +156,8 @@ class MySQLSemantics(Semantics):
         bn = to_number(b)
         assert an is not None and bn is not None
         return compare_numbers(an, bn)
+
+    aggregate_number = staticmethod(to_number)
 
     # -- arithmetic ------------------------------------------------------------
     def arithmetic(self, op: BinaryOp, a: Value, b: Value) -> Value:
@@ -292,7 +294,7 @@ class MySQLSemantics(Semantics):
             a, b = args
             if a.is_null or b.is_null:
                 return a
-            if self._cmp(a, b) == 0:
+            if self.order(a, b) == 0:
                 return NULL
             return a
         if fn in ("LEAST", "GREATEST"):
@@ -301,7 +303,7 @@ class MySQLSemantics(Semantics):
                 return NULL
             best = args[0]
             for v in args[1:]:
-                cmp = self._cmp(v, best)
+                cmp = self.order(v, best)
                 if (fn == "LEAST" and cmp < 0) or (fn == "GREATEST" and cmp > 0):
                     best = v
             return best
@@ -365,7 +367,7 @@ class MySQLSemantics(Semantics):
         bn = b.t is SQLType.NULL
         if an or bn:
             return an and bn
-        return self._cmp(a, b) == 0
+        return self.order(a, b) == 0
 
 
 def _real_or_null(f: float) -> Value:

@@ -64,8 +64,8 @@ class PostgresSemantics(Semantics):
                         right: Expr | None):
         """PostgreSQL comparisons ignore the operand expressions, so a
         site compiles to one-time op dispatch plus per-call null checks
-        and ``_cmp``."""
-        cmp = self._cmp
+        and ``order``."""
+        cmp = self.order
         null_t = SQLType.NULL
         if op is BinaryOp.NULL_SAFE_EQ:
             def no_such_op(lv: Value, rv: Value) -> Ternary:
@@ -89,7 +89,7 @@ class PostgresSemantics(Semantics):
         return ordered
 
     @staticmethod
-    def _cmp(a: Value, b: Value) -> int:
+    def order(a: Value, b: Value) -> int:
         if a.is_numeric and b.is_numeric:
             if (a.t is SQLType.BOOLEAN) != (b.t is SQLType.BOOLEAN):
                 raise EvalError(
@@ -102,6 +102,15 @@ class PostgresSemantics(Semantics):
         if a.t is SQLType.BLOB and b.t is SQLType.BLOB:
             return compare_blobs(bytes(a.v), bytes(b.v))
         raise EvalError(f"operator does not exist: {a.t.value} = {b.t.value}")
+
+    @staticmethod
+    def aggregate_number(v: Value) -> int | float:
+        if v.t is SQLType.INTEGER:
+            return int(v.v)
+        if v.t is SQLType.REAL:
+            return float(v.v)
+        raise EvalError(f"function sum/avg requires numeric input, "
+                        f"not {v.t.value}")
 
     # -- arithmetic ------------------------------------------------------------
     def arithmetic(self, op: BinaryOp, a: Value, b: Value) -> Value:
@@ -264,7 +273,7 @@ class PostgresSemantics(Semantics):
             a, b = args
             if a.is_null or b.is_null:
                 return a
-            if self._cmp(a, b) == 0:
+            if self.order(a, b) == 0:
                 return NULL
             return a
         if fn in ("LEAST", "GREATEST"):
@@ -274,7 +283,7 @@ class PostgresSemantics(Semantics):
                 return NULL
             best = present[0]
             for v in present[1:]:
-                cmp = self._cmp(v, best)
+                cmp = self.order(v, best)
                 if (fn == "LEAST" and cmp < 0) or (fn == "GREATEST" and cmp > 0):
                     best = v
             return best
@@ -312,7 +321,7 @@ class PostgresSemantics(Semantics):
         if a.is_null or b.is_null:
             return False
         try:
-            return self._cmp(a, b) == 0
+            return self.order(a, b) == 0
         except EvalError:
             return False
 

@@ -243,6 +243,8 @@ class SQLiteSemantics(Semantics):
 
     name = "sqlite"
     like_case_sensitive = False
+    order = staticmethod(storage_compare)
+    aggregate_number = staticmethod(to_numeric)
 
     # -- boolean context -----------------------------------------------------
     def to_bool(self, v: Value) -> Ternary:

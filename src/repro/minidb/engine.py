@@ -133,10 +133,6 @@ class Engine:
         #: None means "plan normally" — the permanent state of every
         #: engine outside a forced execution.
         self.hints = None
-        #: True while hints.analyze=True synthesized statistics that no
-        #: ANALYZE statement gathered — the trigger for the stale-stats
-        #: join defect.
-        self.hint_analyzed = False
         self._apply_option_defaults()
 
     def _apply_option_defaults(self) -> None:
@@ -773,30 +769,25 @@ class Engine:
             key = self._index_key(index, table, row)
             if key is None or any(v.is_null for v in key):
                 continue  # NULL components never conflict
+            collations = self._unique_collations(index)
             for other_rowid, other_row in table.rows.items():
                 if other_rowid == exclude_rowid:
                     continue
                 other_key = self._index_key(index, table, other_row)
                 if other_key is None:
                     continue
-                if self._keys_equal(index, key, other_key):
+                if self._keys_equal(key, other_key, collations):
                     if other_rowid not in conflicts:
                         conflicts.append(other_rowid)
         return conflicts
 
-    def _keys_equal(self, index: Index, a: tuple, b: tuple) -> bool:
-        if any(v.is_null for v in a) or any(v.is_null for v in b):
-            return False
-        for indexed, av, bv in zip(index.exprs, a, b):
-            collation = indexed.collation or "BINARY"
-            if self.bugs.on("sqlite-reindex-unique") and \
-                    self.dialect == "sqlite":
-                # Defect: the insert-time uniqueness check ignores the
-                # index collation (REINDEX later finds the duplicates).
-                collation = "BINARY"
-            if self.dialect == "mysql" and av.t is SQLType.TEXT \
-                    and bv.t is SQLType.TEXT:
-                collation = "NOCASE"
+    @staticmethod
+    def _keys_equal(a: tuple, b: tuple, collations: list[str]) -> bool:
+        """Do index keys *a* and *b* match, each component compared under
+        its collation in *collations*?  A NULL component never matches."""
+        for av, bv, collation in zip(a, b, collations):
+            if av.is_null or bv.is_null:
+                return False
             try:
                 if storage_compare(av, bv, collation) != 0:
                     return False
@@ -804,6 +795,25 @@ class Engine:
                 if av != bv:
                     return False
         return True
+
+    @staticmethod
+    def _collations(index: Index) -> list[str]:
+        """*index*'s own collation per key component."""
+        return [e.collation or "BINARY" for e in index.exprs]
+
+    def _unique_collations(self, index: Index) -> list[str]:
+        """The collations an INSERT or UPDATE checks *index*'s
+        uniqueness under (``storage_compare`` applies a collation only
+        to TEXT against TEXT)."""
+        if self.dialect == "mysql":
+            # MySQL's default collation ignores case.
+            return ["NOCASE"] * len(index.exprs)
+        if self.dialect == "sqlite" and \
+                self.bugs.on("sqlite-reindex-unique"):
+            # Defect: the insert-time uniqueness check ignores the
+            # index collation (REINDEX later finds the duplicates).
+            return ["BINARY"] * len(index.exprs)
+        return self._collations(index)
 
     def _unique_error(self, table: Table, row: dict[str, Value],
                       conflicts: list[int]) -> ConstraintError:
@@ -846,8 +856,9 @@ class Engine:
             return
         if enforce_unique and index.unique and \
                 not any(v.is_null for v in key):
+            collations = self._unique_collations(index)
             for existing_key, _rid in index.entries:
-                if self._keys_equal(index, key, existing_key):
+                if self._keys_equal(key, existing_key, collations):
                     raise ConstraintError(self._unique_error(
                         table, row, []).message)
         if self.bugs.on("sqlite-nocase-unique-without-rowid") and \
@@ -857,8 +868,9 @@ class Engine:
             # the NOCASE index itself) confuses collations and silently
             # drops case-variant duplicates — the row stays in the heap
             # (full scans see it) but is unreachable via index lookups.
+            nocase = ["NOCASE"] * len(key)
             for existing_key, _rid in index.entries:
-                if self._nocase_equal(key, existing_key):
+                if self._keys_equal(key, existing_key, nocase):
                     return
         index.entries.append((key, rowid))
 
@@ -874,19 +886,6 @@ class Engine:
                 for other in self.catalog.indexes_on(index.table)
                 if other is not index)
         return False
-
-    @staticmethod
-    def _nocase_equal(a: tuple, b: tuple) -> bool:
-        for av, bv in zip(a, b):
-            if av.is_null or bv.is_null:
-                return False
-            try:
-                if storage_compare(av, bv, "NOCASE") != 0:
-                    return False
-            except KeyError:
-                if av != bv:
-                    return False
-        return True
 
     def _index_remove(self, index: Index, rowid: int) -> None:
         index.entries = [(k, r) for k, r in index.entries if r != rowid]
@@ -1175,6 +1174,7 @@ class Engine:
                 if rowid not in table.rows:
                     raise IntegrityError(self._malformed_message())
             fresh: list = []
+            collations = self._collations(index)
             index.entries = []
             for rowid, row in table.rows.items():
                 key = self._index_key(index, table, row)
@@ -1185,23 +1185,11 @@ class Engine:
                     for existing, _rid in fresh:
                         # REINDEX checks with the *correct* collation,
                         # catching duplicates a buggy insert path let in.
-                        if self._keys_equal_correct(index, key, existing):
+                        if self._keys_equal(key, existing, collations):
                             raise ConstraintError(
                                 self._unique_error(table, row, []).message)
                 fresh.append((key, rowid))
             index.entries = fresh
-
-    def _keys_equal_correct(self, index: Index, a: tuple,
-                            b: tuple) -> bool:
-        for indexed, av, bv in zip(index.exprs, a, b):
-            collation = indexed.collation or "BINARY"
-            try:
-                if storage_compare(av, bv, collation) != 0:
-                    return False
-            except KeyError:
-                if av != bv:
-                    return False
-        return True
 
     def _check_table(self, stmt: st.Maintenance) -> ResultSet:
         if self.dialect != "mysql":

@@ -12,8 +12,9 @@ GROUP BY, skip-scan DISTINCT, stale-index detection).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import CatalogError, DBCrash, DBError, IntegrityError, UnsupportedError
 from repro.interp.base import EvalError
@@ -73,12 +74,11 @@ class SelectExecutor:
                 ) -> list[tuple[str, str, Optional[str], str]]:
         """Access-path rows for *select* without scanning any data.
 
-        Mirrors the planning half of :meth:`_run` (scope → bind →
-        rewrite → choose_path) so EXPLAIN always reports the path the
-        executor would take, then renders each path as a
-        ``(table, kind, index, detail)`` row.  Planning-time *defect*
-        checks are deliberately skipped: EXPLAIN inspects the plan, it
-        does not trigger the modeled bugs.
+        Takes the planning step of :meth:`_run` (:meth:`_plan`), so
+        EXPLAIN always reports the paths the executor takes, and renders
+        each path as a ``(table, kind, index, detail)`` row.
+        Planning-time *defect* checks are deliberately skipped: EXPLAIN
+        inspects the plan, it does not trigger the modeled bugs.
         """
         steps: list[tuple[str, str, Optional[str], str]] = []
         self._explain_into(select, steps)
@@ -87,23 +87,16 @@ class SelectExecutor:
     def _explain_into(self, select: st.Select,
                       steps: list[tuple[str, str, Optional[str], str]],
                       ) -> None:
-        scope_tables = self._scope_tables(select)
-        scope = Scope(scope_tables, self.dialect)
-        bound = self._bound(select, scope)
-        where = None
-        rewrite_tags: list[str] = []
-        if bound.where is not None:
-            where = self._rewritten(bound.where, scope)
-            rewrite_tags = self._rewrite_tags(bound.where, where)
-        for visible, table in scope_tables[:len(bound.tables)]:
-            steps.append(self._plan_step(
-                visible, self._choose_path(bound, table, where)))
-        for join, (visible, table) in zip(
-                select.joins, scope_tables[len(bound.tables):]):
+        scope_tables, bound, where, paths = self._plan(select)
+        for (visible, _table), path in zip(scope_tables, paths):
+            steps.append(self._plan_step(visible, path))
+        for join, (visible, _table) in zip(
+                select.joins, scope_tables[len(paths):]):
             steps.append((visible, "full-scan", None,
                           f"{join.kind.lower()} join"))
-        for tag in rewrite_tags:
-            steps.append(("-", "rewrite", None, tag))
+        if where is not None:
+            for tag in self._rewrite_tags(bound.where, where):
+                steps.append(("-", "rewrite", None, tag))
         if bound.compound is not None:
             kind, rhs = bound.compound
             steps.append(("-", "compound", None, kind.lower()))
@@ -167,20 +160,28 @@ class SelectExecutor:
             tags.append("nullsafe-fold")
         return tags
 
-    def _run(self, select: st.Select) -> tuple[list[str], list[tuple]]:
+    def _plan(self, select: st.Select,
+              ) -> tuple[list[tuple[str, Table]], st.Select,
+                         Optional[Expr], list[AccessPath]]:
+        """The planning step that both :meth:`_run` and EXPLAIN take:
+        the scope tables, the bound Select, the rewritten WHERE (None
+        without one) and one access path per plain (non-JOIN) table."""
         scope_tables = self._scope_tables(select)
         scope = Scope(scope_tables, self.dialect)
         bound = self._bound(select, scope)
-
         where = None
         if bound.where is not None:
             where = self._rewritten(bound.where, scope)
-        # Paths are chosen before the planning-time defect checks, in
-        # EXPLAIN's order, so a forced plan the planner rejects ("no
-        # query solution") raises the same error whether or not an
-        # EXPLAIN ran first.  Unforced, choose_path never raises.
         paths = [self._choose_path(bound, table, where)
                  for _visible, table in scope_tables[:len(bound.tables)]]
+        return scope_tables, bound, where, paths
+
+    def _run(self, select: st.Select) -> tuple[list[str], list[tuple]]:
+        # Paths are chosen before the planning-time defect checks, as
+        # EXPLAIN chooses them, so a forced plan the planner rejects
+        # ("no query solution") raises the same error whether or not an
+        # EXPLAIN ran first.  Unforced, choose_path never raises.
+        scope_tables, bound, where, paths = self._plan(select)
         self._planning_defect_checks(bound, scope_tables)
 
         skip_scan_index = None
@@ -283,7 +284,18 @@ class SelectExecutor:
             # inheritance scan must walk the heap of every table.
             indexes = []
         return choose_path(table, where, indexes, select.distinct,
-                           self.bugs, self.engine.hints)
+                           self.bugs, self.engine.hints,
+                           self._analyzed(table))
+
+    def _analyzed(self, table: Table) -> bool:
+        """Does the planner see statistics for *table*?  A forced plan's
+        ``analyze`` hint answers for every catalog table without writing
+        its flag; a view keeps its own."""
+        hints = self.engine.hints
+        if hints is None or hints.analyze is None or \
+                not self.catalog.has_table(table.name):
+            return table.analyzed
+        return hints.analyze
 
     def _from_rows(self, select: st.Select,
                    scope_tables: list[tuple[str, Table]],
@@ -294,9 +306,11 @@ class SelectExecutor:
         skip_scan_index = None
         plain = scope_tables[:len(select.tables)]
         combined: list[SourceRow] = [SourceRow(env={})]
+        hints = self.engine.hints
         stale_join = len(plain) >= 2 \
             and self.bugs.on("sqlite-stale-stats-join") \
-            and self.engine.hint_analyzed
+            and hints is not None and hints.analyze \
+            and not all(t.analyzed for t in self.catalog.tables.values())
         prev: Optional[tuple[str, Table]] = None
         for (visible, table), path in zip(plain, paths):
             if path.kind == "skip-scan":
@@ -312,7 +326,8 @@ class SelectExecutor:
                 # ANALYZE gathered make the join reorderer believe the
                 # tables were already equi-joined, so the cross product
                 # drops pairs whose lead columns collide.  Fires only
-                # under hint-synthesized stats (engine.hint_analyzed).
+                # under an analyze hint that synthesizes statistics some
+                # table lacks.
                 combined = [
                     self._merge(a, b)
                     for a in combined for b in scanned
@@ -671,40 +686,14 @@ class SelectExecutor:
         raise UnsupportedError(f"unknown aggregate: {name}")
 
     def _as_number(self, v: Value) -> int | float:
-        if self.dialect == "sqlite":
-            from repro.interp.sqlite_sem import to_numeric
-
-            num = to_numeric(v)
-        elif self.dialect == "mysql":
-            from repro.interp.mysql_sem import to_number
-
-            num = to_number(v)
-        else:
-            if v.t is SQLType.INTEGER:
-                num = int(v.v)
-            elif v.t is SQLType.REAL:
-                num = float(v.v)
-            else:
-                raise DBError(f"function sum/avg requires numeric input, "
-                              f"not {v.t.value}")
-        assert num is not None
-        return num
+        try:
+            return self.semantics.aggregate_number(v)
+        except EvalError as exc:
+            raise DBError(str(exc)) from exc
 
     def _compare_values(self, a: Value, b: Value) -> int:
-        if self.dialect == "sqlite":
-            from repro.interp.sqlite_sem import storage_compare
-
-            return storage_compare(a, b)
-        if a.is_null and b.is_null:
-            return 0
-        if a.is_null:
-            return -1
-        if b.is_null:
-            return 1
-        if self.dialect == "mysql":
-            return self.semantics._cmp(a, b)
         try:
-            return self.semantics._cmp(a, b)
+            return self.semantics.order(a, b)
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
@@ -860,27 +849,22 @@ class SelectExecutor:
                     keyed.append((key, row))
             except EvalError as exc:
                 raise DBError(str(exc)) from exc
+            descending = [item.descending for item in select.order_by]
             keyed.sort(key=functools.cmp_to_key(
-                lambda a, b: self._order_cmp(a[0], b[0], select.order_by)))
+                lambda a, b: self._order_cmp(a[0], b[0], descending)))
             return [row for _, row in keyed]
+        ascending = itertools.repeat(False)
         ordered = list(projected)
         ordered.sort(key=functools.cmp_to_key(
-            lambda a, b: self._tuple_cmp(a, b)))
+            lambda a, b: self._order_cmp(a, b, ascending)))
         return ordered
 
     def _order_cmp(self, a: tuple, b: tuple,
-                   items: list[st.OrderItem]) -> int:
-        for av, bv, item in zip(a, b, items):
+                   descending: Iterable[bool]) -> int:
+        for av, bv, desc in zip(a, b, descending):
             cmp = self._null_aware_cmp(av, bv)
             if cmp != 0:
-                return -cmp if item.descending else cmp
-        return 0
-
-    def _tuple_cmp(self, a: tuple, b: tuple) -> int:
-        for av, bv in zip(a, b):
-            cmp = self._null_aware_cmp(av, bv)
-            if cmp != 0:
-                return cmp
+                return -cmp if desc else cmp
         return 0
 
     def _null_aware_cmp(self, a: Value, b: Value) -> int:
@@ -919,7 +903,8 @@ class SelectExecutor:
         where = select.where
         for visible, table in scope_tables:
             if self.bugs.on("pg-stats-bitmap-error") and where is not None:
-                if self._has_statistics(table) and table.analyzed and \
+                if self._has_statistics(table) and \
+                        self._analyzed(table) and \
                         self._has_expression_index(table) and \
                         self._has_boolean_combination(where):
                     raise DBError("negative bitmapset member not allowed")

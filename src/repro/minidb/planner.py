@@ -251,7 +251,8 @@ class AccessPath:
 def choose_path(table: Table, where: Optional[Expr],
                 indexes: list[Index], distinct: bool,
                 bugs: BugRegistry,
-                hints: Optional["PlannerHints"] = None) -> AccessPath:
+                hints: Optional["PlannerHints"] = None,
+                analyzed: bool = False) -> AccessPath:
     """Pick the access path for *table* under predicate *where*.
 
     The sound rules are conservative: a partial index is usable only when
@@ -266,6 +267,9 @@ def choose_path(table: Table, where: Optional[Expr],
     sqlite's ``NOT INDEXED`` / ``INDEXED BY``.  Like sqlite, a forced
     partial index whose predicate the WHERE clause does not imply is an
     error ("no query solution") rather than a silent wrong plan.
+
+    ``analyzed`` says whether statistics exist for *table* (ANALYZE, or
+    a forced plan's ``analyze`` hint).
     """
     if hints is not None:
         if hints.force_full_scan:
@@ -284,7 +288,7 @@ def choose_path(table: Table, where: Optional[Expr],
                                   reason="hint: INDEXED BY", forced=True)
             # The named index lives on another table; plan this one
             # normally.
-    if bugs.on("sqlite-skip-scan-distinct") and distinct and table.analyzed:
+    if bugs.on("sqlite-skip-scan-distinct") and distinct and analyzed:
         for index in indexes:
             if not index.is_partial:
                 return AccessPath("skip-scan", table.name, index,

@@ -39,7 +39,7 @@ class PlannerHints:
     #: Suppress the LIKE optimization family of rewrites.
     no_like_opt: bool = False
     #: ``True`` runs the query as if ANALYZE statistics exist (MiniDB:
-    #: every table temporarily marked analyzed; sqlite3: a transient
+    #: the planner reads every table as analyzed; sqlite3: a transient
     #: ``ANALYZE`` rolled back afterwards).  ``False`` forces the
     #: pre-ANALYZE planner.  ``None`` leaves statistics as they are.
     analyze: Optional[bool] = None

@@ -19,6 +19,7 @@ import pytest
 from repro.adapters.minidb_adapter import MiniDBConnection
 from repro.errors import DBCrash, DBError
 from repro.minidb.bugs import BugRegistry
+from repro.minidb.catalog import Table
 from repro.multiplan import BASELINE, PlannerHints
 
 HINTS = [PlannerHints(), PlannerHints(force_full_scan=True),
@@ -135,9 +136,42 @@ def test_forcing_state_is_restored_after_a_refusal():
             hook("SELECT c0 FROM t0 WHERE c0 < 1",
                  PlannerHints(force_index="i1", analyze=True))
     engine = conn.engine
-    assert engine.hints is None and engine.hint_analyzed is False
+    assert engine.hints is None
     assert not any(t.analyzed for t in engine.catalog.tables.values())
     assert conn.statements_executed == 7
+
+
+@pytest.mark.parametrize("hints", [
+    PlannerHints(analyze=True), PlannerHints(analyze=False),
+    PlannerHints(force_full_scan=True),
+    PlannerHints(force_index="i1", analyze=True)])
+def test_forced_runs_write_no_table(monkeypatch, hints):
+    """Forcing sets ``engine.hints`` and nothing else: no attribute of a
+    catalog table is written, not even to put its old value back,
+    whether the run returns or its plan is refused."""
+    conn = connection(("sqlite-stale-stats-join",))
+    conn.execute("ANALYZE t1")
+    tables = list(conn.engine.catalog.tables.values())
+    writes = []
+    plain_setattr = Table.__setattr__
+
+    def recording_setattr(table, name, value):
+        if any(table is t for t in tables):
+            writes.append((table.name, name))
+        plain_setattr(table, name, value)
+
+    monkeypatch.setattr(Table, "__setattr__", recording_setattr)
+    for hook in (conn.forced_plan, conn.with_plan):
+        for query in ("SELECT c0 FROM t0 WHERE c0 < 1",
+                      "SELECT t0.c0, t1.c1 FROM t0, t1",
+                      "SELECT * FROM v0"):
+            try:
+                hook(query, hints)
+            except DBError:
+                pass
+    assert writes == []
+    assert conn.engine.hints is None
+    assert [t.analyzed for t in tables] == [False, True]
 
 
 @pytest.mark.xfail(strict=True, reason=(

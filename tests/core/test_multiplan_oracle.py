@@ -69,9 +69,8 @@ class TestPlannerHints:
             conn.forced_plan("SELECT c0 FROM t0", hints)
             conn.with_plan("SELECT c0 FROM t0", hints)
         assert conn.statements_executed == before
-        # Forcing state (hints, synthesized ANALYZE flags) is restored.
+        # Forcing state (the hints) is cleared.
         assert conn.engine.hints is None
-        assert conn.engine.hint_analyzed is False
 
 
 class TestNullMultiPlan:

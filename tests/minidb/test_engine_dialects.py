@@ -1,9 +1,10 @@
 """Dialect-specific engine behaviour: typing rules at INSERT time,
-storage engines, inheritance, SERIAL, maintenance statement gating."""
+storage engines, inheritance, SERIAL, maintenance statement gating,
+UNIQUE key comparison, value order and aggregate coercion."""
 
 import pytest
 
-from repro.errors import DBError, UnsupportedError
+from repro.errors import ConstraintError, DBError, UnsupportedError
 
 from ..conftest import rows, run
 
@@ -217,6 +218,19 @@ class TestOptions:
         assert len(engine.execute(
             "SELECT a FROM t WHERE a LIKE 'abc'")) == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROLLBACK restores Engine.options but not the LIKE semantics, "
+        "and real SQLite does not roll this PRAGMA back at all; leaving "
+        "it out of what ROLLBACK restores can change created_csl and "
+        "with it pinned outputs (ROADMAP: next change to the benchmark)"))
+    def test_rollback_keeps_case_sensitive_like(self, engine):
+        run(engine, "PRAGMA case_sensitive_like = 0", "BEGIN",
+            "PRAGMA case_sensitive_like = 1", "ROLLBACK")
+        assert engine.options["case_sensitive_like"].v == 1
+        assert rows(engine.execute("SELECT 'a' LIKE 'A'")) == [(0,)]
+        run(engine, "CREATE TABLE t(a TEXT)", "CREATE INDEX i ON t(a)")
+        assert engine.catalog.index("i").created_csl == 1
+
     def test_set_stores_option(self, mysql_engine):
         mysql_engine.execute("SET GLOBAL max_heap_table_size = 16384")
         assert mysql_engine.options["max_heap_table_size"].v == 16384
@@ -225,3 +239,59 @@ class TestOptions:
         pg_engine.execute("SET enable_seqscan = 'off'")
         pg_engine.execute("DISCARD ALL")
         assert "enable_seqscan" not in pg_engine.options
+
+
+class TestUniqueKeys:
+    def test_mysql_unique_text_ignores_case(self, mysql_engine):
+        run(mysql_engine, "CREATE TABLE t0(c0 TEXT)",
+            "CREATE UNIQUE INDEX i0 ON t0(c0)",
+            "INSERT INTO t0(c0) VALUES ('a')")
+        with pytest.raises(ConstraintError, match="Duplicate entry"):
+            mysql_engine.execute("INSERT INTO t0(c0) VALUES ('A')")
+
+    def test_sqlite_unique_binary_accepts_case_variants(self, engine):
+        run(engine, "CREATE TABLE t0(c0 TEXT)",
+            "CREATE UNIQUE INDEX i0 ON t0(c0)",
+            "INSERT INTO t0(c0) VALUES ('a')",
+            "INSERT INTO t0(c0) VALUES ('A')")
+        assert len(engine.execute("SELECT c0 FROM t0")) == 2
+
+    def test_sqlite_unique_nocase_rejects_case_variants(self, engine):
+        run(engine, "CREATE TABLE t0(c0 TEXT)",
+            "CREATE UNIQUE INDEX i0 ON t0(c0 COLLATE NOCASE)",
+            "INSERT INTO t0(c0) VALUES ('a')")
+        with pytest.raises(ConstraintError):
+            engine.execute("INSERT INTO t0(c0) VALUES ('A')")
+
+
+class TestValueOrder:
+    def test_mysql_orders_text_without_case(self, mysql_engine):
+        run(mysql_engine, "CREATE TABLE t0(c0 TEXT)",
+            "INSERT INTO t0(c0) VALUES ('b'), ('A'), ('a')")
+        assert rows(mysql_engine.execute(
+            "SELECT c0 FROM t0 ORDER BY c0")) == [("A",), ("a",), ("b",)]
+        assert rows(mysql_engine.execute(
+            "SELECT MIN(c0), MAX(c0) FROM t0")) == [("A", "b")]
+
+    def test_sqlite_orders_numbers_before_text(self, engine):
+        run(engine, "CREATE TABLE t0(c0)",
+            "INSERT INTO t0(c0) VALUES ('b'), ('A'), (2)")
+        assert rows(engine.execute(
+            "SELECT c0 FROM t0 ORDER BY c0")) == [(2,), ("A",), ("b",)]
+
+
+class TestAggregateCoercion:
+    @pytest.mark.parametrize("function", ["SUM", "AVG"])
+    def test_postgres_rejects_text(self, pg_engine, function):
+        run(pg_engine, "CREATE TABLE t0(c0 TEXT)",
+            "INSERT INTO t0(c0) VALUES ('1')")
+        with pytest.raises(DBError, match="function sum/avg requires "
+                                          "numeric input, not text"):
+            pg_engine.execute(f"SELECT {function}(c0) FROM t0")
+
+    def test_sqlite_adds_numeric_prefixes(self, engine):
+        run(engine, "CREATE TABLE t0(c0 TEXT)",
+            "INSERT INTO t0(c0) VALUES ('a'), ('A'), ('3abc')")
+        result = engine.execute("SELECT SUM(c0), TOTAL(c0) FROM t0")
+        assert rows(result) == [(3, 3.0)]
+        assert [v.t.value for v in result.rows[0]] == ["integer", "real"]
