@@ -30,8 +30,9 @@ Quick start::
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.adapters import (
@@ -65,9 +66,10 @@ if TYPE_CHECKING:
 __version__ = "1.0.0"
 
 #: Where each public name is defined.  Names resolve on first access
-#: (module ``__getattr__``), so ``import repro`` -- which an exec-started
-#: isolated worker pays -- loads no subpackage, MiniDB least of all.
-_EXPORTS = {
+#: (:func:`repro._lazy.lazy_exports`), so ``import repro`` -- which an
+#: exec-started isolated worker pays -- loads no subpackage, MiniDB
+#: least of all.
+__getattr__, __dir__ = lazy_exports(globals(), {
     "repro.adapters": (
         "DBMSConnection", "FaultPlan", "FaultyFactory", "MiniDBConnection",
         "SQLite3Connection", "SubprocessConnection"),
@@ -79,9 +81,7 @@ _EXPORTS = {
     "repro.minidb": ("BUG_CATALOG", "BugRegistry", "Engine", "ResultSet"),
     "repro.telemetry": ("MetricsRegistry", "Telemetry", "Tracer"),
     "repro.values": ("Value",),
-}
-_HOME = {name: module for module, names in _EXPORTS.items()
-         for name in names}
+})
 
 __all__ = [
     "BUG_CATALOG",
@@ -115,11 +115,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(home), name)
-    globals()[name] = value
-    return value

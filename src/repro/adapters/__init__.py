@@ -17,8 +17,9 @@ oracles) on demand.
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.adapters.base import DBMSConnection
@@ -30,15 +31,14 @@ if TYPE_CHECKING:
 #: Where each public name is defined, imported on first access: an
 #: exec-started isolated worker imports this package, and must not pay
 #: for MiniDB.
-_HOME = {
-    "DBMSConnection": "repro.adapters.base",
-    "FaultPlan": "repro.adapters.faults",
-    "FaultyConnection": "repro.adapters.faults",
-    "FaultyFactory": "repro.adapters.faults",
-    "MiniDBConnection": "repro.adapters.minidb_adapter",
-    "SQLite3Connection": "repro.adapters.sqlite3_adapter",
-    "SubprocessConnection": "repro.adapters.subprocess_adapter",
-}
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.adapters.base": ("DBMSConnection",),
+    "repro.adapters.faults": ("FaultPlan", "FaultyConnection",
+                              "FaultyFactory"),
+    "repro.adapters.minidb_adapter": ("MiniDBConnection",),
+    "repro.adapters.sqlite3_adapter": ("SQLite3Connection",),
+    "repro.adapters.subprocess_adapter": ("SubprocessConnection",),
+})
 
 __all__ = [
     "DBMSConnection",
@@ -50,11 +50,3 @@ __all__ = [
     "SubprocessConnection",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(home), name)
-    globals()[name] = value
-    return value

@@ -16,20 +16,45 @@ streams, not OS threads.  The journal is checksummed and self-healing
 re-runs only the rounds they held.
 """
 
-from repro.campaigns.campaign import Campaign, CampaignConfig, CampaignResult
-from repro.campaigns.journal import (
-    CampaignJournal,
-    JournalState,
-    RecoveryStats,
-    round_seed,
-)
-from repro.campaigns.replay import DifferentialReplayer
-from repro.campaigns.metrics import (
-    constraint_statistics,
-    statement_distribution,
-    testcase_loc_cdf,
-)
-from repro.core.reports import RoundRecord
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.campaigns.campaign import (
+        Campaign,
+        CampaignConfig,
+        CampaignResult,
+    )
+    from repro.campaigns.journal import (
+        CampaignJournal,
+        JournalState,
+        RecoveryStats,
+        round_seed,
+    )
+    from repro.campaigns.metrics import (
+        constraint_statistics,
+        statement_distribution,
+        testcase_loc_cdf,
+    )
+    from repro.campaigns.replay import DifferentialReplayer
+    from repro.core.reports import RoundRecord
+
+#: Resolved on first access (:func:`repro._lazy.lazy_exports`): the
+#: replayer runs MiniDB, which ``pqs sqlite`` never does.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.campaigns.campaign": ("Campaign", "CampaignConfig",
+                                 "CampaignResult"),
+    "repro.campaigns.journal": ("CampaignJournal", "JournalState",
+                                "RecoveryStats", "round_seed"),
+    "repro.campaigns.metrics": ("constraint_statistics",
+                                "statement_distribution",
+                                "testcase_loc_cdf"),
+    "repro.campaigns.replay": ("DifferentialReplayer",),
+    "repro.core.reports": ("RoundRecord",),
+})
 
 __all__ = [
     "Campaign",

@@ -22,26 +22,29 @@ GIL), and a measured thread fleet was no faster than this one loop, so
 ``threads=N`` runs the same campaign-global rounds inline.
 
 Each finding is reduced, shrunk and attributed by one task,
-:func:`triage_finding`, which depends on that finding alone.  A
-:class:`~repro.campaigns.pool.TriagePool` of worker processes, one per
-usable CPU, runs the tasks, and each round's findings are submitted as
-soon as the round completes (journal-loaded rounds on ``--resume``
-first), so triage overlaps the hunt.  With one
+:func:`~repro.campaigns.triage.triage_finding`, which depends on that
+finding alone.  A :class:`~repro.campaigns.pool.TriagePool` of worker
+processes, one per usable CPU, runs the tasks, and each round's
+findings are submitted as soon as the round completes (journal-loaded
+rounds on ``--resume`` first), so triage overlaps the hunt.  With one
 usable CPU, or when the pool is lost, the task runs here instead.
 After the hunt, :meth:`Campaign._process` takes each finding's result
 in round order, and ``_triage_all`` folds them into reports: the
 per-defect cap, ``duplicate`` triage and ``unattributed``.  The
 reports do not depend on where a task ran.
+
+This module does not import MiniDB: ``pqs sqlite`` imports it and runs
+no MiniDB.  A :class:`Campaign` imports MiniDB and the triage task when
+it is built, so a hunt pays for them in its setup, before its first
+round.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.adapters.minidb_adapter import MiniDBConnection
 from repro.campaigns.journal import (
     JOURNAL_VERSION,
     CampaignJournal,
@@ -50,26 +53,20 @@ from repro.campaigns.journal import (
     round_seed,
 )
 from repro.campaigns.pool import TriagePool
-from repro.campaigns.replay import DifferentialReplayer
-from repro.core.reducer import TestCaseReducer
-from repro.core.reports import BugReport, Oracle, RoundRecord, RunStatistics
+from repro.core.reports import BugReport, RoundRecord, RunStatistics
 from repro.core.runner import PQSRunner, RunnerConfig
-from repro.errors import ReductionError
 from repro.guidance import NULL_GUIDANCE, PlanGuidance
 from repro.minidb.bugs import BUG_CATALOG, BugRegistry, bugs_for_dialect
-from repro.multiplan.hints import BASELINE, PlannerHints
-from repro.multiplan.replay import MultiPlanReplayer
 from repro.observe.observatory import NULL_OBSERVATORY, Observatory
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry import names as metric_names
 
+if TYPE_CHECKING:
+    from repro.adapters.minidb_adapter import MiniDBConnection
+
 #: BugReport oracle value -> catalog oracle tag.
 _ORACLE_TAG = {"contains": "contains", "error": "error",
                "segfault": "crash", "multiplan": "multiplan"}
-
-#: DifferentialReplayer.difference_kind -> the oracle a case now trips.
-_KIND_ORACLE = {"rows": Oracle.CONTAINMENT, "error": Oracle.ERROR,
-                "crash": Oracle.CRASH}
 
 
 def primary_attribution(report: BugReport) -> str:
@@ -87,125 +84,6 @@ def primary_attribution(report: BugReport) -> str:
         if BUG_CATALOG[bug_id].oracle == tag:
             return bug_id
     return report.attributed_bugs[0]
-
-
-#: The BugReport fields triage sets.
-TRIAGED_FIELDS = ("test_case", "reduced", "attributed_bugs", "oracle")
-
-
-@dataclass
-class Triaged:
-    """One finding's triage, as it comes back from a worker process."""
-
-    #: The report's :data:`TRIAGED_FIELDS` after triage.
-    fields: dict
-    #: False when the finding does not reproduce or no enabled defect
-    #: explains it.
-    ok: bool
-    #: When triage started (``time.monotonic``, system-wide on Linux)
-    #: and how long it took, measured where it ran.
-    started: float
-    seconds: float
-    #: Why the shrinker left the final query as it was, if it did.
-    unshrunk: Optional[str] = None
-
-    def apply(self, report: BugReport) -> Optional[BugReport]:
-        """Set the triaged fields on *report*; the processed report, or
-        None when it was not charged to a defect."""
-        for name, value in self.fields.items():
-            setattr(report, name, value)
-        return report if self.ok else None
-
-
-def triage_finding(dialect: str, bug_ids: tuple, reduce: bool,
-                   report: BugReport) -> Triaged:
-    """Reduce, shrink and attribute one raw finding, then re-derive the
-    oracle its reduced case trips.
-
-    The one triage task, run in a triage worker or in the campaign's
-    process alike.  Its inputs are picklable; it builds fresh
-    replayers, so a finding's replay memo lives exactly as long as its
-    triage; and it runs without telemetry, touching nothing a campaign
-    thread may lock (the campaign records the returned seconds and
-    skip reason).  Mutates *report*, which in a worker is a copy.
-    """
-    started = time.monotonic()
-    bugs = BugRegistry(set(bug_ids))
-    ok, unshrunk = _triage(report, DifferentialReplayer(dialect, bugs),
-                           MultiPlanReplayer(dialect, bugs), reduce)
-    return Triaged(
-        fields={name: getattr(report, name) for name in TRIAGED_FIELDS},
-        ok=ok, started=started, seconds=time.monotonic() - started,
-        unshrunk=unshrunk)
-
-
-def _triage(report: BugReport, replayer: DifferentialReplayer,
-            multiplan_replayer: MultiPlanReplayer,
-            reduce: bool) -> tuple[bool, Optional[str]]:
-    """:func:`triage_finding`'s body: (charged to a defect, unshrunk
-    reason)."""
-    if report.oracle is Oracle.MULTIPLAN:
-        still_fails, attribute = _multiplan_replay(multiplan_replayer,
-                                                   report)
-    else:
-        still_fails = replayer.manifests
-        attribute = replayer.attribute
-    if not still_fails(report.test_case):
-        return False, None
-    unshrunk = None
-    if reduce:
-        reducer = TestCaseReducer(still_fails)
-        try:
-            report.test_case = reducer.reduce(report.test_case)
-        except ReductionError:
-            return False, None
-        report.reduced = True
-        # Expression-level shrinking of the final query (the paper's
-        # authors "manually shortened them where possible", §4.1).
-        from repro.core.shrink import QueryShrinker
-
-        shrinker = QueryShrinker(still_fails)
-        report.test_case = shrinker.shrink(report.test_case)
-        unshrunk = shrinker.unshrunk
-    report.attributed_bugs = attribute(report.test_case)
-    if not report.attributed_bugs:
-        return False, unshrunk
-    if report.oracle is not Oracle.MULTIPLAN:
-        # The reduced case is the reported artifact; re-derive which
-        # oracle it now trips (reduction may have turned an error
-        # case into a wrong-rows case, or vice versa).
-        kind = replayer.difference_kind(report.test_case)
-        report.oracle = _KIND_ORACLE.get(kind, report.oracle)
-    # Order the primary attribution first so every consumer of
-    # attributed_bugs[0] charges the same defect.
-    primary = primary_attribution(report)
-    report.attributed_bugs = [primary] + [
-        b for b in report.attributed_bugs if b != primary]
-    return True, unshrunk
-
-
-def _multiplan_replay(replayer: MultiPlanReplayer, report: BugReport):
-    """Failure predicate and attribution for a multi-plan finding.
-
-    The predicate is *plan divergence under the hints that exposed the
-    finding* (recovered from the report's ``plan_results``), not
-    buggy-vs-clean disagreement: a multiplan defect is by construction
-    invisible to single-plan replay, so minimization must preserve the
-    forced executions and the cross-plan check."""
-    hints_list = [PlannerHints.from_dict(entry.get("hints", {}))
-                  for entry in (report.plan_results or [])]
-    if not hints_list:
-        # A journal predating plan_results: retry with the two
-        # cheapest universally-feasible plans.
-        hints_list = [BASELINE, PlannerHints(force_full_scan=True)]
-
-    def still_diverges(test_case) -> bool:
-        return replayer.diverges(test_case, hints_list)
-
-    def attribute(test_case) -> list[str]:
-        return replayer.attribute(test_case, hints_list)
-
-    return still_diverges, attribute
 
 
 @dataclass
@@ -343,6 +221,11 @@ class Campaign:
         self._telemetry = config.telemetry or NULL_TELEMETRY
         self._reduce_phase = self._telemetry.phase(
             metric_names.PHASE_REDUCE)
+        # MiniDB loads here (see the module docstring).
+        from repro.adapters.minidb_adapter import MiniDBConnection
+        from repro.campaigns.triage import triage_finding
+
+        self._target = MiniDBConnection
         #: triage_finding's inputs before the report.
         self._triage_args = (config.dialect,
                              tuple(sorted(self.bugs.enabled)),
@@ -351,7 +234,7 @@ class Campaign:
                                 telemetry=self._telemetry)
 
     def _connection(self) -> MiniDBConnection:
-        return MiniDBConnection(self.config.dialect,
+        return self._target(self.config.dialect,
                                 bugs=BugRegistry(set(self.bugs.enabled)))
 
     def build_runner(self) -> PQSRunner:
@@ -516,12 +399,14 @@ class Campaign:
     # -- per-report processing ---------------------------------------------
     def _process(self, report: BugReport) -> Optional[BugReport]:
         """Triage one raw finding: apply the triage pool's result for
-        it, or run :func:`triage_finding` here when there is none.
+        it, or run the pool's task,
+        :func:`~repro.campaigns.triage.triage_finding`, here when there
+        is none.
         Returns the processed report, or None when it does not
         reproduce or no enabled defect explains it."""
         triaged = self._pool.take(report)
         if triaged is None:
-            triaged = triage_finding(*self._triage_args, report)
+            triaged = self._pool.task(*self._triage_args, report)
         self._reduce_phase.record(triaged.started, triaged.seconds)
         if triaged.unshrunk is not None:
             self._telemetry.counter(metric_names.REDUCE_UNSHRUNK,

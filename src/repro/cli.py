@@ -295,7 +295,7 @@ def cmd_report(args) -> int:
 
 def _report_reducer(args):
     """A BugReport→BugReport reducer for ``pqs report --reduce``: the
-    campaign's own :func:`~repro.campaigns.campaign.triage_finding`,
+    campaign's own :func:`~repro.campaigns.triage.triage_finding`,
     built from the journal header's dialect and defect set.
 
     Each distinct raw finding is triaged once: sightings that differ
@@ -304,8 +304,8 @@ def _report_reducer(args):
     import json
     from dataclasses import replace
 
-    from repro.campaigns.campaign import triage_finding
     from repro.campaigns.journal import CampaignJournal
+    from repro.campaigns.triage import triage_finding
     from repro.errors import ReductionError
 
     header = CampaignJournal(args.journal).read_header()

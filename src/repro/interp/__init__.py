@@ -11,25 +11,43 @@ subclasses implement the value-level behaviour (casts, affinity,
 comparisons, pattern matching, arithmetic, functions).
 """
 
+from __future__ import annotations
+
+import sys
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.interp.base import EvalError, Interpreter, Row, t_and, t_not, t_or
-from repro.interp.mysql_sem import MySQLSemantics
-from repro.interp.postgres_sem import PostgresSemantics
-from repro.interp.sqlite_sem import SQLiteSemantics
+
+if TYPE_CHECKING:
+    from repro.interp.base import Semantics
+    from repro.interp.mysql_sem import MySQLSemantics
+    from repro.interp.postgres_sem import PostgresSemantics
+    from repro.interp.sqlite_sem import SQLiteSemantics
+
+#: A dialect's semantics module is imported when that dialect is first
+#: asked for (:func:`repro._lazy.lazy_exports`): ``pqs sqlite`` runs
+#: SQLite's alone.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.interp.mysql_sem": ("MySQLSemantics",),
+    "repro.interp.postgres_sem": ("PostgresSemantics",),
+    "repro.interp.sqlite_sem": ("SQLiteSemantics",),
+})
 
 _SEMANTICS = {
-    "sqlite": SQLiteSemantics,
-    "mysql": MySQLSemantics,
-    "postgres": PostgresSemantics,
+    "sqlite": "SQLiteSemantics",
+    "mysql": "MySQLSemantics",
+    "postgres": "PostgresSemantics",
 }
 
 
-def get_semantics(dialect: str):
+def get_semantics(dialect: str) -> Semantics:
     """Return a fresh semantics object for *dialect* (sqlite/mysql/postgres)."""
     try:
-        cls = _SEMANTICS[dialect]
+        name = _SEMANTICS[dialect]
     except KeyError:
         raise ValueError(f"unknown dialect: {dialect!r}") from None
-    return cls()
+    return getattr(sys.modules[__name__], name)()
 
 
 def make_interpreter(dialect: str) -> Interpreter:

@@ -23,10 +23,26 @@ Architecture (one module per stage):
 * :mod:`repro.minidb.engine` — the public facade
   (:class:`~repro.minidb.engine.Engine`), statement dispatch, DML,
   constraints and maintenance commands.
+
+Exports resolve on first access (:func:`repro._lazy.lazy_exports`):
+:mod:`repro.minidb.bugs` is the defect catalog every campaign and the
+CLI read, and it must not pull the engine into ``pqs sqlite``.
 """
 
-from repro.minidb.bugs import BUG_CATALOG, BugRegistry, InjectedBug
-from repro.minidb.engine import Engine, ResultSet
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.minidb.bugs import BUG_CATALOG, BugRegistry, InjectedBug
+    from repro.minidb.engine import Engine, ResultSet
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.minidb.bugs": ("BUG_CATALOG", "BugRegistry", "InjectedBug"),
+    "repro.minidb.engine": ("Engine", "ResultSet"),
+})
 
 __all__ = [
     "BUG_CATALOG",

@@ -321,7 +321,7 @@ class TestReport:
         # other statements gets its own.
         import json
 
-        from repro.campaigns import campaign
+        from repro.campaigns import triage
         from repro.campaigns.journal import (
             JOURNAL_VERSION,
             CampaignJournal,
@@ -330,13 +330,13 @@ class TestReport:
         from repro.core.reports import BugReport, Oracle, TestCase
 
         calls = []
-        plain = campaign.triage_finding
+        plain = triage.triage_finding
 
         def counted(dialect, bug_ids, reduce, report):
             calls.append(list(report.test_case.statements))
             return plain(dialect, bug_ids, reduce, report)
 
-        monkeypatch.setattr(campaign, "triage_finding", counted)
+        monkeypatch.setattr(triage, "triage_finding", counted)
         case = ["CREATE TABLE t0(c0)", "SELECT c0 FROM t0"]
         other = ["CREATE TABLE t1(c0)", "SELECT c0 FROM t1"]
         journal = tmp_path / "j.jsonl"

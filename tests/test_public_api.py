@@ -1,8 +1,11 @@
 """Public API surface: everything advertised imports and works."""
 
+import json
+
 import pytest
 
 import repro
+from tests.adapters.test_worker_reuse import fresh_interpreter
 
 
 class TestPublicSurface:
@@ -35,6 +38,31 @@ class TestPublicSurface:
         from repro.minidb import Engine  # noqa: F401
         from repro.multiplan import MultiPlanOracle  # noqa: F401
         from repro.stategen import ActionGenerator  # noqa: F401
+        # The packages that export lazily: in a fresh process, before
+        # any name is used, dir() and ``import *`` see every name, and
+        # each is the object its defining module holds.
+        out = fresh_interpreter("""
+            import importlib, json, types
+            wrong = []
+            for package in ("repro", "repro.adapters", "repro.campaigns",
+                            "repro.interp", "repro.minidb", "repro.observe"):
+                module = importlib.import_module(package)
+                listed = dir(module)
+                namespace = {}
+                exec(f"from {package} import *", namespace)
+                for name in module.__all__:
+                    value = getattr(module, name)
+                    if name not in listed:
+                        wrong.append(f"{package}.{name}: not in dir()")
+                    if namespace.get(name) is not value:
+                        wrong.append(f"{package}.{name}: not starred")
+                    if isinstance(value, (type, types.FunctionType)):
+                        home = importlib.import_module(value.__module__)
+                        if getattr(home, name, None) is not value:
+                            wrong.append(f"{package}.{name}: not its home's")
+            print(json.dumps(wrong))
+        """)
+        assert json.loads(out.splitlines()[-1]) == []
 
     def test_bug_catalog_shape(self):
         for bug in repro.BUG_CATALOG.values():
