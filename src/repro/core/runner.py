@@ -245,14 +245,14 @@ class PQSRunner:
                        round_: RoundRecord) -> None:
         """Execute one state-generation statement and feed its outcome
         to the oracles."""
-        failure = None
-        try:
-            connection.execute(sql)
-        except (DBCrash, DBError) as caught:
-            failure = caught
         round_.statements += 1
         self._m_statements.inc()
-        if failure is not None:
+        try:
+            connection.execute(sql)
+        except (DBCrash, DBError) as failure:
+            # Absorbed inside the block, whose end unbinds the name: a
+            # local that kept the exception would keep its traceback's
+            # frame, and with it the connection, until a cyclic collection.
             self._absorb_failure(sql, failure, log, round_, keep=True)
             return
         log.append(sql)

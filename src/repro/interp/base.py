@@ -247,19 +247,20 @@ _BIT_OPS = frozenset({BinaryOp.BITAND, BinaryOp.BITOR, BinaryOp.SHL,
 class Interpreter:
     """Evaluate expression ASTs against a pivot row (paper Algorithm 2).
 
-    Expressions are compiled once into a tree of closures and the compiled
-    form is memoized per AST node identity, so the per-row cost is a dict
-    probe plus the closure calls.  Compilation mirrors the historical
-    tree-walking evaluator exactly — same evaluation order, same semantics
-    hooks, same error messages — because the containment oracle depends on
-    bit-identical outcomes.  Nodes are immutable (frozen dataclasses), so
-    identity keying is sound; the cache holds strong references, so an id
-    cannot be reused while its entry is alive.
+    Expressions are compiled into a tree of closures.  Compilation mirrors
+    the historical tree-walking evaluator exactly — same evaluation order,
+    same semantics hooks, same error messages — because the containment
+    oracle depends on bit-identical outcomes.  :meth:`compile` memoizes the
+    closure per AST node identity, for callers that run one node over many
+    rows; :meth:`evaluate` and :meth:`evaluate_bool` compile and run once
+    and keep nothing, since the oracle evaluates each synthesized tree
+    about once.  Nodes are immutable (frozen dataclasses), so identity
+    keying is sound; the memo holds strong references, so an id cannot be
+    reused while its entry is alive.
     """
 
-    #: Clear-all bound on the compiled-closure memo: campaigns evaluate an
-    #: unbounded stream of distinct expressions through one long-lived
-    #: oracle interpreter.
+    #: Clear-all bound on the compiled-closure memo: one engine compiles
+    #: an unbounded stream of distinct statements' expressions.
     _CACHE_LIMIT = 2048
 
     def __init__(self, semantics: Semantics):
@@ -269,22 +270,11 @@ class Interpreter:
     # -- public API ----------------------------------------------------------
     def evaluate(self, expr: Expr, row: Row) -> Value:
         """Evaluate *expr* with column references bound from *row*."""
-        return self.compile(expr)(row)
+        return self._compile(expr)(row)
 
     def evaluate_bool(self, expr: Expr, row: Row) -> Ternary:
         """Evaluate *expr* in a boolean context (for WHERE/JOIN conditions)."""
         return self.semantics.to_bool(self.evaluate(expr, row))
-
-    def evaluate_uncached(self, expr: Expr, row: Row) -> Value:
-        """Evaluate a one-shot tree without touching the compile memo.
-
-        For callers that build fresh nodes per evaluation (aggregate
-        substitution), where caching would only thrash the memo.
-        (Per-subtree memoization was tried and measured slower: most
-        synthesized trees are evaluated exactly once, so the memo
-        bookkeeping outweighs the few re-extension hits.)
-        """
-        return self._compile(expr)(row)
 
     def compile(self, expr: Expr) -> CompiledExpr:
         """The compiled closure for *expr* (memoized)."""

@@ -621,7 +621,7 @@ class Engine:
 
     def _eval_const(self, expr: Expr) -> Value:
         try:
-            return self.interp.evaluate(expr, {})
+            return self.interp.compile(expr)({})
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
@@ -836,14 +836,14 @@ class Engine:
         if index.where is not None:
             try:
                 if self.semantics.to_bool(
-                        self.interp.evaluate(index.where, env)) is not True:
+                        self.interp.compile(index.where)(env)) is not True:
                     return None
             except EvalError as exc:
                 raise DBError(str(exc)) from exc
         key = []
         for indexed in index.exprs:
             try:
-                key.append(self.interp.evaluate(indexed.expr, env))
+                key.append(self.interp.compile(indexed.expr)(env))
             except EvalError as exc:
                 raise DBError(str(exc)) from exc
         return tuple(key)
@@ -915,7 +915,7 @@ class Engine:
             if where is not None:
                 try:
                     keep = self.semantics.to_bool(
-                        self.interp.evaluate(where, env))
+                        self.interp.compile(where)(env))
                 except EvalError as exc:
                     raise DBError(str(exc)) from exc
                 if keep is not True:
@@ -931,7 +931,7 @@ class Engine:
             for name, expr in assignments:
                 column = table.column(name)
                 try:
-                    value = self.interp.evaluate(expr, env)
+                    value = self.interp.compile(expr)(env)
                 except EvalError as exc:
                     raise DBError(str(exc)) from exc
                 new_row[name] = self._coerce(table, column, value)
@@ -971,7 +971,7 @@ class Engine:
             env = {f"{table.name}.{n}": v for n, v in row.items()}
             try:
                 keep = self.semantics.to_bool(
-                    self.interp.evaluate(where, env))
+                    self.interp.compile(where)(env))
             except EvalError as exc:
                 raise DBError(str(exc)) from exc
             if keep is True:
@@ -1136,7 +1136,7 @@ class Engine:
                 env = {f"{table.name}.{n}": v for n, v in row.items()}
                 for indexed in index.exprs:
                     try:
-                        value = self.interp.evaluate(indexed.expr, env)
+                        value = self.interp.compile(indexed.expr)(env)
                     except EvalError as exc:
                         raise DBError(str(exc)) from exc
                     if int4_expr and value.t is SQLType.INTEGER and \

@@ -426,7 +426,7 @@ class SelectExecutor:
     # -- evaluation ------------------------------------------------------------
     def _eval(self, expr: Expr, row: SourceRow) -> Value:
         try:
-            return self.interp.evaluate(expr, row.env)
+            return self.interp.compile(expr)(row.env)
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
@@ -642,9 +642,9 @@ class SelectExecutor:
         substituted = transform(expr, visit)
         env = group_rows[0].env if group_rows else {}
         try:
-            # One-shot tree: evaluate without entering the compile memo
-            # (each group builds fresh nodes, which would thrash it).
-            return self.interp.evaluate_uncached(substituted, env)
+            # One-shot tree: evaluate, which keeps no memo entry (each
+            # group builds fresh nodes, which would thrash the memo).
+            return self.interp.evaluate(substituted, env)
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 

@@ -66,30 +66,8 @@ def render_literal(value: Value, dialect: str = SQLITE) -> str:
     raise ValueError(f"cannot render {value!r}")
 
 
-# Identity-keyed memo for rendered subtrees.  Expression nodes are frozen
-# dataclasses, so a given node object always renders to the same text for a
-# given dialect; mutation chains build new nodes around shared old subtrees,
-# which makes re-rendering an extended chain mostly cache hits.  Strong refs
-# to the keyed node prevent id() reuse; the whole table is cleared when it
-# grows past the bound.
-_RENDER_CACHE: dict[tuple[int, str], tuple[Expr, str]] = {}
-_RENDER_CACHE_LIMIT = 4096
-
-
 def render_expr(expr: Expr, dialect: str = SQLITE) -> str:
     """Render an expression tree as SQL text for *dialect*."""
-    key = (id(expr), dialect)
-    entry = _RENDER_CACHE.get(key)
-    if entry is not None and entry[0] is expr:
-        return entry[1]
-    text = _render_expr(expr, dialect)
-    if len(_RENDER_CACHE) >= _RENDER_CACHE_LIMIT:
-        _RENDER_CACHE.clear()
-    _RENDER_CACHE[key] = (expr, text)
-    return text
-
-
-def _render_expr(expr: Expr, dialect: str) -> str:
     if isinstance(expr, LiteralNode):
         return render_literal(expr.value, dialect)
     if isinstance(expr, ColumnNode):

@@ -1,12 +1,18 @@
 """Runner internals: statement logging, error routing, option tracking,
 report caps, and per-database round structure."""
 
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 
+from repro import values
 from repro.adapters.minidb_adapter import MiniDBConnection
 from repro.core import runner as runner_module
 from repro.core.reports import RoundRecord
 from repro.core.runner import PQSRunner, RunnerConfig
+from repro.minidb import parser, tokens
 from repro.minidb.bugs import BugRegistry
 
 
@@ -154,3 +160,61 @@ class TestLogDiscipline:
             except (DBError, DBCrash):
                 failures += 1
         assert failures == 0, "logged statements must replay cleanly"
+
+
+class TestRoundMemory:
+    """What a runner keeps between rounds: nothing that grows."""
+
+    def test_finished_rounds_free_their_engines_without_gc(self):
+        """Reference counting alone frees each round's engine: a failed
+        statement's exception must not keep the round's frame, and with
+        it the connection, alive until a cyclic collection."""
+        engines = []
+
+        def factory():
+            connection = MiniDBConnection("sqlite")
+            engines.append(weakref.ref(connection.engine))
+            return connection
+
+        runner = PQSRunner(factory, RunnerConfig(dialect="sqlite", seed=0))
+        gc.disable()
+        try:
+            for _ in range(20):
+                runner.run_database_round()
+            alive = sum(ref() is not None for ref in engines)
+        finally:
+            gc.enable()
+        assert len(engines) == 20
+        assert alive == 0
+
+    #: Traced heap growth allowed from round 8 to round 33.  The runner
+    #: grows by under 2 KB over those rounds (CPython 3.11 and 3.12); an
+    #: oracle and a renderer that memoized every synthesized tree grew
+    #: it by about 4.1 MB.
+    HEAP_GROWTH_BOUND = 256 * 1024
+
+    def test_heap_stays_flat_across_rounds(self):
+        """The oracle's interpreter and the renderer keep no synthesized
+        expression: after warm-up, the traced heap stays flat.  The
+        bounded module memos (parsed statements, words, numeric
+        prefixes) are emptied before each reading, so their fill level,
+        which depends on what ran before, does not count."""
+        runner = make_runner(seed=0)
+
+        def reading():
+            parser._PARSE_CACHE.clear()
+            tokens._WORD_CACHE.clear()
+            values._NUMERIC_PREFIX_CACHE.clear()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            heap = {}
+            for round_number in range(1, 34):
+                runner.run_database_round()
+                if round_number in (8, 33):
+                    heap[round_number] = reading()
+        finally:
+            tracemalloc.stop()
+        assert heap[33] - heap[8] < self.HEAP_GROWTH_BOUND
